@@ -92,7 +92,8 @@ def cmd_graphs(config: RunConfig) -> int:
         for kind in GraphKind:
             payload = {"qid": inst.qid, **inst.graphs[kind].to_dict()}
             path = os.path.join(config.out_dir, f"{inst.qid}.{kind.name.lower()}.json")
-            _write_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+            _write_atomic(path, json.dumps(payload, sort_keys=True, indent=2,
+                                           allow_nan=False) + "\n")
     print(f"wrote {4 * len(instances)} graph files to {config.out_dir}")
     return 0
 
@@ -122,7 +123,8 @@ def cmd_predict(config: RunConfig) -> int:
     model = _load_into_model(config)
     dump = predict_corpus(model, instances)
     out_path = os.path.join(config.out_dir, "predictions.jsonl")
-    _write_atomic(out_path, "".join(json.dumps(row, sort_keys=True) + "\n" for row in dump))
+    _write_atomic(out_path, "".join(json.dumps(row, sort_keys=True, allow_nan=False) + "\n"
+                                    for row in dump))
     print(f"wrote {len(dump)} predictions to {out_path}")
     return 0
 

@@ -44,7 +44,6 @@ class RunConfig:
     embedder: str = "toy"
     embeddings_path: str | None = None
     constants_max: int = 100
-    round_decimals: int = 2
 
     def __post_init__(self):
         for name in ("seed",):

@@ -57,6 +57,11 @@ class DivisionByZero(DocReasonError):
     """An expression tree divides by zero; the instance is scored wrong."""
 
 
+class NonFiniteResult(DocReasonError):
+    """An expression tree evaluates to infinity or NaN; the instance is
+    scored wrong."""
+
+
 class InconsistentComponents(DocReasonError):
     """Answer assembly received components inconsistent with the answer type."""
 

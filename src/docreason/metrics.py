@@ -163,7 +163,7 @@ class EvalReport:
                 "error_counts": self.error_counts}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
     def to_text(self) -> str:
         lines = [f"instances: {self.n}",

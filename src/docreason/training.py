@@ -16,7 +16,8 @@ import numpy as np
 
 from .autodiff import Tensor
 from .elements import NodeKind
-from .errors import DivergenceDetected, DivisionByZero, InconsistentComponents, NoLeafCandidates, NoValidTokens
+from .errors import (DivergenceDetected, DivisionByZero, InconsistentComponents, NoLeafCandidates,
+                     NonFiniteResult, NoValidTokens)
 from .heads import ANSWER_TYPES, SCALES, AnswerType, Scale
 from .metrics import build_report, classify_error, evidence_metrics, exact_match, numeracy_f1
 from .model import Model, ModelOutput
@@ -204,7 +205,7 @@ def predict_instance(model: Model, inst: Instance) -> tuple[Answer | None, str |
             atype, scale, inst.seq, inst.source_texts,
             span=out.span, tags=out.labels, tree=out.tree, nodes=inst.nodes)
         return answer, None, out
-    except DivisionByZero:
+    except (DivisionByZero, NonFiniteResult):
         return None, "execution_error", out
     except (InconsistentComponents, NoLeafCandidates, NoValidTokens):
         return None, "invalid_prediction", out

@@ -12,6 +12,7 @@ beat it.
 from __future__ import annotations
 
 import datetime
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,7 +21,7 @@ from .autodiff import Tensor, add_masked, concat
 from .document import TokenSequence
 from .elements import ElementNode, NodeKind, NodeSet
 from .errors import (DivisionByZero, InconsistentComponents, NoLeafCandidates,
-                     ValidationError)
+                     NonFiniteResult, ValidationError)
 from .heads import AnswerType, NodeSelection, Scale, bio_spans
 from .nn import FFN2, Linear
 
@@ -290,6 +291,10 @@ def decode_tree(h_sd: Tensor, sd_reprs: Tensor, sel: NodeSelection, nodes: NodeS
     pending-operator nesting reaches max_depth, so every search path
     terminates. Ties break toward earlier-created states, which expands to
     lower token ids first.
+
+    Each step ranks every child by its log-prob before building any: a
+    child that completes the tree needs no tape ops (its merges only feed a
+    goal of None), and of the rest only the `beam` best are built.
     """
     vocab = selection_vocab(sel, nodes, constants)
     if len(vocab) == vocab.num_ops:
@@ -305,25 +310,25 @@ def decode_tree(h_sd: Tensor, sd_reprs: Tensor, sel: NodeSelection, nodes: NodeS
             break
         if finished is not None and finished.logp >= alive[0].logp:
             break
-        children: list[_State] = []
+        ranked = []
         for state in alive:
             allow_ops = len(state.frames) < max_depth
             lp, ctx = decoder.step_log_probs(state.goal, sd_reprs, cand_embs,
                                              allow_ops, vocab.num_ops)
             row = lp.data[0]
-            for token in range(len(vocab)):
-                if not allow_ops and token < vocab.num_ops:
-                    continue
+            closes = all(frame.left_emb is not None for frame in state.frames)
+            for token in range(0 if allow_ops else vocab.num_ops, len(vocab)):
                 counter += 1
-                child = _apply_token(decoder, state, token, float(row[token]),
-                                     vocab, cand_embs, ctx, counter)
-                if child.goal is None:
-                    if finished is None or child.logp > finished.logp:
-                        finished = child
+                token_logp = float(row[token])
+                logp = state.logp + token_logp
+                if closes and token >= vocab.num_ops:
+                    if finished is None or logp > finished.logp:
+                        finished = _State(None, (), state.tokens + (token,), logp, counter)
                 else:
-                    children.append(child)
-        children.sort(key=lambda s: (-s.logp, s.order))
-        alive = children[:beam]
+                    ranked.append((-logp, counter, state, token, token_logp, ctx))
+        ranked.sort(key=lambda c: c[:2])
+        alive = [_apply_token(decoder, state, token, token_logp, vocab, cand_embs, ctx, order)
+                 for _, order, state, token, token_logp, ctx in ranked[:beam]]
     if finished is None:
         raise NoLeafCandidates("beam produced no finished tree within the step budget")
     return vocab.tree_from_tokens(list(finished.tokens)), finished.logp
@@ -411,6 +416,8 @@ def assemble_answer(atype: AnswerType, scale: Scale, seq: TokenSequence,
     if tree is None or nodes is None:
         raise InconsistentComponents("Arithmetic answer without a decoded tree")
     raw = execute_tree(tree, nodes)
+    if not math.isfinite(raw):
+        raise NonFiniteResult(f"{serialize_tree(tree)} evaluates to {raw}")
     value = raw
     if round_decimals is not None and value != int(value):
         value = round(value, round_decimals)

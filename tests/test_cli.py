@@ -62,9 +62,10 @@ class TestConfig:
 
     def test_unknown_keys_and_bad_values_rejected(self, tmp_path, monkeypatch):
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({"dims": 16}))
-        with pytest.raises(SchemaError):
-            load_config(str(path))
+        for unknown in ({"dims": 16}, {"round_decimals": 2}):
+            path.write_text(json.dumps(unknown))
+            with pytest.raises(SchemaError):
+                load_config(str(path))
         with pytest.raises(SchemaError):
             RunConfig(dim=0)
         with pytest.raises(SchemaError):

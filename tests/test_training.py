@@ -1,11 +1,14 @@
 """Loss composition, optimizer behavior, the training loop, and scoring."""
 
+import json
+
 import numpy as np
 import pytest
 
 from docreason.autodiff import Tensor
 from docreason.errors import DivergenceDetected
-from docreason.heads import AnswerType
+from docreason.elements import NodeKind
+from docreason.heads import ANSWER_TYPES, AnswerType
 from docreason.model import Model, ModelConfig
 from docreason.pipeline import build_instance
 from docreason.synthetic import generate_corpus
@@ -20,6 +23,7 @@ from docreason.training import (
     train,
     warmup_scale,
 )
+from docreason.tree import parse_tree
 
 
 def _instances(n=8, seed=6):
@@ -157,6 +161,31 @@ class TestPredictionAndScoring:
                 assert answer.answer_type in set(AnswerType)
             else:
                 assert failure in ("execution_error", "invalid_prediction")
+
+    def test_overflowing_tree_is_an_execution_error_in_a_strict_json_row(self):
+        record = {
+            "doc_id": "big", "question": "What is the square of the payment?",
+            "pages": [{"width": 800, "height": 1000}],
+            "blocks": [{"block_id": 0, "page_index": 0, "order": 0,
+                        "text": "Paid 1" + "0" * 200 + " in cash.", "box": [10, 10, 700, 40]}],
+        }
+        inst = build_instance(record, with_gold=False)
+        nid = inst.nodes.by_kind(NodeKind.QUANTITY)[0].node_id
+        model = _model(dim=8)
+        forward = model.forward
+
+        def arithmetic_forward(instance, **kwargs):
+            out = forward(instance, heads=set(), **kwargs)
+            out.type_out.argmax = ANSWER_TYPES.index(AnswerType.ARITHMETIC)
+            out.tree = parse_tree(f"(* n#{nid} n#{nid})")
+            return out
+
+        model.forward = arithmetic_forward
+        answer, failure, _ = predict_instance(model, inst)
+        assert answer is None and failure == "execution_error"
+        [row] = predict_corpus(model, [inst])
+        assert row["failure"] == "execution_error" and row["value"] is None
+        assert json.loads(json.dumps(row, allow_nan=False)) == row
 
     def test_dump_scoring_matches_live_evaluation(self):
         model = _model(dim=8)

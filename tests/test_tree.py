@@ -12,8 +12,10 @@ from docreason.errors import (
     DivisionByZero,
     InconsistentComponents,
     NoLeafCandidates,
+    NonFiniteResult,
     ValidationError,
 )
+from docreason import tree as tree_module
 from docreason.heads import AnswerType, NodeSelection, Scale
 from docreason.tree import (
     OPS,
@@ -21,6 +23,8 @@ from docreason.tree import (
     TreeDecoder,
     TreeNode,
     TreeVocab,
+    _apply_token,
+    _State,
     assemble_answer,
     decode_tree,
     execute_tree,
@@ -79,6 +83,42 @@ def _all_trees(leaves, depth):
             for b in smaller:
                 out.append(TreeNode("op", op, (a, b)))
     return out
+
+
+def _expand_everything_decode(h_sd, sd_reprs, sel, nodes, decoder, beam, max_depth,
+                              constants):
+    """Reference beam search that builds every (state, token) child and then
+    keeps the best `beam`; decode_tree must return exactly what it returns."""
+    vocab = selection_vocab(sel, nodes, constants)
+    cand_embs = decoder.candidate_embeddings(vocab, sd_reprs)
+    alive = [_State(h_sd.reshape((1, decoder.dim)), (), (), 0.0)]
+    finished = None
+    counter = 0
+    for _ in range(2 ** (max_depth + 1) - 1):
+        if not alive:
+            break
+        if finished is not None and finished.logp >= alive[0].logp:
+            break
+        children = []
+        for state in alive:
+            allow_ops = len(state.frames) < max_depth
+            lp, ctx = decoder.step_log_probs(state.goal, sd_reprs, cand_embs,
+                                             allow_ops, vocab.num_ops)
+            row = lp.data[0]
+            for token in range(len(vocab)):
+                if not allow_ops and token < vocab.num_ops:
+                    continue
+                counter += 1
+                child = _apply_token(decoder, state, token, float(row[token]),
+                                     vocab, cand_embs, ctx, counter)
+                if child.goal is None:
+                    if finished is None or child.logp > finished.logp:
+                        finished = child
+                else:
+                    children.append(child)
+        children.sort(key=lambda s: (-s.logp, s.order))
+        alive = children[:beam]
+    return list(finished.tokens), finished.logp
 
 
 def _teacher_score(h_sd, sd_reprs, tree, vocab, decoder, max_depth):
@@ -256,6 +296,65 @@ class TestDecoding:
                                  beam=3, max_depth=2, constants=[1, 2])
         assert abs(logp - _teacher_score(h_sd, sd, tree, vocab, decoder, 2)) < 1e-9
 
+    def _sharp_setup(self, seed):
+        """A decoder with larger weights and much larger operator embeddings,
+        so that decodes reach every depth instead of stopping at one leaf.
+        Odd seeds give both leaves the same representation, so their
+        children tie exactly and only the creation order ranks them."""
+        nodes, sd, h_sd, sel, decoder = self._setup(seed)
+        for p in decoder.params().values():
+            p.data *= 3.0
+        decoder.op_table.data *= 30.0
+        if seed % 2:
+            sd.data[sel.selected[1]] = sd.data[sel.selected[0]]
+        return nodes, sd, h_sd, sel, decoder
+
+    def test_matches_expand_everything_reference_bit_for_bit(self):
+        constants = list(range(1, 11))
+        depths = set()
+        for seed in range(54):
+            beam, max_depth = (1, 3, 5)[seed % 3], (2, 3, 4)[seed // 3 % 3]
+            nodes, sd, h_sd, sel, decoder = self._sharp_setup(seed)
+            want_tokens, want_logp = _expand_everything_decode(
+                h_sd, sd, sel, nodes, decoder, beam, max_depth, constants)
+            tree, logp = decode_tree(h_sd, sd, sel, nodes, decoder, beam=beam,
+                                     max_depth=max_depth, constants=constants)
+            vocab = selection_vocab(sel, nodes, constants)
+            assert vocab.tokens_for_tree(tree) == want_tokens, f"seed {seed}"
+            assert logp == want_logp, f"seed {seed}"
+            depths.add(_depth(tree))
+        assert {0, 2, 3} <= depths  # leaf-only and nested trees both occur
+
+    def test_builds_at_most_beam_children_per_step_and_never_a_finished_one(
+            self, monkeypatch):
+        events = []
+        real_apply, real_score = tree_module._apply_token, TreeDecoder.step_log_probs
+
+        def apply(*args):
+            child = real_apply(*args)
+            events.append("build" if child.goal is not None else "finished")
+            return child
+
+        def score(self, *args, **kwargs):
+            events.append("score")
+            return real_score(self, *args, **kwargs)
+
+        monkeypatch.setattr(tree_module, "_apply_token", apply)
+        monkeypatch.setattr(TreeDecoder, "step_log_probs", score)
+        builds = 0
+        for seed in range(12):
+            beam = (1, 3, 5)[seed % 3]
+            nodes, sd, h_sd, sel, decoder = self._sharp_setup(seed)
+            events.clear()
+            decode_tree(h_sd, sd, sel, nodes, decoder, beam=beam, max_depth=3,
+                        constants=list(range(1, 11)))
+            assert "finished" not in events, f"seed {seed}"
+            per_step = [run.count("b") for run in
+                        "".join(e[0] for e in events).split("s")]
+            assert max(per_step) <= beam, f"seed {seed}"
+            builds += events.count("build")
+        assert builds > 0
+
     def test_no_leaves_anywhere_is_an_error(self):
         nodes, sd, h_sd, _, decoder = self._setup(0)
         sel = _selection(nodes, [])
@@ -330,6 +429,15 @@ class TestAssembly:
         ans = assemble_answer(AnswerType.ARITHMETIC, Scale.NONE, seq, texts,
                               tree=tree, nodes=nodes)
         assert ans.value == ans.raw_value
+
+    def test_non_finite_arithmetic_is_an_execution_failure(self):
+        seq, nodes, texts = _instance(texts=("Paid 1" + "0" * 200 + " in cash.",))
+        nid = next(n.node_id for n in nodes.by_kind(NodeKind.QUANTITY) if n.value == 1e200)
+        square = f"(* n#{nid} n#{nid})"
+        for expr in (square, f"(- {square} {square})"):  # inf, then inf - inf = nan
+            with pytest.raises(NonFiniteResult):
+                assemble_answer(AnswerType.ARITHMETIC, Scale.NONE, seq, texts,
+                                tree=parse_tree(expr), nodes=nodes)
 
     def test_missing_components_raise(self):
         seq, nodes, texts = _instance()
