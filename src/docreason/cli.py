@@ -24,7 +24,7 @@ from .heads import AnswerType
 from .metrics import EvalReport
 from .model import Model
 from .nn import FileEmbedder, load_checkpoint, save_checkpoint
-from .pipeline import load_corpus
+from .pipeline import load_corpus, load_records
 from .training import evaluate, predict_corpus, score_dump, train
 from .vocab import VOCAB_SIZE
 
@@ -140,9 +140,7 @@ def _emit_report(config: RunConfig, report: EvalReport) -> int:
 def cmd_eval(config: RunConfig) -> int:
     instances = load_corpus(config.corpus, config.max_len)
     if config.predictions:
-        with open(config.predictions, encoding="utf-8") as f:
-            dump = [json.loads(line) for line in f if line.strip()]
-        report, _rows = score_dump(instances, dump)
+        report, _rows = score_dump(instances, load_records(config.predictions))
     else:
         if not config.checkpoint:
             raise SchemaError("eval needs --checkpoint or --predictions")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -55,8 +56,8 @@ class RunConfig:
             if getattr(self, name) < 1:
                 raise SchemaError(f"config: {name} must be >= 1")
         for name in ("lr", "warmup"):
-            if getattr(self, name) <= 0:
-                raise SchemaError(f"config: {name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise SchemaError(f"config: {name} must be positive and finite")
         if self.epochs < 0 or self.max_tree_depth < 0:
             raise SchemaError("config: epochs and max_tree_depth must be >= 0")
         if self.embedder not in ("toy", "external-file"):

@@ -18,7 +18,7 @@ import numpy as np
 from .autodiff import Tensor, concat, dropout
 from .document import BoundingBox, TokenSequence
 from .elements import NodeSet, node_token_indices
-from .errors import EmptyGraph, EmptySpan, ShapeMismatch
+from .errors import CheckpointMismatch, EmptyGraph, EmptySpan, ShapeMismatch
 from .graphs import SemanticGraph
 from .vocab import VOCAB_SIZE, Vocab, default_vocab
 
@@ -241,7 +241,8 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
     with open(path, "rb") as f:
         payload = json.loads(f.read())
     if payload.get("format_version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {payload.get('format_version')}")
+        raise CheckpointMismatch(
+            f"{path}: unsupported checkpoint version {payload.get('format_version')!r}")
     arrays = {
         name: np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
         for name, entry in payload["params"].items()

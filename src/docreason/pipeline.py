@@ -59,15 +59,22 @@ class Instance:
 
 
 def load_records(path: str) -> list[dict]:
-    with open(path, encoding="utf-8") as f:
-        text = f.read()
-    stripped = text.lstrip()
-    if stripped.startswith("["):
-        records = json.loads(text)
-        if not isinstance(records, list):
-            raise SchemaError(f"{path}: top-level JSON must be a list")
-        return records
-    return [json.loads(line) for line in text.splitlines() if line.strip()]
+    """Records of a JSON array or JSONL file; an unreadable file or invalid
+    JSON raises SchemaError naming the path."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+        if text.lstrip().startswith("["):
+            records = json.loads(text)
+        else:
+            records = [json.loads(line) for line in text.splitlines() if line.strip()]
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot read: {exc.strerror}") from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise SchemaError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(records, list):
+        raise SchemaError(f"{path}: top-level JSON must be a list")
+    return records
 
 
 def resolve_ref(nodes: NodeSet, ref: dict) -> int:

@@ -17,7 +17,7 @@ import numpy as np
 from .autodiff import Tensor
 from .elements import NodeKind
 from .errors import (DivergenceDetected, DivisionByZero, InconsistentComponents, NoLeafCandidates,
-                     NonFiniteResult, NoValidTokens)
+                     NonFiniteResult, NoValidTokens, SchemaError)
 from .heads import ANSWER_TYPES, SCALES, AnswerType, Scale
 from .metrics import build_report, classify_error, evidence_metrics, exact_match, numeracy_f1
 from .model import Model, ModelOutput
@@ -86,23 +86,58 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        # rows (entries of a 1-D parameter) that have ever had a nonzero gradient
+        self.live = {k: np.zeros(p.data.shape[:1], dtype=bool) for k, p in params.items()}
 
     def zero_grad(self):
         for p in self.params.values():
             p.grad = None
 
     def step(self, lr_scale: float = 1.0):
+        """One Adam step, written into m, v and p.data in place.
+
+        Only live rows are touched. A row that has never had a nonzero
+        gradient entry has m = v = 0 and a zero (or -0.0) gradient, so the
+        dense update would move it by lr*0/(sqrt(0)+eps) = 0 (lr is finite),
+        and p - 0 == p bit for bit: skipping it changes nothing.
+        """
         self.t += 1
         lr = self.lr * lr_scale
+        c1 = 1 - self.b1 ** self.t
+        c2 = 1 - self.b2 ** self.t
         for name, p in self.params.items():
             g = p.grad
             if g is None:
                 continue
-            self.m[name] = self.b1 * self.m[name] + (1 - self.b1) * g
-            self.v[name] = self.b2 * self.v[name] + (1 - self.b2) * g * g
-            m_hat = self.m[name] / (1 - self.b1 ** self.t)
-            v_hat = self.v[name] / (1 - self.b2 ** self.t)
-            p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            live = self.live[name]
+            live |= (g != 0).any(axis=tuple(range(1, g.ndim)))
+            m, v = self.m[name], self.v[name]
+            if live.all():
+                self._update(m, v, p.data, g, lr, c1, c2)
+                continue
+            rows = np.flatnonzero(live)
+            m_rows, v_rows, p_rows = m[rows], v[rows], p.data[rows]
+            self._update(m_rows, v_rows, p_rows, g[rows], lr, c1, c2)
+            m[rows], v[rows], p.data[rows] = m_rows, v_rows, p_rows
+
+    def _update(self, m, v, p, g, lr, c1, c2):
+        """Dense Adam on these arrays, in place, with the per-element order of
+        m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+        p = p - lr*(m/c1) / (sqrt(v/c2) + eps)."""
+        num = np.multiply(g, 1 - self.b1)
+        m *= self.b1
+        m += num
+        den = np.multiply(g, 1 - self.b2)
+        den *= g
+        v *= self.b2
+        v += den
+        np.divide(v, c2, out=den)
+        np.sqrt(den, out=den)
+        den += self.eps
+        np.divide(m, c1, out=num)
+        num *= lr
+        num /= den
+        p -= num
 
 
 def warmup_scale(step: int, total_steps: int, warmup_frac: float) -> float:
@@ -262,6 +297,13 @@ def evaluate(model: Model, instances: list[Instance]):
     return build_report(rows), rows
 
 
+def _dump_field(row: dict, name: str, enum):
+    try:
+        return enum(row.get(name))
+    except ValueError:
+        raise SchemaError(f"prediction {row['qid']}: unknown {name} {row.get(name)!r}") from None
+
+
 def score_dump(instances: list[Instance], dump: list[dict]):
     """Score an existing prediction dump against gold; row order follows the
     corpus and rows are matched by qid."""
@@ -273,9 +315,9 @@ def score_dump(instances: list[Instance], dump: list[dict]):
             failure = (row or {}).get("failure", "invalid_prediction")
             rows.append(score_prediction(inst, None, failure, (row or {}).get("selected_nodes", [])))
             continue
-        answer = Answer(AnswerType(row["answer_type"]),
+        answer = Answer(_dump_field(row, "answer_type", AnswerType),
                         row["value"],
-                        Scale(row["scale"]),
+                        _dump_field(row, "scale", Scale),
                         raw_value=row["value"] if isinstance(row["value"], (int, float)) else None,
                         expression=row.get("expression"))
         rows.append(score_prediction(inst, answer, None, row.get("selected_nodes", [])))

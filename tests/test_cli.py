@@ -8,6 +8,7 @@ import pytest
 from docreason.cli import main
 from docreason.config import SEED_ENV_VAR, RunConfig, load_config
 from docreason.errors import SchemaError
+from docreason.pipeline import load_corpus
 from docreason.synthetic import write_corpus
 
 
@@ -70,6 +71,9 @@ class TestConfig:
             RunConfig(dim=0)
         with pytest.raises(SchemaError):
             RunConfig(embedder="bert")
+        for rate in ("inf", "nan", "-1"):
+            with pytest.raises(SchemaError):
+                RunConfig(lr=float(rate))
         monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
         with pytest.raises(SchemaError):
             load_config()
@@ -91,6 +95,16 @@ class TestValidateAndGraphs:
 
     def test_missing_corpus_flag(self):
         assert main(["validate"]) == 2
+
+    def test_unreadable_corpus_exits_2_naming_the_path(self, corpus, tmp_path, capsys):
+        truncated = tmp_path / "truncated.json"
+        with open(corpus, encoding="utf-8") as f:
+            truncated.write_text(f.read()[:500])
+        for path in (truncated, tmp_path / "missing.json"):
+            assert main(["validate", "--corpus", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and str(path) in err
+            assert len(err.strip().splitlines()) == 1
 
     def test_graphs_writes_four_files_per_record(self, corpus, tmp_path):
         out_dir = tmp_path / "graphs"
@@ -147,6 +161,26 @@ class TestTrainPredictEval:
         ckpt.write_text(json.dumps(payload))
         assert main(["predict", "--corpus", corpus, "--checkpoint", str(ckpt),
                      "--out-dir", str(run_dir)]) == 4
+
+    def test_unknown_checkpoint_version_exits_4(self, corpus, tmp_path):
+        run_dir = tmp_path / "run"
+        assert main(_train_args(corpus, tmp_path)) == 0
+        ckpt = run_dir / "checkpoint.json"
+        payload = json.loads(ckpt.read_text())
+        payload["format_version"] = 99
+        ckpt.write_text(json.dumps(payload))
+        assert main(["predict", "--corpus", corpus, "--checkpoint", str(ckpt),
+                     "--out-dir", str(run_dir)]) == 4
+
+    def test_unknown_answer_type_in_dump_exits_2(self, corpus, tmp_path, capsys):
+        qid = load_corpus(corpus)[0].qid
+        dump = tmp_path / "predictions.jsonl"
+        dump.write_text(json.dumps({"qid": qid, "answer_type": "Bogus", "value": "x",
+                                    "scale": "None"}) + "\n")
+        assert main(["eval", "--corpus", corpus, "--predictions", str(dump),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert qid in err and "answer_type" in err
 
     def test_incomplete_checkpoint_meta_exits_4(self, corpus, tmp_path):
         run_dir = tmp_path / "run"

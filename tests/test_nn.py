@@ -8,7 +8,7 @@ import pytest
 from docreason.autodiff import Tensor
 from docreason.document import ingest_document, tokenize, transform_multipage
 from docreason.elements import build_node_inventory, node_token_indices
-from docreason.errors import EmptyGraph, EmptySpan, ShapeMismatch
+from docreason.errors import CheckpointMismatch, EmptyGraph, EmptySpan, ShapeMismatch
 from docreason.graphs import GraphKind, SemanticGraph
 from docreason.nn import (
     FFN2,
@@ -250,5 +250,5 @@ class TestCheckpoints:
     def test_unknown_version_is_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
         path.write_text(json.dumps({"format_version": 99, "meta": {}, "params": {}}))
-        with pytest.raises(ValueError):
+        with pytest.raises(CheckpointMismatch):
             load_checkpoint(str(path))

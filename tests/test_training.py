@@ -37,6 +37,37 @@ def _by_type(instances):
     return out
 
 
+class _DenseAdam:
+    """Reference: Adam that rewrites every entry of every parameter with a
+    gradient on each step, as fresh arrays."""
+
+    def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8):
+        self.params = params
+        self.lr = lr
+        self.b1, self.b2 = betas
+        self.eps = eps
+        self.t = 0
+        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+
+    def step(self, lr_scale=1.0):
+        self.t += 1
+        lr = self.lr * lr_scale
+        for name, p in self.params.items():
+            g = p.grad
+            if g is None:
+                continue
+            self.m[name] = self.b1 * self.m[name] + (1 - self.b1) * g
+            self.v[name] = self.b2 * self.v[name] + (1 - self.b2) * g * g
+            m_hat = self.m[name] / (1 - self.b1 ** self.t)
+            v_hat = self.v[name] / (1 - self.b2 ** self.t)
+            p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def _model(dim=16, **kw):
     config = ModelConfig(dim=dim, gcn_dropout=0.0, tree_dropout=0.0,
                          ffn_dropout=0.0, **kw)
@@ -102,6 +133,43 @@ class TestOptimizer:
         opt = Adam({"w": w})
         opt.step()  # no backward happened; parameter must be untouched
         assert float(w.data[0]) == 1.0
+
+    def test_matches_dense_reference_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        init = {"table": rng.normal(size=(40, 6)), "bias": rng.normal(size=9),
+                "w": rng.normal(size=(3, 4))}
+        init["table"][31] = -0.0
+        fast = {k: Tensor(a.copy(), requires_grad=True) for k, a in init.items()}
+        slow = {k: Tensor(a.copy(), requires_grad=True) for k, a in init.items()}
+        opt, ref = Adam(fast, lr=0.01), _DenseAdam(slow, lr=0.01)
+        for step in range(30):
+            # rows 0-29 take turns; 20-29 go quiet after step 15; 30-39
+            # never see more than -0.0
+            table = np.zeros((40, 6))
+            touched = rng.choice(30 if step < 15 else 20, size=int(rng.integers(1, 8)),
+                                 replace=False)
+            table[touched] = rng.normal(size=(len(touched), 6))
+            table[touched, 0] = -0.0
+            table[30:35] = -0.0
+            # bias entries 7 and 8 never get a nonzero gradient
+            bias = rng.normal(size=9) * (rng.random(9) < 0.5)
+            bias[7:] = -0.0
+            grads = {"table": table, "bias": bias,
+                     "w": None if step % 3 == 0 else rng.normal(size=(3, 4))}
+            for params in (fast, slow):
+                for name, g in grads.items():
+                    params[name].grad = None if g is None else g.copy()
+            scale = 0.0 if step == 4 else float(rng.uniform(0.1, 1.5))
+            opt.step(scale)
+            ref.step(scale)
+            for name in init:
+                assert _same_bits(fast[name].data, slow[name].data), (step, name)
+                assert _same_bits(opt.m[name], ref.m[name]), (step, name)
+                assert _same_bits(opt.v[name], ref.v[name]), (step, name)
+        assert not opt.live["table"].all() and opt.live["w"].all()
+        assert _same_bits(fast["table"].data[30:], init["table"][30:])
+        assert _same_bits(fast["bias"].data[7:], init["bias"][7:])
+        assert not np.array_equal(fast["table"].data[:30], init["table"][:30])
 
     def test_warmup_ramps_then_saturates(self):
         total = 100
