@@ -9,6 +9,7 @@ single canonical canvas, and produces the token sequence the model consumes.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .errors import DegenerateGeometry, QuestionTooLong, SchemaError, ValidationError
@@ -85,8 +86,12 @@ class TokenSequence:
     tokens: list[Token]
     question_len: int
     block_ranges: dict[int, tuple[int, int]] = field(default_factory=dict)
+    starts: list[int] = field(init=False, repr=False, compare=False)
+    ends: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.starts = [t.start for t in self.tokens]
+        self.ends = [t.end for t in self.tokens]
         if not self.block_ranges:
             self.block_ranges = {}
             current: int | None = None
@@ -105,6 +110,18 @@ class TokenSequence:
 
     def question_range(self) -> tuple[int, int]:
         return (0, self.question_len)
+
+    def source_range(self, block_id: int | None) -> tuple[int, int]:
+        """Token positions of the question (block_id None) or of one block."""
+        return self.question_range() if block_id is None else self.block_ranges[block_id]
+
+    def overlap_range(self, block_id: int | None, start: int, end: int) -> tuple[int, int]:
+        """(lo, hi): the tokens of one source whose char span overlaps
+        [start, end). Tokens of a source have increasing, non-overlapping char
+        spans, so those tokens are contiguous and two bisections find them."""
+        lo, hi = self.source_range(block_id)
+        first = bisect_right(self.ends, start, lo, hi)
+        return first, max(first, bisect_left(self.starts, end, lo, hi))
 
 
 def _require(cond: bool, msg: str):

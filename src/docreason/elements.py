@@ -208,9 +208,8 @@ def build_node_inventory(canon: CanonicalDocument, question: str,
     def span_has_tokens(block_id: int | None, start: int, end: int) -> bool:
         if seq is None:
             return True
-        lo, hi = seq.question_range() if block_id is None else seq.block_ranges[block_id]
-        return any(_overlaps(seq.tokens[i].start, seq.tokens[i].end, start, end)
-                   for i in range(lo, hi))
+        lo, hi = seq.overlap_range(block_id, start, end)
+        return hi > lo
 
     nodes: list[ElementNode] = []
     parent_of: dict[int | None, int] = {}
@@ -244,13 +243,14 @@ def build_node_inventory(canon: CanonicalDocument, question: str,
     return NodeSet(nodes=nodes)
 
 
+def node_token_range(node: ElementNode, seq: TokenSequence) -> tuple[int, int]:
+    """(lo, hi): the token positions whose char span overlaps the node's
+    span; Question and Block nodes cover their whole source."""
+    if node.kind in (NodeKind.QUESTION, NodeKind.BLOCK):
+        return seq.source_range(node.block_id)
+    return seq.overlap_range(node.block_id, node.start, node.end)
+
+
 def node_token_indices(node: ElementNode, seq: TokenSequence) -> list[int]:
     """Token positions whose char span overlaps the node's span."""
-    if node.block_id is None:
-        lo, hi = seq.question_range()
-    else:
-        lo, hi = seq.block_ranges[node.block_id]
-    if node.kind in (NodeKind.QUESTION, NodeKind.BLOCK):
-        return list(range(lo, hi))
-    return [i for i in range(lo, hi)
-            if _overlaps(seq.tokens[i].start, seq.tokens[i].end, node.start, node.end)]
+    return list(range(*node_token_range(node, seq)))

@@ -13,15 +13,15 @@ class ValidationError(DocReasonError):
     """A corpus record is structurally valid but violates a value invariant."""
 
 
-class DegenerateGeometry(DocReasonError):
+class DegenerateGeometry(ValidationError):
     """A page has zero width or height."""
 
 
-class QuestionTooLong(DocReasonError):
+class QuestionTooLong(ValidationError):
     """The question alone does not fit within max_len tokens."""
 
 
-class EmptyInventory(DocReasonError):
+class EmptyInventory(ValidationError):
     """No Block node survived tokenization/truncation."""
 
 

@@ -114,16 +114,14 @@ class Model:
             self.embedder.set_instance(instance.qid)
         token_embs = self.embedder.embed(instance.seq)
         init = init_node_representations(instance.nodes, token_embs, instance.seq)
-        rows = [init.slice_rows(i, i + 1) for i in range(len(instance.nodes))]
+        outs, order = [], []
         for kind in (GraphKind.QUANTITY, GraphKind.DATE, GraphKind.TEXT):
             graph = instance.graphs[kind]
             if graph.num_nodes == 0:
                 continue
-            member_rows = concat([rows[nid] for nid in graph.node_ids], axis=0)
-            out = self.gcns[kind](graph, member_rows, rng, train)
-            for pos, nid in enumerate(graph.node_ids):
-                rows[nid] = out.slice_rows(pos, pos + 1)
-        sd_init = concat(rows, axis=0)
+            outs.append(self.gcns[kind](graph, init.take_rows(graph.node_ids), rng, train))
+            order.extend(graph.node_ids)
+        sd_init = concat(outs, axis=0).take_rows(np.argsort(order))
         sd_reprs = self.gcns[GraphKind.SEMANTIC](instance.graphs[GraphKind.SEMANTIC],
                                                  sd_init, rng, train)
         return token_embs, sd_reprs, graph_summary(sd_reprs)

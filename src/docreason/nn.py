@@ -15,9 +15,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .autodiff import Tensor, concat, dropout
+from .autodiff import Tensor, dropout
 from .document import BoundingBox, TokenSequence
-from .elements import NodeSet, node_token_indices
+from .elements import NodeSet, node_token_range
 from .errors import CheckpointMismatch, EmptyGraph, EmptySpan, ShapeMismatch
 from .graphs import SemanticGraph
 from .vocab import VOCAB_SIZE, Vocab, default_vocab
@@ -151,15 +151,20 @@ class ToyEmbedder:
         return np.array(box.as_list()) / COORD_SCALE
 
     def embed(self, seq: TokenSequence) -> Tensor:
+        """One row per token. The hash vector and slot are computed once per
+        distinct token text and the box encoding once per distinct box (all
+        tokens of a block share its box); rows gather them by index."""
         n = len(seq)
         if n == 0:
             return Tensor(np.zeros((0, self.dim)))
-        base = np.empty((n, self.dim))
-        slots = np.empty(n, dtype=np.int64)
-        for i, tok in enumerate(seq.tokens):
-            base[i] = _hash_vector(tok.text, self.dim, self.seed)
-            base[i] += self._box_features(tok.box) @ self._box_proj
-            slots[i] = self._slot(tok.text)
+        texts: dict[str, int] = {}
+        boxes: dict[BoundingBox | None, int] = {}
+        text_idx = [texts.setdefault(tok.text, len(texts)) for tok in seq.tokens]
+        box_idx = [boxes.setdefault(tok.box, len(boxes)) for tok in seq.tokens]
+        hashes = np.array([_hash_vector(t, self.dim, self.seed) for t in texts])
+        box_rows = np.array([self._box_features(b) @ self._box_proj for b in boxes])
+        slots = np.array([self._slot(t) for t in texts], dtype=np.int64)[text_idx]
+        base = hashes[text_idx] + box_rows[box_idx]
         base += _position_encoding(n, self.dim)
         return self.table.take_rows(slots) + Tensor(base)
 
@@ -198,14 +203,34 @@ class FileEmbedder:
 
 def init_node_representations(nodes: NodeSet, token_embs: Tensor,
                               seq: TokenSequence) -> Tensor:
-    """Mean-pool each node's token rows into an (N, dim) matrix."""
-    rows = []
-    for node in nodes.nodes:
-        idx = node_token_indices(node, seq)
-        if not idx:
+    """Mean-pool each node's token rows into an (N, dim) matrix.
+
+    A node's tokens are one contiguous range. Nodes are pooled in groups of
+    equal token count k as x[lo + arange(k)].sum(axis=1) * (1/k), which adds
+    the rows in the same order as a per-node x[idx].sum(axis=0) * (1/k), so
+    the rows are bit-identical to pooling each node on its own.
+    """
+    ranges = np.array([node_token_range(node, seq) for node in nodes.nodes], dtype=np.intp)
+    lo, counts = ranges[:, 0], ranges[:, 1] - ranges[:, 0]
+    for node, k in zip(nodes.nodes, counts):
+        if k == 0:
             raise EmptySpan(f"node {node.node_id} ({node.kind.value}) covers no tokens")
-        rows.append(token_embs.take_rows(np.asarray(idx)).mean(axis=0, keepdims=True))
-    return concat(rows, axis=0)
+    x = token_embs.data
+    data = np.empty((len(nodes), x.shape[1]))
+    for k in np.unique(counts):
+        rows = np.flatnonzero(counts == k)
+        data[rows] = x[lo[rows, None] + np.arange(k)].sum(axis=1) * (1.0 / k)
+    node_of = np.repeat(np.arange(len(nodes)), counts)
+    token_of = np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+    inv_counts = 1.0 / counts
+    shape = x.shape
+
+    def backward(g, grads):
+        acc = np.zeros(shape)
+        np.add.at(acc, token_of, (g * inv_counts[:, None])[node_of])
+        grads[0] = acc
+
+    return Tensor._result(data, (token_embs,), backward)
 
 
 def graph_summary(node_reprs: Tensor) -> Tensor:
@@ -238,13 +263,26 @@ def save_checkpoint(path: str, params: dict[str, Tensor], meta: dict):
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
-    with open(path, "rb") as f:
-        payload = json.loads(f.read())
+    """(arrays, meta). A file that cannot be read or parsed as a checkpoint
+    raises CheckpointMismatch naming the path."""
+    try:
+        with open(path, "rb") as f:
+            payload = json.loads(f.read())
+    except (OSError, ValueError) as exc:
+        raise CheckpointMismatch(f"{path}: unreadable checkpoint ({exc})") from None
+    if not isinstance(payload, dict):
+        raise CheckpointMismatch(f"{path}: checkpoint is not a JSON object")
     if payload.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointMismatch(
             f"{path}: unsupported checkpoint version {payload.get('format_version')!r}")
-    arrays = {
-        name: np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        for name, entry in payload["params"].items()
-    }
-    return arrays, payload["meta"]
+    params, meta = payload.get("params"), payload.get("meta")
+    if not isinstance(params, dict) or not isinstance(meta, dict):
+        raise CheckpointMismatch(f"{path}: checkpoint needs 'params' and 'meta' objects")
+    try:
+        arrays = {
+            name: np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+            for name, entry in params.items()
+        }
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointMismatch(f"{path}: malformed parameter entry ({exc!r})") from None
+    return arrays, meta

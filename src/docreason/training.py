@@ -307,6 +307,9 @@ def _dump_field(row: dict, name: str, enum):
 def score_dump(instances: list[Instance], dump: list[dict]):
     """Score an existing prediction dump against gold; row order follows the
     corpus and rows are matched by qid."""
+    for i, row in enumerate(dump):
+        if not isinstance(row, dict) or "qid" not in row:
+            raise SchemaError(f"prediction row {i}: not an object with a 'qid'")
     by_qid = {row["qid"]: row for row in dump}
     rows = []
     for inst in instances:

@@ -106,6 +106,21 @@ class TestValidateAndGraphs:
             assert err.startswith("error: ") and str(path) in err
             assert len(err.strip().splitlines()) == 1
 
+    def test_record_faults_exit_2(self, corpus, tmp_path, capsys):
+        with open(corpus, encoding="utf-8") as f:
+            records = json.load(f)
+        zero_width = [dict(records[0], pages=[{"width": 0, "height": 1000}]
+                           * len(records[0]["pages"]))]
+        long_question = [dict(records[0], question=" ".join(["how"] * 300))]
+        for bad, message in ((zero_width, "non-positive dimensions"),
+                             (long_question, "question tokenizes to 300 tokens")):
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(bad))
+            assert main(["validate", "--corpus", str(path), "--max-len", "256"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err
+            assert len(err.strip().splitlines()) == 1
+
     def test_graphs_writes_four_files_per_record(self, corpus, tmp_path):
         out_dir = tmp_path / "graphs"
         assert main(["graphs", "--corpus", corpus, "--out-dir", str(out_dir)]) == 0
@@ -181,6 +196,25 @@ class TestTrainPredictEval:
                      "--out-dir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert qid in err and "answer_type" in err
+
+    def test_unreadable_checkpoint_exits_4_naming_the_path(self, corpus, tmp_path, capsys):
+        truncated = tmp_path / "truncated.json"
+        truncated.write_text('{"format_version": 1, "par')
+        for ckpt in (truncated, tmp_path / "missing.json"):
+            assert main(["predict", "--corpus", corpus, "--checkpoint", str(ckpt),
+                         "--out-dir", str(tmp_path / "out")]) == 4
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and str(ckpt) in err
+            assert len(err.strip().splitlines()) == 1
+
+    def test_dump_row_without_qid_exits_2(self, corpus, tmp_path, capsys):
+        dump = tmp_path / "predictions.jsonl"
+        for row in ({"answer_type": "Span", "value": "x", "scale": "None"}, ["not", "a", "row"]):
+            dump.write_text(json.dumps(row) + "\n")
+            assert main(["eval", "--corpus", corpus, "--predictions", str(dump),
+                         "--out-dir", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert "row 0" in err and len(err.strip().splitlines()) == 1
 
     def test_incomplete_checkpoint_meta_exits_4(self, corpus, tmp_path):
         run_dir = tmp_path / "run"

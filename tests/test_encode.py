@@ -1,0 +1,207 @@
+"""Encoder front end: bisected token ranges, whole-matrix pooling, the
+per-text/per-box embedder and Model.encode, each against a test-only copy of
+the per-token, per-node, one-row code they replace."""
+
+import numpy as np
+import pytest
+
+from docreason import synthetic
+from docreason.autodiff import Tensor, concat, finite_difference
+from docreason.document import ingest_document, tokenize, transform_multipage
+from docreason.elements import NodeKind, build_node_inventory, node_token_indices
+from docreason.errors import EmptySpan
+from docreason.graphs import GraphKind
+from docreason.model import Model, ModelConfig
+from docreason.nn import _hash_vector, _position_encoding, graph_summary, init_node_representations
+from docreason.pipeline import build_instance, load_corpus
+
+CORPUS = "data/synthetic-50.json"
+
+_ROW_LABELS = ["segment sales", "operating costs", "net interest", "capital spend"]
+
+
+# -- test-only reference: the per-token / per-node / one-row code ----------
+
+
+def _scan_range(seq, block_id, start, end) -> list[int]:
+    lo, hi = seq.question_range() if block_id is None else seq.block_ranges[block_id]
+    return [i for i in range(lo, hi)
+            if seq.tokens[i].start < end and start < seq.tokens[i].end]
+
+
+def _scan_indices(node, seq) -> list[int]:
+    lo, hi = seq.question_range() if node.block_id is None else seq.block_ranges[node.block_id]
+    if node.kind in (NodeKind.QUESTION, NodeKind.BLOCK):
+        return list(range(lo, hi))
+    return _scan_range(seq, node.block_id, node.start, node.end)
+
+
+def _reference_embed(embedder, seq) -> Tensor:
+    n = len(seq)
+    base = np.empty((n, embedder.dim))
+    slots = np.empty(n, dtype=np.int64)
+    for i, tok in enumerate(seq.tokens):
+        base[i] = _hash_vector(tok.text, embedder.dim, embedder.seed)
+        base[i] += embedder._box_features(tok.box) @ embedder._box_proj
+        slots[i] = embedder._slot(tok.text)
+    base += _position_encoding(n, embedder.dim)
+    return embedder.table.take_rows(slots) + Tensor(base)
+
+
+def _reference_pool(nodes, token_embs, seq) -> Tensor:
+    rows = []
+    for node in nodes.nodes:
+        idx = _scan_indices(node, seq)
+        if not idx:
+            raise EmptySpan(f"node {node.node_id} covers no tokens")
+        rows.append(token_embs.take_rows(np.asarray(idx)).mean(axis=0, keepdims=True))
+    return concat(rows, axis=0)
+
+
+def _reference_encode(model, instance, rng=None, train=False):
+    token_embs = _reference_embed(model.embedder, instance.seq)
+    init = _reference_pool(instance.nodes, token_embs, instance.seq)
+    rows = [init.slice_rows(i, i + 1) for i in range(len(instance.nodes))]
+    for kind in (GraphKind.QUANTITY, GraphKind.DATE, GraphKind.TEXT):
+        graph = instance.graphs[kind]
+        if graph.num_nodes == 0:
+            continue
+        member_rows = concat([rows[nid] for nid in graph.node_ids], axis=0)
+        out = model.gcns[kind](graph, member_rows, rng, train)
+        for pos, nid in enumerate(graph.node_ids):
+            rows[nid] = out.slice_rows(pos, pos + 1)
+    sd_reprs = model.gcns[GraphKind.SEMANTIC](instance.graphs[GraphKind.SEMANTIC],
+                                              concat(rows, axis=0), rng, train)
+    return token_embs, sd_reprs, graph_summary(sd_reprs)
+
+
+# -- inputs ----------------------------------------------------------------
+
+
+def _widen(record: dict, rng: np.random.Generator, rows: int = 12, quantities: int = 17) -> dict:
+    """Distractor table-row blocks after the evidence blocks: three year
+    headers and `quantities` comma-grouped amounts each."""
+    blocks = [dict(b) for b in record["blocks"]]
+    page = len(record["pages"]) - 1
+    first = len(blocks)
+    for k in range(rows):
+        year = int(rng.integers(2010, 2019))
+        amounts = " ".join(f"{int(rng.integers(1, 1000))},{int(rng.integers(0, 1000)):03d}"
+                           for _ in range(quantities))
+        label = _ROW_LABELS[int(rng.integers(len(_ROW_LABELS)))]
+        top = 330 + 52 * k
+        blocks.append({"block_id": first + k, "page_index": page, "order": first + k,
+                       "text": f"{label} {year} {year + 1} {year + 2}: {amounts}",
+                       "box": [40, top, 960, top + 44]})
+    return {**record, "blocks": blocks}
+
+
+@pytest.fixture(scope="module")
+def bundled():
+    return load_corpus(CORPUS)
+
+
+@pytest.fixture(scope="module")
+def widened():
+    rng = np.random.default_rng(7)
+    return [build_instance(_widen(r, rng), max_len=1024)
+            for r in synthetic.generate_corpus(6, seed=31)]
+
+
+def _bytes(t: Tensor) -> bytes:
+    return t.data.tobytes()
+
+
+# -- tests -----------------------------------------------------------------
+
+
+class TestTokenRanges:
+    def test_bisected_range_equals_linear_scan(self):
+        rng = np.random.default_rng(0)
+        for r, record in enumerate(synthetic.generate_corpus(12, seed=5)):
+            canon = transform_multipage(ingest_document(record))
+            untruncated = tokenize(canon, record["question"], max_len=4096)
+            full = len(untruncated)
+            # Every third record is cut inside its document tokens.
+            max_len = full if r % 3 else int(rng.integers(untruncated.question_len + 1, full))
+            seq = tokenize(canon, record["question"], max_len=max_len)
+            texts = {None: record["question"], **{b.block_id: b.text for b in canon.blocks}}
+            for block_id in [None, *seq.block_ranges]:
+                length = len(texts[block_id])
+                for _ in range(60):
+                    start = int(rng.integers(0, length + 2))
+                    end = start + int(rng.integers(0, 12))
+                    lo, hi = seq.overlap_range(block_id, start, end)
+                    assert list(range(lo, hi)) == _scan_range(seq, block_id, start, end)
+            assert len(seq) < full or r % 3
+
+    def test_node_token_indices_and_inventory_match_the_scan(self, bundled, widened):
+        for inst in bundled + widened:
+            for node in inst.nodes:
+                assert node_token_indices(node, inst.seq) == _scan_indices(node, inst.seq)
+        record = synthetic.generate_corpus(3, seed=9)[2]
+        canon = transform_multipage(ingest_document(record))
+        seq = tokenize(canon, record["question"], max_len=40)
+        inventory = build_node_inventory(canon, record["question"], seq)
+        for node in inventory:
+            assert _scan_indices(node, seq)
+
+
+class TestPooling:
+    def test_matches_per_node_reference_by_bytes(self, widened):
+        inst = widened[0]
+        counts = {len(_scan_indices(n, inst.seq)) for n in inst.nodes}
+        assert len(counts) >= 4
+        x = np.random.default_rng(1).normal(size=(len(inst.seq), 6))
+        quantity = inst.nodes.by_kind(NodeKind.QUANTITY)[0]
+        x[_scan_indices(quantity, inst.seq)] = -0.0
+        x[0, :3] = -0.0
+        embs = Tensor(x)
+        got = init_node_representations(inst.nodes, embs, inst.seq)
+        assert _bytes(got) == _bytes(_reference_pool(inst.nodes, embs, inst.seq))
+
+    def test_gradient_matches_finite_differences(self, bundled):
+        inst = bundled[0]
+        rng = np.random.default_rng(2)
+        embs = Tensor(rng.normal(size=(len(inst.seq), 3)), requires_grad=True)
+        weights = Tensor(rng.normal(size=(len(inst.nodes), 3)))
+
+        def loss():
+            pooled = init_node_representations(inst.nodes, embs, inst.seq)
+            return (pooled * pooled * weights).sum()
+
+        embs.zero_grad()
+        loss().backward()
+        numeric = finite_difference(loss, embs)
+        denom = np.maximum(np.abs(numeric), 1e-8)
+        assert float(np.max(np.abs(embs.grad - numeric) / denom)) < 1e-6
+
+
+class TestEncode:
+    @pytest.mark.parametrize("train", [False, True])
+    def test_matches_one_row_reference_by_bytes(self, bundled, widened, train):
+        model = Model(ModelConfig(dim=16, seed=4))
+        for i, inst in enumerate(bundled + widened):
+            got = model.encode(inst, np.random.default_rng(i), train)
+            want = _reference_encode(model, inst, np.random.default_rng(i), train)
+            for a, b in zip(got, want):
+                assert _bytes(a) == _bytes(b), inst.qid
+
+    def test_gradients_match_the_reference(self, bundled, widened):
+        model = Model(ModelConfig(dim=16, seed=6))
+        params = model.params()
+        for inst in bundled[:8] + widened[:3]:
+            w = np.random.default_rng(len(inst.seq)).normal(size=(len(inst.nodes), 16))
+            grads = []
+            for encode in (model.encode, lambda x: _reference_encode(model, x)):
+                for p in params.values():
+                    p.zero_grad()
+                token_embs, sd_reprs, h_sd = encode(inst)
+                loss = (sd_reprs * Tensor(w)).sum() + (h_sd * h_sd).sum() \
+                    + (token_embs * token_embs).sum()
+                loss.backward()
+                grads.append({name: p.grad for name, p in params.items() if p.grad is not None})
+            assert grads[0].keys() == grads[1].keys()
+            for name in grads[0]:
+                np.testing.assert_allclose(grads[0][name], grads[1][name],
+                                           rtol=1e-12, atol=1e-15, err_msg=name)

@@ -247,6 +247,29 @@ class TestCheckpoints:
         np.testing.assert_array_equal(arrays["probe.w"], layer.w.data)
         np.testing.assert_array_equal(arrays["probe.b"], layer.b.data)
 
+    def test_malformed_files_are_a_mismatch_naming_the_path(self, tmp_path):
+        good = {"format_version": 1, "meta": {},
+                "params": {"w": {"shape": [2], "data": [1.0, 2.0]}}}
+        bad_payloads = [
+            "[1, 2]",
+            json.dumps({**good, "params": [1]}),
+            json.dumps({**good, "meta": 3}),
+            json.dumps({**good, "params": {"w": {"shape": [3], "data": [1.0, 2.0]}}}),
+            json.dumps({**good, "params": {"w": {"data": [1.0, 2.0]}}}),
+            json.dumps({**good, "params": {"w": [1.0, 2.0]}}),
+            json.dumps({**good, "params": {"w": {"shape": [2], "data": ["a", "b"]}}}),
+            '{"format_version": 1, "par',
+        ]
+        path = tmp_path / "model.ckpt"
+        for text in bad_payloads:
+            path.write_text(text)
+            with pytest.raises(CheckpointMismatch, match="model.ckpt"):
+                load_checkpoint(str(path))
+        with pytest.raises(CheckpointMismatch, match="missing.ckpt"):
+            load_checkpoint(str(tmp_path / "missing.ckpt"))
+        path.write_text(json.dumps(good))
+        np.testing.assert_array_equal(load_checkpoint(str(path))[0]["w"], [1.0, 2.0])
+
     def test_unknown_version_is_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
         path.write_text(json.dumps({"format_version": 99, "meta": {}, "params": {}}))
