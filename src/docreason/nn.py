@@ -54,8 +54,13 @@ class FFN2:
 
     def __call__(self, x: Tensor, rng: np.random.Generator | None = None,
                  train: bool = False) -> Tensor:
-        h = self.l1(x).gelu()
-        h = dropout(h, self.drop, rng, train)
+        return self.tail(self.l1(x), rng, train)
+
+    def tail(self, pre: Tensor, rng: np.random.Generator | None = None,
+             train: bool = False) -> Tensor:
+        """The layers after l1 (GELU -> dropout -> l2), applied to an l1
+        output that the caller computed, e.g. in factored form."""
+        h = dropout(pre.gelu(), self.drop, rng, train)
         return self.l2(h)
 
     def params(self) -> dict[str, Tensor]:
@@ -112,10 +117,11 @@ def _hash_vector(text: str, dim: int, seed: int) -> np.ndarray:
 
 
 def _position_encoding(length: int, dim: int) -> np.ndarray:
-    pos = np.arange(length)[:, None]
-    idx = np.arange(dim)[None, :]
-    angle = pos / np.power(10000.0, (2 * (idx // 2)) / dim)
-    enc = np.where(idx % 2 == 0, np.sin(angle), np.cos(angle))
+    """Sinusoids: sin on the even columns, cos on the odd ones."""
+    angle = np.arange(length)[:, None] / np.power(10000.0, (2 * (np.arange(dim) // 2)) / dim)
+    enc = np.empty_like(angle)
+    enc[:, 0::2] = np.sin(angle[:, 0::2])
+    enc[:, 1::2] = np.cos(angle[:, 1::2])
     return 0.05 * enc
 
 

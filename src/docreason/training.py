@@ -40,6 +40,7 @@ def nll_rows(log_probs: Tensor, labels: np.ndarray,
 
 
 _BIO_INDEX = {"B": 0, "I": 1, "O": 2}
+LOSS_TERMS = ("node", "type", "scale", "start", "end", "token", "tree")
 
 
 def compute_loss(model: Model, inst: Instance, out: ModelOutput,
@@ -148,13 +149,17 @@ def warmup_scale(step: int, total_steps: int, warmup_frac: float) -> float:
 
 @dataclass
 class TrainLog:
+    """One row per epoch. `terms` maps each of LOSS_TERMS to its mean over
+    the epoch's instances that had that term, or None when none did."""
     epochs: list[dict] = field(default_factory=list)
 
     def to_csv(self) -> str:
-        lines = ["epoch,loss,lr_scale,dev_em"]
+        lines = [",".join(("epoch", "loss", "lr_scale", "dev_em") + LOSS_TERMS)]
         for row in self.epochs:
-            dev = "" if row["dev_em"] is None else f"{row['dev_em']:.6f}"
-            lines.append(f"{row['epoch']},{row['loss']:.6f},{row['lr_scale']:.6f},{dev}")
+            cells = [str(row["epoch"]), f"{row['loss']:.6f}", f"{row['lr_scale']:.6f}"]
+            cells += ["" if v is None else f"{v:.6f}"
+                      for v in [row["dev_em"], *row["terms"].values()]]
+            lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 
 
@@ -189,6 +194,8 @@ def train(model: Model, instances: list[Instance], epochs: int = 50,
     for epoch in range(epochs):
         order = rng.permutation(len(instances))
         epoch_loss = 0.0
+        term_sums = dict.fromkeys(LOSS_TERMS, 0.0)
+        term_counts = dict.fromkeys(LOSS_TERMS, 0)
         opt.zero_grad()
         pending = 0
         for rank, idx in enumerate(order):
@@ -196,10 +203,13 @@ def train(model: Model, instances: list[Instance], epochs: int = 50,
             sup = inst.gold
             out = model.forward(inst, rng=rng, train=True,
                                 gold_nodes=sup.gold_nodes, heads={sup.answer_type})
-            loss, _ = compute_loss(model, inst, out, sup)
+            loss, terms = compute_loss(model, inst, out, sup)
             if not np.isfinite(loss.data):
                 raise DivergenceDetected(f"non-finite loss on {inst.qid} (epoch {epoch})")
             epoch_loss += float(loss.data)
+            for name, value in terms.items():
+                term_sums[name] += value
+                term_counts[name] += 1
             (loss / float(min(group, len(instances)))).backward()
             pending += 1
             if pending == group or rank == len(order) - 1:
@@ -209,7 +219,9 @@ def train(model: Model, instances: list[Instance], epochs: int = 50,
                 opt.zero_grad()
                 pending = 0
         record = {"epoch": epoch, "loss": epoch_loss / len(instances),
-                  "lr_scale": scale, "dev_em": None}
+                  "lr_scale": scale, "dev_em": None,
+                  "terms": {name: term_sums[name] / term_counts[name] if term_counts[name]
+                            else None for name in LOSS_TERMS}}
         stop = False
         if (epoch + 1) % eval_every == 0 or epoch == epochs - 1:
             report, rows = evaluate(model, dev_set)

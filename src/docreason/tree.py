@@ -172,6 +172,12 @@ def selection_vocab(sel: NodeSelection, nodes: NodeSet,
     return TreeVocab(leaf_ids, constants)
 
 
+def _outer_sum(rows: Tensor, cols: Tensor) -> Tensor:
+    """(S, H) and (M, H) to (S*M, H), where row i*M + j is rows[i] + cols[j]."""
+    (s, h), m = rows.data.shape, cols.data.shape[0]
+    return (rows.reshape((s, 1, h)) + cols.reshape((1, m, h))).reshape((s * m, h))
+
+
 class TreeDecoder:
     """Learned pieces of the decoder: attention, candidate scoring, child
     goal derivation, subtree merge, and op/constant embeddings."""
@@ -203,28 +209,37 @@ class TreeDecoder:
             parts.append(sd_reprs.take_rows(np.asarray(vocab.leaf_node_ids, dtype=np.int64)))
         return concat(parts, axis=0)
 
-    def context(self, goal: Tensor, sd_reprs: Tensor,
+    def context(self, goals: Tensor, sd_reprs: Tensor,
                 rng: np.random.Generator | None = None, train: bool = False) -> Tensor:
-        n = sd_reprs.data.shape[0]
-        tiled = goal + Tensor(np.zeros((n, self.dim)))
-        scores = self.attn(concat([tiled, sd_reprs], axis=1), rng, train)
-        weights = scores.reshape((1, n)).softmax()
+        """(S, d) attention contexts over the graph nodes, one per goal row."""
+        d, n = self.dim, sd_reprs.data.shape[0]
+        w = self.attn.l1.w
+        pre = _outer_sum(goals @ w.slice_rows(0, d),
+                         sd_reprs @ w.slice_rows(d, 2 * d) + self.attn.l1.b)
+        scores = self.attn.tail(pre, rng, train)
+        weights = scores.reshape((goals.data.shape[0], n)).softmax()
         return weights @ sd_reprs
 
-    def step_log_probs(self, goal: Tensor, sd_reprs: Tensor, cand_embs: Tensor,
-                       allow_ops: bool, num_ops: int,
+    def step_log_probs(self, goals: Tensor, sd_reprs: Tensor, cand_embs: Tensor,
+                       allow_ops: bool | np.ndarray, num_ops: int,
                        rng: np.random.Generator | None = None,
                        train: bool = False) -> tuple[Tensor, Tensor]:
-        """Masked log-distribution over the vocabulary plus the context."""
-        ctx = self.context(goal, sd_reprs, rng, train)
-        n_cand = cand_embs.data.shape[0]
-        tiled_g = goal + Tensor(np.zeros((n_cand, self.dim)))
-        tiled_c = ctx + Tensor(np.zeros((n_cand, self.dim)))
-        scores = self.score(concat([tiled_g, tiled_c, cand_embs], axis=1), rng, train)
-        logits = scores.reshape((1, n_cand))
-        if not allow_ops:
-            keep = np.ones((1, n_cand), dtype=bool)
-            keep[0, :num_ops] = False
+        """Masked log-distributions over the vocabulary for S goals at once,
+        (S, V), plus their contexts, (S, d). `allow_ops` is one bool or one
+        per goal row.
+
+        The first layers of attn and score run factored: [g, c, e] @ W equals
+        g @ W_g + c @ W_c + e @ W_e, so the node and candidate products are
+        taken once per call rather than once per goal on tiled rows."""
+        d, s, n_cand = self.dim, goals.data.shape[0], cand_embs.data.shape[0]
+        ctx = self.context(goals, sd_reprs, rng, train)
+        w = self.score.l1.w
+        pre = _outer_sum(goals @ w.slice_rows(0, d) + ctx @ w.slice_rows(d, 2 * d),
+                         cand_embs @ w.slice_rows(2 * d, 3 * d) + self.score.l1.b)
+        logits = self.score.tail(pre, rng, train).reshape((s, n_cand))
+        keep = np.ones((s, n_cand), dtype=bool)
+        keep[~np.broadcast_to(allow_ops, (s,)), :num_ops] = False
+        if not keep.all():
             logits = add_masked(logits, keep)
         return logits.log_softmax(), ctx
 
@@ -292,9 +307,12 @@ def decode_tree(h_sd: Tensor, sd_reprs: Tensor, sel: NodeSelection, nodes: NodeS
     terminates. Ties break toward earlier-created states, which expands to
     lower token ids first.
 
-    Each step ranks every child by its log-prob before building any: a
-    child that completes the tree needs no tape ops (its merges only feed a
-    goal of None), and of the rest only the `beam` best are built.
+    Each step scores all alive states in one step_log_probs call, then ranks
+    every child by its log-prob (stable, so creation order breaks ties)
+    before building any: a child that completes the tree needs no tape ops
+    (its merges only feed a goal of None), and of the rest only the `beam`
+    best are built, and none once the best finished tree is at least as
+    likely as all of them, since they would never be scored.
     """
     vocab = selection_vocab(sel, nodes, constants)
     if len(vocab) == vocab.num_ops:
@@ -306,29 +324,33 @@ def decode_tree(h_sd: Tensor, sd_reprs: Tensor, sel: NodeSelection, nodes: NodeS
     max_steps = 2 ** (max_depth + 1) - 1
     counter = 0
     for _ in range(max_steps):
-        if not alive:
-            break
-        if finished is not None and finished.logp >= alive[0].logp:
-            break
-        ranked = []
-        for state in alive:
-            allow_ops = len(state.frames) < max_depth
-            lp, ctx = decoder.step_log_probs(state.goal, sd_reprs, cand_embs,
-                                             allow_ops, vocab.num_ops)
-            row = lp.data[0]
-            closes = all(frame.left_emb is not None for frame in state.frames)
-            for token in range(0 if allow_ops else vocab.num_ops, len(vocab)):
-                counter += 1
-                token_logp = float(row[token])
-                logp = state.logp + token_logp
-                if closes and token >= vocab.num_ops:
-                    if finished is None or logp > finished.logp:
-                        finished = _State(None, (), state.tokens + (token,), logp, counter)
-                else:
-                    ranked.append((-logp, counter, state, token, token_logp, ctx))
-        ranked.sort(key=lambda c: c[:2])
-        alive = [_apply_token(decoder, state, token, token_logp, vocab, cand_embs, ctx, order)
-                 for _, order, state, token, token_logp, ctx in ranked[:beam]]
+        goals = concat([state.goal for state in alive], axis=0)
+        allow = np.array([len(state.frames) < max_depth for state in alive])
+        lp, ctx = decoder.step_log_probs(goals, sd_reprs, cand_embs, allow, vocab.num_ops)
+        # every allowed (state, token) child, in creation order
+        allowed = np.ones(lp.data.shape, dtype=bool)
+        allowed[~allow, :vocab.num_ops] = False
+        rows, tokens = np.nonzero(allowed)
+        logps = np.array([state.logp for state in alive])[rows] + lp.data[rows, tokens]
+        closes = np.array([all(f.left_emb is not None for f in state.frames) for state in alive])
+        finishing = closes[rows] & (tokens >= vocab.num_ops)
+        if finishing.any():
+            best = np.flatnonzero(finishing)[np.argmax(logps[finishing])]  # first of the best
+            if finished is None or logps[best] > finished.logp:
+                finished = _State(None, (), alive[rows[best]].tokens + (int(tokens[best]),),
+                                  float(logps[best]), counter + 1 + int(best))
+        building = np.flatnonzero(~finishing)
+        building = building[np.argsort(-logps[building], kind="stable")[:beam]]
+        if not len(building) or (finished is not None and finished.logp >= logps[building[0]]):
+            break  # no open child can still beat the finished tree
+        children = []
+        for c in building:
+            i, token = int(rows[c]), int(tokens[c])
+            children.append(_apply_token(decoder, alive[i], token, float(lp.data[i, token]),
+                                         vocab, cand_embs, ctx.slice_rows(i, i + 1),
+                                         counter + 1 + int(c)))
+        alive = children
+        counter += len(rows)
     if finished is None:
         raise NoLeafCandidates("beam produced no finished tree within the step budget")
     return vocab.tree_from_tokens(list(finished.tokens)), finished.logp

@@ -9,7 +9,6 @@ from docreason.autodiff import (
     concat,
     dropout,
     finite_difference,
-    stack_rows,
 )
 from docreason.errors import NonFiniteLoss, ShapeMismatch
 
@@ -58,10 +57,21 @@ class TestElementwiseOps:
             t = Tensor(x, requires_grad=True)
             _check(lambda: getattr(t, op)().sum(), t)
 
-    def test_log(self):
-        rng = np.random.default_rng(4)
-        t = Tensor(rng.uniform(0.5, 3.0, size=(4, 4)), requires_grad=True)
-        _check(lambda: t.log().sum(), t)
+    def test_gelu_matches_the_pow_form(self):
+        x = np.random.default_rng(4).normal(scale=3.0, size=(64, 48))
+        x[0, :4] = [0.0, -0.0, 1e-300, -40.0]
+        c, a = np.sqrt(2.0 / np.pi), 0.044715
+        want = 0.5 * x * (1.0 + np.tanh(c * (x + a * x**3)))
+        got = Tensor(x).gelu().data
+        cube = 0.5 * x * (1.0 + np.tanh(c * (x + a * (x * x * x))))
+        assert got.tobytes() == cube.tobytes()  # in place, same operation order
+        np.testing.assert_array_equal(got[0, :4], want[0, :4])
+        # below x ~ -2, 1 + tanh(...) is near 0 and one ulp of tanh is a large
+        # relative change of either form, so there the error is bounded
+        # relative to |x|; above it, relative to gelu(x) itself
+        assert (np.abs(got - want) <= 1e-14 * np.maximum(np.abs(want), np.abs(x))).all()
+        upper = x > -2.0
+        np.testing.assert_allclose(got[upper], want[upper], rtol=1e-14, atol=0)
 
 
 class TestShapeOps:
@@ -79,10 +89,11 @@ class TestShapeOps:
         with pytest.raises(ShapeMismatch):
             a @ Tensor(np.zeros(4))
 
-    def test_reshape_transpose(self):
+    def test_reshape(self):
         rng = np.random.default_rng(6)
         a = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
-        _check(lambda: a.reshape((3, 4)).transpose().sum(), a)
+        w = Tensor(rng.normal(size=(3, 1, 4)))
+        _check(lambda: (a.reshape((3, 1, 4)) * w).sum(), a)
 
     def test_take_rows_scatter_adds_duplicates(self):
         # the same row gathered twice must receive twice the gradient
@@ -107,9 +118,9 @@ class TestShapeOps:
         b = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
         _check(lambda: (concat([a, b], axis=1) * concat([b, a], axis=1)).sum(), a)
         _check(lambda: concat([a, b], axis=0).sum(), b)
-        r1 = Tensor(rng.normal(size=(4,)), requires_grad=True)
-        r2 = Tensor(rng.normal(size=(4,)), requires_grad=True)
-        _check(lambda: (stack_rows([r1, r2]) * stack_rows([r2, r1])).sum(), r1)
+        r1 = Tensor(rng.normal(size=(1, 4)), requires_grad=True)
+        r2 = Tensor(rng.normal(size=(1, 4)), requires_grad=True)
+        _check(lambda: (concat([r1, r2], axis=0) * concat([r2, r1], axis=0)).sum(), r1)
 
 
 class TestReductions:
@@ -174,14 +185,10 @@ class TestBackwardSemantics:
             (a * 2).backward()
 
     def test_non_finite_loss_raises(self):
-        a = Tensor(np.array([0.0]), requires_grad=True)
-        with np.errstate(divide="ignore"), pytest.raises(NonFiniteLoss):
-            a.log().sum().backward()
-
-    def test_detach_cuts_the_tape(self):
-        a = Tensor(np.ones(2), requires_grad=True)
-        (a.detach() * a).sum().backward()
-        np.testing.assert_array_equal(a.grad, np.ones(2))
+        a = Tensor(np.array([1.0, 0.0]), requires_grad=True)
+        for loss in (lambda: (a / 0.0).sum(), lambda: (a * 0.0 / 0.0).sum()):  # inf, nan
+            with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(NonFiniteLoss):
+                loss().backward()
 
 
 class TestDropout:

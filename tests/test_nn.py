@@ -15,6 +15,7 @@ from docreason.nn import (
     GCN,
     Linear,
     ToyEmbedder,
+    _position_encoding,
     FileEmbedder,
     graph_summary,
     init_node_representations,
@@ -171,6 +172,16 @@ class TestToyEmbedder:
     def test_only_slot_table_trains(self):
         emb = ToyEmbedder(np.random.default_rng(0), dim=8, seed=0)
         assert list(emb.params()) == ["embedder.table"]
+
+    def test_position_encoding_equals_the_where_form_by_bytes(self):
+        for length in (0, 1, 755):
+            for dim in (6, 7, 64):
+                idx = np.arange(dim)[None, :]
+                angle = np.arange(length)[:, None] / np.power(10000.0, (2 * (idx // 2)) / dim)
+                want = 0.05 * np.where(idx % 2 == 0, np.sin(angle), np.cos(angle))
+                got = _position_encoding(length, dim)
+                assert got.shape == want.shape == (length, dim)
+                assert got.tobytes() == want.tobytes(), (length, dim)
 
 
 class TestFileEmbedder:

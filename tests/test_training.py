@@ -20,6 +20,7 @@ from docreason.training import (
     predict_corpus,
     predict_instance,
     score_dump,
+    LOSS_TERMS,
     train,
     warmup_scale,
 )
@@ -193,6 +194,34 @@ class TestTrainingLoop:
         csv = result.log.to_csv()
         assert csv.startswith("epoch,loss,lr_scale,dev_em")
         assert len(csv.strip().splitlines()) == 3
+
+    def test_per_term_means_add_up_to_the_epoch_loss(self):
+        instances = _instances(n=6)
+        counts = {"node": 6, "type": 6, "scale": 6}
+        for inst in instances:
+            kind = inst.gold.answer_type
+            names = {AnswerType.SPAN: ("start", "end"), AnswerType.SPANS: ("token",),
+                     AnswerType.COUNTING: ("token",), AnswerType.ARITHMETIC: ("tree",)}[kind]
+            for name in names:
+                counts[name] = counts.get(name, 0) + 1
+        assert set(counts) == set(LOSS_TERMS)
+        result = train(_model(dim=8), instances, epochs=3, batch=2, grad_accum=1,
+                       eval_every=3, seed=2)
+        for row in result.log.epochs:
+            assert list(row["terms"]) == list(LOSS_TERMS)
+            total = sum(counts[k] / 6 * row["terms"][k] for k in LOSS_TERMS)
+            assert abs(total - row["loss"]) <= 1e-12
+        lines = result.log.to_csv().splitlines()
+        assert lines[0] == "epoch,loss,lr_scale,dev_em,node,type,scale,start,end,token,tree"
+        assert all(len(line.split(",")) == 11 for line in lines)
+
+    def test_a_term_no_instance_had_is_an_empty_cell(self):
+        spans = [i for i in _instances(n=10) if i.gold.answer_type == AnswerType.SPAN]
+        result = train(_model(dim=8), spans, epochs=1, batch=1, grad_accum=1, seed=0)
+        terms = result.log.epochs[0]["terms"]
+        assert terms["token"] is None and terms["tree"] is None
+        assert all(terms[k] > 0 for k in ("node", "type", "scale", "start", "end"))
+        assert result.log.to_csv().splitlines()[1].endswith(",,")
 
     def test_same_seed_is_bit_identical(self):
         instances = _instances(n=4)

@@ -5,7 +5,7 @@ import datetime
 import numpy as np
 import pytest
 
-from docreason.autodiff import Tensor
+from docreason.autodiff import Tensor, add_masked, concat
 from docreason.document import ingest_document, tokenize, transform_multipage
 from docreason.elements import NodeKind, build_node_inventory
 from docreason.errors import (
@@ -88,29 +88,32 @@ def _all_trees(leaves, depth):
 def _expand_everything_decode(h_sd, sd_reprs, sel, nodes, decoder, beam, max_depth,
                               constants):
     """Reference beam search that builds every (state, token) child and then
-    keeps the best `beam`; decode_tree must return exactly what it returns."""
+    keeps the best `beam`; decode_tree must return exactly what it returns.
+    Like decode_tree it scores all alive states in one call per step, since
+    a batched row need not equal the same row scored alone, bit for bit.
+    Returns the tokens, the log-prob and the number of steps scored."""
     vocab = selection_vocab(sel, nodes, constants)
     cand_embs = decoder.candidate_embeddings(vocab, sd_reprs)
     alive = [_State(h_sd.reshape((1, decoder.dim)), (), (), 0.0)]
     finished = None
-    counter = 0
+    counter = steps = 0
     for _ in range(2 ** (max_depth + 1) - 1):
         if not alive:
             break
         if finished is not None and finished.logp >= alive[0].logp:
             break
+        goals = concat([state.goal for state in alive], axis=0)
+        allow = np.array([len(state.frames) < max_depth for state in alive])
+        lp, ctx = decoder.step_log_probs(goals, sd_reprs, cand_embs, allow, vocab.num_ops)
+        steps += 1
         children = []
-        for state in alive:
-            allow_ops = len(state.frames) < max_depth
-            lp, ctx = decoder.step_log_probs(state.goal, sd_reprs, cand_embs,
-                                             allow_ops, vocab.num_ops)
-            row = lp.data[0]
+        for i, state in enumerate(alive):
             for token in range(len(vocab)):
-                if not allow_ops and token < vocab.num_ops:
+                if not allow[i] and token < vocab.num_ops:
                     continue
                 counter += 1
-                child = _apply_token(decoder, state, token, float(row[token]),
-                                     vocab, cand_embs, ctx, counter)
+                child = _apply_token(decoder, state, token, float(lp.data[i, token]),
+                                     vocab, cand_embs, ctx.slice_rows(i, i + 1), counter)
                 if child.goal is None:
                     if finished is None or child.logp > finished.logp:
                         finished = child
@@ -118,7 +121,26 @@ def _expand_everything_decode(h_sd, sd_reprs, sel, nodes, decoder, beam, max_dep
                     children.append(child)
         children.sort(key=lambda s: (-s.logp, s.order))
         alive = children[:beam]
-    return list(finished.tokens), finished.logp
+    return list(finished.tokens), finished.logp, steps
+
+
+def _tiled_step_log_probs(decoder, goal, sd_reprs, cand_embs, allow_ops, num_ops,
+                          rng=None, train=False):
+    """The scorer before factoring: one goal row, tiled and concatenated onto
+    every node row for attention and onto every candidate row for scoring."""
+    n, n_cand = sd_reprs.data.shape[0], cand_embs.data.shape[0]
+    tiled = goal + Tensor(np.zeros((n, decoder.dim)))
+    scores = decoder.attn(concat([tiled, sd_reprs], axis=1), rng, train)
+    ctx = scores.reshape((1, n)).softmax() @ sd_reprs
+    tiled_g = goal + Tensor(np.zeros((n_cand, decoder.dim)))
+    tiled_c = ctx + Tensor(np.zeros((n_cand, decoder.dim)))
+    logits = decoder.score(concat([tiled_g, tiled_c, cand_embs], axis=1), rng, train)
+    logits = logits.reshape((1, n_cand))
+    if not allow_ops:
+        keep = np.ones((1, n_cand), dtype=bool)
+        keep[0, :num_ops] = False
+        logits = add_masked(logits, keep)
+    return logits.log_softmax(), ctx
 
 
 def _teacher_score(h_sd, sd_reprs, tree, vocab, decoder, max_depth):
@@ -315,7 +337,7 @@ class TestDecoding:
         for seed in range(54):
             beam, max_depth = (1, 3, 5)[seed % 3], (2, 3, 4)[seed // 3 % 3]
             nodes, sd, h_sd, sel, decoder = self._sharp_setup(seed)
-            want_tokens, want_logp = _expand_everything_decode(
+            want_tokens, want_logp, _ = _expand_everything_decode(
                 h_sd, sd, sel, nodes, decoder, beam, max_depth, constants)
             tree, logp = decode_tree(h_sd, sd, sel, nodes, decoder, beam=beam,
                                      max_depth=max_depth, constants=constants)
@@ -355,6 +377,39 @@ class TestDecoding:
             builds += events.count("build")
         assert builds > 0
 
+    def test_one_scoring_call_per_beam_step(self, monkeypatch):
+        """Each step scores every alive state in a single call: the first
+        call has the root alone, every later one the states the step before
+        built, and there are as many calls as the reference has steps."""
+        events = []
+        real_apply, real_score = tree_module._apply_token, TreeDecoder.step_log_probs
+
+        def apply(*args):
+            events.append("build")
+            return real_apply(*args)
+
+        def score(self, goals, *args, **kwargs):
+            events.append(goals.data.shape[0])
+            return real_score(self, goals, *args, **kwargs)
+
+        constants = list(range(1, 11))
+        for seed in range(12):
+            beam, max_depth = (1, 3, 5)[seed % 3], (2, 3, 4)[seed // 3 % 3]
+            nodes, sd, h_sd, sel, decoder = self._sharp_setup(seed)
+            _, _, steps = _expand_everything_decode(h_sd, sd, sel, nodes, decoder, beam,
+                                                    max_depth, constants)
+            monkeypatch.setattr(tree_module, "_apply_token", apply)
+            monkeypatch.setattr(TreeDecoder, "step_log_probs", score)
+            events.clear()
+            decode_tree(h_sd, sd, sel, nodes, decoder, beam=beam, max_depth=max_depth,
+                        constants=constants)
+            monkeypatch.undo()
+            calls = [i for i, e in enumerate(events) if e != "build"]
+            assert len(calls) == steps, f"seed {seed}"
+            assert events[0] == 1
+            for prev, nxt in zip(calls, calls[1:]):
+                assert events[nxt] == nxt - prev - 1, f"seed {seed}"
+
     def test_no_leaves_anywhere_is_an_error(self):
         nodes, sd, h_sd, _, decoder = self._setup(0)
         sel = _selection(nodes, [])
@@ -370,6 +425,70 @@ class TestDecoding:
             teacher_forced_log_probs(h_sd, sd, [leaf_tok, leaf_tok], vocab, decoder)
         with pytest.raises(ValidationError):
             teacher_forced_log_probs(h_sd, sd, [0], vocab, decoder)
+
+
+class TestScoring:
+    def _parts(self, seed, dim=8, drop=0.0):
+        _, nodes, _ = _instance()
+        rng = np.random.default_rng(seed)
+        sd = Tensor(rng.normal(scale=0.7, size=(len(nodes), dim)))
+        leaf_ids = [n.node_id for n in nodes.by_kind(NodeKind.QUANTITY)]
+        vocab = TreeVocab(leaf_ids, constants=list(range(1, 8)))
+        decoder = TreeDecoder(rng, dim, drop=drop)
+        for p in decoder.params().values():
+            p.data *= 2.0
+        return rng, sd, vocab, decoder, decoder.candidate_embeddings(vocab, sd)
+
+    def test_batched_rows_match_the_tiled_per_state_scorer(self):
+        for seed in range(12):
+            rng, sd, vocab, decoder, cand = self._parts(seed)
+            s = 1 + seed % 6
+            goals = Tensor(rng.normal(size=(s, decoder.dim)))
+            allow = np.arange(s) % 2 == seed % 2
+            lp, ctx = decoder.step_log_probs(goals, sd, cand, allow, vocab.num_ops)
+            assert lp.data.shape == (s, len(vocab)) and ctx.data.shape == (s, decoder.dim)
+            for i in range(s):
+                want_lp, want_ctx = _tiled_step_log_probs(
+                    decoder, goals.slice_rows(i, i + 1), sd, cand, allow[i], vocab.num_ops)
+                np.testing.assert_allclose(lp.data[i], want_lp.data[0], rtol=1e-12, atol=0)
+                np.testing.assert_allclose(ctx.data[i], want_ctx.data[0], rtol=1e-12, atol=0)
+                if not allow[i]:
+                    ops = slice(0, vocab.num_ops)
+                    np.testing.assert_array_equal(lp.data[i, ops], want_lp.data[0, ops])
+
+    def test_one_bool_masks_every_row(self):
+        rng, sd, vocab, decoder, cand = self._parts(0)
+        goals = Tensor(rng.normal(size=(3, decoder.dim)))
+        for allow in (True, False):
+            one, _ = decoder.step_log_probs(goals, sd, cand, allow, vocab.num_ops)
+            rows, _ = decoder.step_log_probs(goals, sd, cand, np.full(3, allow), vocab.num_ops)
+            np.testing.assert_array_equal(one.data, rows.data)
+        assert (one.data[:, :vocab.num_ops] < -1e8).all()
+
+    def test_one_row_training_matches_the_tiled_scorer_with_the_same_dropout(self):
+        """Teacher forcing scores one row: the dropout masks keep their
+        shapes and draw order, so a seeded rng drops the same units, and the
+        gradients reaching every decoder parameter agree."""
+        for seed in range(4):
+            _, sd, vocab, decoder, cand = self._parts(seed, drop=0.5)
+            goal = Tensor(np.random.default_rng(seed + 100).normal(size=(1, decoder.dim)))
+            got, want = {}, {}
+            for out, score in ((got, decoder.step_log_probs),
+                               (want, lambda *a, **k: _tiled_step_log_probs(decoder, *a, **k))):
+                rng = np.random.default_rng(seed)
+                lp, ctx = score(goal, sd, cand, seed % 2 == 0, vocab.num_ops, rng=rng, train=True)
+                ((lp * Tensor(np.linspace(-1.0, 1.0, len(vocab)))).sum() + ctx.sum()).backward()
+                out["lp"], out["draw"] = lp.data, rng.random()
+                for name, p in decoder.params().items():
+                    out[name] = np.zeros_like(p.data) if p.grad is None else p.grad
+                    p.zero_grad()
+            assert got["draw"] == want["draw"]
+            np.testing.assert_allclose(got.pop("lp"), want.pop("lp"), rtol=1e-12, atol=0)
+            # atol: the gradient of tree.attn.l2.b is exactly zero in exact
+            # arithmetic (softmax ignores a shift), so both sides are ~1e-16 noise
+            for name in want:
+                np.testing.assert_allclose(got[name], want[name], rtol=1e-12, atol=1e-14,
+                                           err_msg=name)
 
 
 class TestAssembly:
