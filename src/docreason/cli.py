@@ -109,7 +109,7 @@ def cmd_train(config: RunConfig) -> int:
     params = model.params()
     for name, tensor in params.items():
         tensor.data = result.best_params[name]
-    ckpt_path = config.checkpoint or os.path.join(config.out_dir, "checkpoint.json")
+    ckpt_path = config.checkpoint or os.path.join(config.out_dir, "checkpoint.ckpt")
     save_checkpoint(ckpt_path, params, model.checkpoint_meta())
     _write_atomic(os.path.join(config.out_dir, "train_log.csv"), result.log.to_csv())
     print(f"trained {config.epochs} epochs, best dev EM {result.best_em:.4f}")

@@ -100,7 +100,7 @@ class Model:
             if arrays[name].shape != tensor.data.shape:
                 raise CheckpointMismatch(
                     f"{name}: checkpoint shape {arrays[name].shape} vs model {tensor.data.shape}")
-            tensor.data = arrays[name].astype(np.float64).copy()
+            tensor.data = arrays[name].astype(np.float64)
 
     def checkpoint_meta(self) -> dict:
         return {"dim": self.config.dim, "vocab_size": VOCAB_SIZE,

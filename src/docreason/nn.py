@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from functools import lru_cache
 
@@ -143,6 +144,15 @@ class ToyEmbedder:
                             requires_grad=True, name="embedder.table")
         box_rng = np.random.default_rng(seed + 1)
         self._box_proj = box_rng.uniform(-0.05, 0.05, size=(4, dim))
+        self._positions = _position_encoding(0, dim)
+
+    def _position_rows(self, n: int) -> np.ndarray:
+        """_position_encoding(n, dim), sliced from a read-only table grown to
+        the longest sequence seen: no row depends on the table's length."""
+        if n > len(self._positions):
+            self._positions = _position_encoding(n, self.dim)
+            self._positions.setflags(write=False)
+        return self._positions[:n]
 
     def _slot(self, text: str) -> int:
         tid = self.vocab.id_of(text)
@@ -171,7 +181,7 @@ class ToyEmbedder:
         box_rows = np.array([self._box_features(b) @ self._box_proj for b in boxes])
         slots = np.array([self._slot(t) for t in texts], dtype=np.int64)[text_idx]
         base = hashes[text_idx] + box_rows[box_idx]
-        base += _position_encoding(n, self.dim)
+        base += self._position_rows(n)
         return self.table.take_rows(slots) + Tensor(base)
 
     def params(self) -> dict[str, Tensor]:
@@ -246,49 +256,82 @@ def graph_summary(node_reprs: Tensor) -> Tensor:
     return node_reprs.mean(axis=0)
 
 
-CHECKPOINT_VERSION = 1
-
-
-def checkpoint_bytes(params: dict[str, Tensor], meta: dict) -> bytes:
-    payload = {
-        "format_version": CHECKPOINT_VERSION,
-        "meta": meta,
-        "params": {
-            name: {"shape": list(t.data.shape), "data": t.data.ravel().tolist()}
-            for name, t in params.items()
-        },
-    }
-    return json.dumps(payload, sort_keys=True).encode()
+CHECKPOINT_VERSION = 2
+CHECKPOINT_DTYPE = "<f8"
 
 
 def save_checkpoint(path: str, params: dict[str, Tensor], meta: dict):
+    """One line of sorted-key JSON (format_version, meta, dtype, and per
+    parameter in name order its name, shape and byte offset), then the raw
+    little-endian float64 bytes of each parameter in the same order. Nothing
+    in the file depends on the time, so equal inputs give equal bytes."""
+    arrays = {name: np.asarray(params[name].data, dtype=CHECKPOINT_DTYPE, order="C")
+              for name in sorted(params)}
+    entries, offset = [], 0
+    for name, arr in arrays.items():
+        entries.append({"name": name, "shape": list(arr.shape), "offset": offset})
+        offset += arr.nbytes
+    header = {"dtype": CHECKPOINT_DTYPE, "format_version": CHECKPOINT_VERSION,
+              "meta": meta, "params": entries}
+    line = json.dumps(header, sort_keys=True, allow_nan=False).encode() + b"\n"
     tmp = path + ".tmp"
     with open(tmp, "wb") as f:
-        f.write(checkpoint_bytes(params, meta))
+        f.write(line)
+        for arr in arrays.values():
+            f.write(arr)
     os.replace(tmp, path)
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
-    """(arrays, meta). A file that cannot be read or parsed as a checkpoint
-    raises CheckpointMismatch naming the path."""
+    """(arrays, meta). The arrays are writable views into one buffer read
+    from the file. A file that cannot be read, or whose header or payload
+    is malformed, raises CheckpointMismatch naming the path."""
     try:
         with open(path, "rb") as f:
-            payload = json.loads(f.read())
-    except (OSError, ValueError) as exc:
+            buf = bytearray(os.fstat(f.fileno()).st_size)
+            if f.readinto(buf) != len(buf):
+                raise OSError("file changed size while being read")
+    except OSError as exc:
         raise CheckpointMismatch(f"{path}: unreadable checkpoint ({exc})") from None
-    if not isinstance(payload, dict):
-        raise CheckpointMismatch(f"{path}: checkpoint is not a JSON object")
-    if payload.get("format_version") != CHECKPOINT_VERSION:
-        raise CheckpointMismatch(
-            f"{path}: unsupported checkpoint version {payload.get('format_version')!r}")
-    params, meta = payload.get("params"), payload.get("meta")
-    if not isinstance(params, dict) or not isinstance(meta, dict):
-        raise CheckpointMismatch(f"{path}: checkpoint needs 'params' and 'meta' objects")
+    end = buf.find(b"\n")
     try:
-        arrays = {
-            name: np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-            for name, entry in params.items()
-        }
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointMismatch(f"{path}: malformed parameter entry ({exc!r})") from None
+        # A version-1 file is one JSON object without a newline.
+        header = json.loads(buf if end < 0 else buf[:end])
+    except ValueError as exc:
+        raise CheckpointMismatch(f"{path}: unreadable checkpoint header ({exc})") from None
+    if not isinstance(header, dict):
+        raise CheckpointMismatch(f"{path}: checkpoint header is not a JSON object")
+    if header.get("format_version") != CHECKPOINT_VERSION:
+        raise CheckpointMismatch(
+            f"{path}: unsupported checkpoint version {header.get('format_version')!r} "
+            f"(this build reads version {CHECKPOINT_VERSION}; retrain)")
+    if end < 0:
+        raise CheckpointMismatch(f"{path}: checkpoint header line has no newline")
+    if header.get("dtype") != CHECKPOINT_DTYPE:
+        raise CheckpointMismatch(f"{path}: unsupported dtype {header.get('dtype')!r}")
+    params, meta = header.get("params"), header.get("meta")
+    if not isinstance(params, list) or not isinstance(meta, dict):
+        raise CheckpointMismatch(f"{path}: checkpoint needs a 'params' list and a 'meta' object")
+    layout: dict[str, tuple[list[int], int, int]] = {}
+    size = 0
+    for entry in params:
+        entry = entry if isinstance(entry, dict) else {}
+        name, shape, offset = entry.get("name"), entry.get("shape"), entry.get("offset")
+        if not isinstance(name, str) or name in layout:
+            raise CheckpointMismatch(f"{path}: missing or duplicate parameter name {name!r}")
+        if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+            raise CheckpointMismatch(f"{path}: {name!r} has a bad shape {shape!r}")
+        if type(offset) is not int or offset != size:
+            raise CheckpointMismatch(
+                f"{path}: {name!r} at offset {offset!r}, expected {size} (contiguous)")
+        count = math.prod(shape)
+        layout[name] = (shape, offset, count)
+        size += 8 * count
+    body = end + 1
+    if len(buf) - body != size:
+        fault = "truncated payload" if len(buf) - body < size else "trailing bytes after payload"
+        raise CheckpointMismatch(
+            f"{path}: {fault} ({len(buf) - body} bytes, header describes {size})")
+    arrays = {name: np.frombuffer(buf, CHECKPOINT_DTYPE, count, body + offset).reshape(shape)
+              for name, (shape, offset, count) in layout.items()}
     return arrays, meta

@@ -149,10 +149,14 @@ class TreeVocab:
         return out
 
     def tree_from_tokens(self, tokens: list[int]) -> TreeNode:
-        pos = 0
+        pos, size = 0, len(self)
 
         def build() -> TreeNode:
             nonlocal pos
+            if pos == len(tokens):
+                raise ValidationError("token sequence ends before the tree is complete")
+            if not 0 <= tokens[pos] < size:
+                raise ValidationError(f"token id {tokens[pos]} outside a vocabulary of {size}")
             kind, value = self.describe(tokens[pos])
             pos += 1
             if kind == "op":

@@ -8,6 +8,7 @@ import pytest
 from docreason.cli import main
 from docreason.config import SEED_ENV_VAR, RunConfig, load_config
 from docreason.errors import SchemaError
+from docreason.nn import load_checkpoint
 from docreason.pipeline import load_corpus
 from docreason.synthetic import write_corpus
 
@@ -31,6 +32,15 @@ def _train_args(corpus, tmp_path, **extra):
     for flag, value in extra.items():
         args += [f"--{flag.replace('_', '-')}", str(value)]
     return args
+
+
+def _edit_header(ckpt, edit):
+    """Apply `edit` to the parsed JSON header line of a checkpoint file and
+    write it back in front of the unchanged payload."""
+    header, payload = ckpt.read_bytes().split(b"\n", 1)
+    header = json.loads(header)
+    edit(header)
+    ckpt.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
 
 
 class TestConfig:
@@ -134,10 +144,10 @@ class TestTrainPredictEval:
     def test_full_round_trip(self, corpus, tmp_path, capsys):
         run_dir = tmp_path / "run"
         assert main(_train_args(corpus, tmp_path)) == 0
-        assert (run_dir / "checkpoint.json").exists()
+        assert (run_dir / "checkpoint.ckpt").exists()
         assert (run_dir / "train_log.csv").read_text().startswith("epoch,")
 
-        ckpt = str(run_dir / "checkpoint.json")
+        ckpt = str(run_dir / "checkpoint.ckpt")
         assert main(["predict", "--corpus", corpus, "--checkpoint", ckpt,
                      "--out-dir", str(run_dir)]) == 0
         pred_path = run_dir / "predictions.jsonl"
@@ -161,7 +171,7 @@ class TestTrainPredictEval:
         assert main(_train_args(corpus, tmp_path, dim=16)) == 0
         # no --dim here: the checkpoint's dim must win over the default
         assert main(["predict", "--corpus", corpus,
-                     "--checkpoint", str(run_dir / "checkpoint.json"),
+                     "--checkpoint", str(run_dir / "checkpoint.ckpt"),
                      "--out-dir", str(run_dir)]) == 0
 
     def test_eval_needs_a_source_of_predictions(self, corpus):
@@ -170,22 +180,30 @@ class TestTrainPredictEval:
     def test_mismatched_checkpoint_exits_4(self, corpus, tmp_path):
         run_dir = tmp_path / "run"
         assert main(_train_args(corpus, tmp_path)) == 0
-        ckpt = run_dir / "checkpoint.json"
-        payload = json.loads(ckpt.read_text())
-        payload["meta"]["embedder"] = "external-file"
-        ckpt.write_text(json.dumps(payload))
+        ckpt = run_dir / "checkpoint.ckpt"
+        _edit_header(ckpt, lambda header: header["meta"].update(embedder="external-file"))
         assert main(["predict", "--corpus", corpus, "--checkpoint", str(ckpt),
                      "--out-dir", str(run_dir)]) == 4
 
-    def test_unknown_checkpoint_version_exits_4(self, corpus, tmp_path):
+    def test_unknown_checkpoint_version_exits_4(self, corpus, tmp_path, capsys):
         run_dir = tmp_path / "run"
         assert main(_train_args(corpus, tmp_path)) == 0
-        ckpt = run_dir / "checkpoint.json"
-        payload = json.loads(ckpt.read_text())
-        payload["format_version"] = 99
-        ckpt.write_text(json.dumps(payload))
-        assert main(["predict", "--corpus", corpus, "--checkpoint", str(ckpt),
-                     "--out-dir", str(run_dir)]) == 4
+        ckpt = run_dir / "checkpoint.ckpt"
+        arrays, meta = load_checkpoint(str(ckpt))
+        _edit_header(ckpt, lambda header: header.update(format_version=99))
+        # the same parameters as a version-1 file: one JSON object, no header line
+        v1 = tmp_path / "checkpoint.json"
+        v1.write_text(json.dumps({
+            "format_version": 1, "meta": meta,
+            "params": {name: {"shape": list(a.shape), "data": a.ravel().tolist()}
+                       for name, a in arrays.items()}}, sort_keys=True))
+        for path, version in ((ckpt, 99), (v1, 1)):
+            assert main(["predict", "--corpus", corpus, "--checkpoint", str(path),
+                         "--out-dir", str(run_dir)]) == 4
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and str(path) in err
+            assert f"unsupported checkpoint version {version}" in err
+            assert len(err.strip().splitlines()) == 1
 
     def test_unknown_answer_type_in_dump_exits_2(self, corpus, tmp_path, capsys):
         qid = load_corpus(corpus)[0].qid
@@ -219,10 +237,8 @@ class TestTrainPredictEval:
     def test_incomplete_checkpoint_meta_exits_4(self, corpus, tmp_path):
         run_dir = tmp_path / "run"
         assert main(_train_args(corpus, tmp_path)) == 0
-        ckpt = run_dir / "checkpoint.json"
-        payload = json.loads(ckpt.read_text())
-        del payload["meta"]["dim"]
-        ckpt.write_text(json.dumps(payload))
+        ckpt = run_dir / "checkpoint.ckpt"
+        _edit_header(ckpt, lambda header: header["meta"].pop("dim"))
         assert main(["eval", "--corpus", corpus, "--checkpoint", str(ckpt),
                      "--out-dir", str(run_dir)]) == 4
 
@@ -246,5 +262,5 @@ class TestTrainPredictEval:
         assert main(["train", "--corpus", corpus, "--out-dir", str(run_b),
                      "--epochs", "1", "--dim", "8", "--batch", "1",
                      "--grad-accum", "1", "--eval-every", "1"]) == 0
-        assert (run_a / "checkpoint.json").read_bytes() == \
-            (run_b / "checkpoint.json").read_bytes()
+        assert (run_a / "checkpoint.ckpt").read_bytes() == \
+            (run_b / "checkpoint.ckpt").read_bytes()

@@ -1,6 +1,7 @@
 """Layers, graph convolution, the toy embedder, pooling, and checkpoints."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -183,6 +184,14 @@ class TestToyEmbedder:
                 assert got.shape == want.shape == (length, dim)
                 assert got.tobytes() == want.tobytes(), (length, dim)
 
+    def test_cached_position_rows_equal_a_fresh_encoding_by_bytes(self):
+        for dim in (6, 7, 32):
+            embedder = ToyEmbedder(np.random.default_rng(0), dim=dim, seed=1)
+            for length in (3, 40, 755, 755, 200, 1, 0, 1024, 17):
+                got = embedder._position_rows(length)
+                assert not got.flags.writeable
+                assert got.tobytes() == _position_encoding(length, dim).tobytes(), (length, dim)
+
 
 class TestFileEmbedder:
     def test_reads_rows_for_current_instance(self, tmp_path):
@@ -259,27 +268,47 @@ class TestCheckpoints:
         np.testing.assert_array_equal(arrays["probe.b"], layer.b.data)
 
     def test_malformed_files_are_a_mismatch_naming_the_path(self, tmp_path):
-        good = {"format_version": 1, "meta": {},
-                "params": {"w": {"shape": [2], "data": [1.0, 2.0]}}}
-        bad_payloads = [
-            "[1, 2]",
-            json.dumps({**good, "params": [1]}),
-            json.dumps({**good, "meta": 3}),
-            json.dumps({**good, "params": {"w": {"shape": [3], "data": [1.0, 2.0]}}}),
-            json.dumps({**good, "params": {"w": {"data": [1.0, 2.0]}}}),
-            json.dumps({**good, "params": {"w": [1.0, 2.0]}}),
-            json.dumps({**good, "params": {"w": {"shape": [2], "data": ["a", "b"]}}}),
-            '{"format_version": 1, "par',
+        def v2(params, payload, **fields):
+            header = {"format_version": 2, "dtype": "<f8", "meta": {}, "params": params}
+            return json.dumps({**header, **fields}).encode() + b"\n" + payload
+
+        w = np.array([1.0, 2.0]).astype("<f8").tobytes()
+        entry = {"name": "w", "shape": [2], "offset": 0}
+        second = {"name": "v", "shape": [1], "offset": 16}
+        v1 = {"format_version": 1, "meta": {},
+              "params": {"w": {"shape": [2], "data": [1.0, 2.0]}}}
+        bad_files = [
+            (json.dumps(v1).encode(), "unsupported checkpoint version 1 "),
+            (v2([entry], b"")[:-1], "header line has no newline"),
+            (b"{not json\n" + w, "unreadable checkpoint header"),
+            (b'{"format_version": 2, "par', "unreadable checkpoint header"),
+            (b"[1, 2]\n" + w, "header is not a JSON object"),
+            (v2([entry], w, dtype="<f4"), "unsupported dtype '<f4'"),
+            (v2([entry], w, dtype=">f8"), "unsupported dtype '>f8'"),
+            (v2([{**entry, "shape": [-2]}], w), "bad shape"),
+            (v2([{**entry, "shape": [2.0]}], w), "bad shape"),
+            (v2([{**entry, "shape": 2}], w), "bad shape"),
+            (v2([{**entry, "offset": 8}], w), "offset 8, expected 0"),
+            (v2([entry, {**second, "offset": 8}], w + w[:8]), "offset 8, expected 16"),
+            (v2([entry, {**entry, "offset": 16}], w + w), "duplicate parameter name 'w'"),
+            (v2([{"shape": [2], "offset": 0}], w), "parameter name None"),
+            (v2([[1, 2]], w), "parameter name None"),
+            (v2([entry], w[:-1]), "truncated payload"),
+            (v2([entry], w + b"\0"), "trailing bytes"),
+            (v2({"w": entry}, w), "'params' list"),
+            (v2([entry], w, meta=3), "'meta' object"),
         ]
         path = tmp_path / "model.ckpt"
-        for text in bad_payloads:
-            path.write_text(text)
-            with pytest.raises(CheckpointMismatch, match="model.ckpt"):
+        for data, reason in bad_files:
+            path.write_bytes(data)
+            with pytest.raises(CheckpointMismatch, match=r"model\.ckpt: .*" + re.escape(reason)):
                 load_checkpoint(str(path))
         with pytest.raises(CheckpointMismatch, match="missing.ckpt"):
             load_checkpoint(str(tmp_path / "missing.ckpt"))
-        path.write_text(json.dumps(good))
-        np.testing.assert_array_equal(load_checkpoint(str(path))[0]["w"], [1.0, 2.0])
+        path.write_bytes(v2([entry, second], w + w[:8]))
+        arrays, _meta = load_checkpoint(str(path))
+        np.testing.assert_array_equal(arrays["w"], [1.0, 2.0])
+        np.testing.assert_array_equal(arrays["v"], [1.0])
 
     def test_unknown_version_is_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"

@@ -259,10 +259,13 @@ class TestVocabulary:
 
     def test_incomplete_token_sequence_is_rejected(self):
         vocab = TreeVocab([4], constants=[1])
-        with pytest.raises((ValidationError, IndexError)):
+        with pytest.raises(ValidationError, match="ends before the tree is complete"):
             vocab.tree_from_tokens([0, 4])  # "+" then one leaf, missing the other
         with pytest.raises(ValidationError):
             vocab.tree_from_tokens([4, 4])  # two trees, not one
+        for token in (len(vocab), -1):
+            with pytest.raises(ValidationError, match="outside a vocabulary"):
+                vocab.tree_from_tokens([0, 4, token])
 
     def test_selection_vocab_keeps_only_leaf_kinds(self):
         _, nodes, _ = _instance()
