@@ -54,16 +54,19 @@ def _build_model(config: RunConfig) -> Model:
 def _load_into_model(config: RunConfig) -> Model:
     """Restore a model from a checkpoint, adopting its architecture
     (dim, gcn layers) so callers don't have to repeat training flags."""
-    arrays, meta = load_checkpoint(config.checkpoint)
-    for key in ("dim", "vocab_size", "gcn_layers", "embedder"):
-        if key not in meta:
-            raise CheckpointMismatch(f"checkpoint metadata missing {key!r}")
+    path = config.checkpoint
+    arrays, meta = load_checkpoint(path)
+    for key, want in (("dim", int), ("vocab_size", int), ("gcn_layers", int), ("embedder", str)):
+        value = meta.get(key)
+        if type(value) is not want or (want is int and value < 1):
+            raise CheckpointMismatch(f"{path}: checkpoint meta {key!r} is {value!r}, "
+                                     f"not a {'positive int' if want is int else 'string'}")
     if meta["vocab_size"] != VOCAB_SIZE:
         raise CheckpointMismatch(
-            f"checkpoint built for vocab={meta['vocab_size']}, this build has {VOCAB_SIZE}")
+            f"{path}: built for vocab={meta['vocab_size']}, this build has {VOCAB_SIZE}")
     if meta["embedder"] != config.embedder:
         raise CheckpointMismatch(
-            f"checkpoint trained with embedder={meta['embedder']!r}, "
+            f"{path}: trained with embedder={meta['embedder']!r}, "
             f"run configured {config.embedder!r}")
     config = dataclasses.replace(config, dim=meta["dim"], gcn_layers=meta["gcn_layers"])
     model = _build_model(config)
@@ -74,14 +77,11 @@ def _load_into_model(config: RunConfig) -> Model:
 def cmd_validate(config: RunConfig) -> int:
     instances = load_corpus(config.corpus, config.max_len)
     type_counts = Counter(i.gold.answer_type.value for i in instances if i.gold)
-    kind_counts = Counter()
-    for inst in instances:
-        for node in inst.nodes.nodes:
-            kind_counts[node.kind.value] += 1
+    kind_counts = Counter(node.kind.value for inst in instances for node in inst.nodes)
     print(f"records: {len(instances)}")
     for atype in AnswerType:
         print(f"  {atype.value}: {type_counts.get(atype.value, 0)}")
-    print("nodes: " + ", ".join(f"{k}={kind_counts.get(k.value, 0)}" for k in NodeKind))
+    print("nodes: " + ", ".join(f"{k.value}={kind_counts[k.value]}" for k in NodeKind))
     return 0
 
 

@@ -9,7 +9,9 @@ Four graphs per instance:
   every Quantity/Date node to the Question/Block node it was mined from.
 
 Adjacency matrices are dense 0/1 float arrays indexed by graph-local
-position; node_ids maps positions back to inventory node ids.
+position; node_ids maps positions back to inventory node ids. A comparison
+graph is one broadcast `>=` over its members' keys; the semantic graph writes
+each subgraph's edges, then all containment edges, in one indexed assignment.
 """
 
 from __future__ import annotations
@@ -48,10 +50,10 @@ class SemanticGraph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Directed edges as (src, dst) inventory node ids, sorted."""
-        out = []
-        for i, j in zip(*np.nonzero(self.adjacency)):
-            out.append((self.node_ids[int(i)], self.node_ids[int(j)]))
-        return sorted(out)
+        src, dst = np.nonzero(self.adjacency)
+        ids = np.asarray(self.node_ids, dtype=np.int64)
+        pairs = np.stack([ids[src], ids[dst]], axis=1)
+        return [tuple(e) for e in pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].tolist()]
 
     def to_dict(self) -> dict:
         return {
@@ -61,31 +63,29 @@ class SemanticGraph:
         }
 
 
-def _comparison_graph(kind: GraphKind, members: list[ElementNode], keys: list) -> SemanticGraph:
-    n = len(members)
-    adj = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j and keys[i] >= keys[j]:
-                adj[i, j] = 1.0
+def _comparison_graph(kind: GraphKind, members: list[ElementNode],
+                      keys: np.ndarray) -> SemanticGraph:
+    """Edge i -> j for every i != j with keys[i] >= keys[j], in one broadcast."""
+    adj = (keys[:, None] >= keys[None, :]).astype(np.float64)
+    np.fill_diagonal(adj, 0.0)
     return SemanticGraph(kind, [m.node_id for m in members], adj)
 
 
 def build_quantity_graph(nodes: NodeSet) -> SemanticGraph:
     members = nodes.by_kind(NodeKind.QUANTITY)
-    return _comparison_graph(GraphKind.QUANTITY, members, [m.value for m in members])
+    return _comparison_graph(GraphKind.QUANTITY, members, np.array([m.value for m in members]))
 
 
 def build_date_graph(nodes: NodeSet) -> SemanticGraph:
     members = nodes.by_kind(NodeKind.DATE)
-    return _comparison_graph(GraphKind.DATE, members, [m.date_key for m in members])
+    # Ranks among the distinct (year, month, day) keys keep their tuple order.
+    rank = {key: r for r, key in enumerate(sorted({m.date_key for m in members}))}
+    return _comparison_graph(GraphKind.DATE, members, np.array([rank[m.date_key] for m in members]))
 
 
 def build_text_graph(nodes: NodeSet) -> SemanticGraph:
     members = nodes.by_kind(NodeKind.QUESTION) + nodes.by_kind(NodeKind.BLOCK)
-    n = len(members)
-    adj = np.ones((n, n)) - np.eye(n)
-    return SemanticGraph(GraphKind.TEXT, [m.node_id for m in members], adj)
+    return SemanticGraph(GraphKind.TEXT, [m.node_id for m in members], 1.0 - np.eye(len(members)))
 
 
 def build_semantic_graph(nodes: NodeSet, quantity: SemanticGraph, date: SemanticGraph,
@@ -97,21 +97,20 @@ def build_semantic_graph(nodes: NodeSet, quantity: SemanticGraph, date: Semantic
     n = len(node_ids)
     adj = np.zeros((n, n))
     for sub in (quantity, date, text):
-        for nid in sub.node_ids:
-            if nid not in pos:
-                raise IndexMismatch(
-                    f"{sub.kind.value}: node {nid} missing from inventory")
-        for src, dst in zip(*np.nonzero(sub.adjacency)):
-            adj[pos[sub.node_ids[int(src)]], pos[sub.node_ids[int(dst)]]] = 1.0
-    for node in nodes.nodes:
-        if node.parent_id is not None:
-            adj[pos[node.node_id], pos[node.parent_id]] = 1.0
+        try:
+            idx = np.array([pos[nid] for nid in sub.node_ids], dtype=np.intp)
+        except KeyError as exc:
+            raise IndexMismatch(
+                f"{sub.kind.value}: node {exc.args[0]} missing from inventory") from None
+        src, dst = np.nonzero(sub.adjacency)
+        adj[idx[src], idx[dst]] = 1.0
+    contained = np.array([(pos[m.node_id], pos[m.parent_id]) for m in nodes.nodes
+                          if m.parent_id is not None], dtype=np.intp).reshape(-1, 2)
+    adj[contained[:, 0], contained[:, 1]] = 1.0
     return SemanticGraph(GraphKind.SEMANTIC, node_ids, adj)
 
 
 def build_all_graphs(nodes: NodeSet) -> dict[GraphKind, SemanticGraph]:
-    qc = build_quantity_graph(nodes)
-    dc = build_date_graph(nodes)
-    tr = build_text_graph(nodes)
+    qc, dc, tr = build_quantity_graph(nodes), build_date_graph(nodes), build_text_graph(nodes)
     sd = build_semantic_graph(nodes, qc, dc, tr)
     return {GraphKind.QUANTITY: qc, GraphKind.DATE: dc, GraphKind.TEXT: tr, GraphKind.SEMANTIC: sd}

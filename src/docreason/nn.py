@@ -69,12 +69,13 @@ class FFN2:
 
 
 def normalize_adjacency(adj: np.ndarray) -> np.ndarray:
-    """Symmetrize (max with transpose), add self-loops, degree-normalize."""
-    n = adj.shape[0]
-    a = np.maximum(adj, adj.T) + np.eye(n)
-    deg = a.sum(axis=1)
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    return inv_sqrt[:, None] * a * inv_sqrt[None, :]
+    """D^-1/2 (max(A, A^T) + I) D^-1/2 of a float adjacency, in one buffer."""
+    a = np.maximum(adj, adj.T)
+    a.flat[::a.shape[0] + 1] += 1.0  # the diagonal: + I
+    inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
+    a *= inv_sqrt[:, None]
+    a *= inv_sqrt[None, :]
+    return a
 
 
 class GCN:

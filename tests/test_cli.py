@@ -96,6 +96,10 @@ class TestValidateAndGraphs:
         assert "records: 3" in out
         for name in ("Span", "Spans", "Counting", "Arithmetic"):
             assert name in out
+        nodes = next(line for line in out.splitlines() if line.startswith("nodes: "))
+        counts = dict(item.split("=") for item in nodes[len("nodes: "):].split(", "))
+        assert list(counts) == ["question", "block", "quantity", "date"]
+        assert counts["question"] == "3"
 
     def test_validate_rejects_broken_records(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -241,6 +245,24 @@ class TestTrainPredictEval:
         _edit_header(ckpt, lambda header: header["meta"].pop("dim"))
         assert main(["eval", "--corpus", corpus, "--checkpoint", str(ckpt),
                      "--out-dir", str(run_dir)]) == 4
+
+    def test_mistyped_checkpoint_meta_exits_4_naming_the_path(self, corpus, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert main(_train_args(corpus, tmp_path)) == 0
+        ckpt = run_dir / "checkpoint.ckpt"
+        original = ckpt.read_bytes()
+        for key, value in (("dim", "8"), ("dim", None), ("dim", True), ("dim", 8.0),
+                           ("gcn_layers", 0), ("gcn_layers", -1), ("gcn_layers", "2"),
+                           ("vocab_size", False), ("vocab_size", [1]), ("embedder", 3),
+                           ("embedder", None)):
+            ckpt.write_bytes(original)
+            _edit_header(ckpt, lambda header: header["meta"].update({key: value}))
+            capsys.readouterr()
+            assert main(["predict", "--corpus", corpus, "--checkpoint", str(ckpt),
+                         "--out-dir", str(run_dir)]) == 4, (key, value)
+            err = capsys.readouterr().err
+            assert err.startswith("error: checkpoint mismatch: ") and str(ckpt) in err
+            assert repr(key) in err and len(err.strip().splitlines()) == 1
 
     def test_divergence_exits_3(self, corpus, tmp_path, monkeypatch):
         import docreason.cli as cli

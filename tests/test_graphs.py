@@ -15,6 +15,10 @@ from docreason.graphs import (
     build_semantic_graph,
     build_text_graph,
 )
+from docreason.nn import normalize_adjacency
+from docreason.pipeline import build_instance, load_records
+
+CORPUS = "data/synthetic-50.json"
 
 
 def _inventory(texts, question="What changed?"):
@@ -155,3 +159,107 @@ class TestEquivariance:
             assert d["kind"] == g.kind.value
             assert d["node_ids"] == g.node_ids
             assert [tuple(e) for e in d["edges"]] == g.edges()
+
+
+# Reference builders: the per-pair and per-edge loops the array builders
+# replaced. The array builders must reproduce them byte for byte.
+
+def _loop_comparison(members, keys):
+    n = len(members)
+    adj = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j and keys[i] >= keys[j]:
+                adj[i, j] = 1.0
+    return [m.node_id for m in members], adj
+
+
+def _loop_graphs(nodes):
+    quantities = nodes.by_kind(NodeKind.QUANTITY)
+    dates = nodes.by_kind(NodeKind.DATE)
+    text = nodes.by_kind(NodeKind.QUESTION) + nodes.by_kind(NodeKind.BLOCK)
+    subs = {
+        GraphKind.QUANTITY: _loop_comparison(quantities, [m.value for m in quantities]),
+        GraphKind.DATE: _loop_comparison(dates, [m.date_key for m in dates]),
+        GraphKind.TEXT: ([m.node_id for m in text],
+                         np.ones((len(text), len(text))) - np.eye(len(text))),
+    }
+    node_ids = [m.node_id for m in nodes.nodes]
+    pos = {nid: i for i, nid in enumerate(node_ids)}
+    sd = np.zeros((len(node_ids), len(node_ids)))
+    for ids, adj in subs.values():
+        for src, dst in zip(*np.nonzero(adj)):
+            sd[pos[ids[int(src)]], pos[ids[int(dst)]]] = 1.0
+    for node in nodes.nodes:
+        if node.parent_id is not None:
+            sd[pos[node.node_id], pos[node.parent_id]] = 1.0
+    return {**subs, GraphKind.SEMANTIC: (node_ids, sd)}
+
+
+def _loop_edges(node_ids, adj):
+    return sorted((node_ids[int(i)], node_ids[int(j)]) for i, j in zip(*np.nonzero(adj)))
+
+
+def _eye_normalize(adj):
+    a = np.maximum(adj, adj.T) + np.eye(adj.shape[0])
+    inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
+    return inv_sqrt[:, None] * a * inv_sqrt[None, :]
+
+
+def _widen(record, rng, rows=6):
+    """Append blocks dense in quantities and dates, with repeated values so
+    that the comparison graphs have ties in both directions."""
+    blocks = [dict(b) for b in record["blocks"]]
+    page = len(record["pages"]) - 1
+    amounts = [f"{int(a)},{int(b):03d}" for a, b in rng.integers(1, 60, size=(8, 2))]
+    amounts += ["(1,234)", "-5", "12.5%", "$ 40", "0.75", "7", "7"]
+    dates = ["March 2018", "14 August 2019", "August 14, 2019", "FY19", "2017", "2018",
+             "Dec. 2016", "1 March 2018"]
+    for k in range(rows):
+        text = " ".join(rng.choice(amounts, size=12).tolist() + rng.choice(dates, size=5).tolist())
+        blocks.append({"block_id": len(blocks), "page_index": page, "order": len(blocks),
+                       "text": f"row {k}: {text}", "box": [40, 330 + 52 * k, 960, 374 + 52 * k]})
+    return {**record, "blocks": blocks}
+
+
+def _assert_matches_loops(nodes, graphs):
+    for kind, (node_ids, adj) in _loop_graphs(nodes).items():
+        got = graphs[kind]
+        assert got.node_ids == node_ids
+        assert got.adjacency.dtype == adj.dtype
+        assert got.adjacency.tobytes() == adj.tobytes()
+        assert got.edges() == _loop_edges(node_ids, adj)
+        assert got.to_dict()["edges"] == [list(e) for e in _loop_edges(node_ids, adj)]
+        assert normalize_adjacency(got.adjacency).tobytes() == _eye_normalize(adj).tobytes()
+
+
+class TestArrayBuildersMatchLoops:
+    def test_bundled_corpus(self):
+        for record in load_records(CORPUS):
+            inst = build_instance(record)
+            _assert_matches_loops(inst.nodes, inst.graphs)
+
+    def test_widened_records(self):
+        rng = np.random.default_rng(7)
+        sizes = []
+        for record in load_records(CORPUS)[:6]:
+            inst = build_instance(_widen(record, rng), max_len=1024)
+            _assert_matches_loops(inst.nodes, inst.graphs)
+            sizes.append((len(inst.graphs[GraphKind.QUANTITY].node_ids),
+                          len(inst.graphs[GraphKind.DATE].node_ids)))
+        assert min(q for q, _ in sizes) >= 60 and min(d for _, d in sizes) >= 25
+
+    def test_edges_sort_by_node_id_not_position(self):
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            adj = (rng.random((6, 6)) < 0.5).astype(float)
+            node_ids = rng.permutation(20)[:6].tolist()
+            g = SemanticGraph(GraphKind.TEXT, node_ids, adj)
+            assert g.edges() == _loop_edges(node_ids, adj)
+            assert g.to_dict()["edges"] == [list(e) for e in _loop_edges(node_ids, adj)]
+
+    def test_normalize_matches_eye_formula_on_weighted_input(self):
+        rng = np.random.default_rng(3)
+        for n in (0, 1, 2, 7, 40):
+            adj = rng.random((n, n)) * (rng.random((n, n)) < 0.4)
+            assert normalize_adjacency(adj).tobytes() == _eye_normalize(adj).tobytes()
