@@ -6,7 +6,8 @@ in reverse topological order and accumulates exact gradients into the
 ``grad`` attribute of every tensor created with ``requires_grad=True``.
 
 Only the operations the model actually needs are implemented; each op stores
-a closure that maps the output gradient to its parents' gradients.
+a closure that maps the output gradient to the gradients of those parents
+that require one (constants get none).
 """
 
 from __future__ import annotations
@@ -34,21 +35,70 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+_F64 = np.dtype(np.float64)
+
+
+class RowSparse:
+    """A gradient that is zero outside some rows: `rows` are sorted unique
+    row indices and `values` the (len(rows), ...) block of their entries.
+
+    Adding a dense array densifies; adding another RowSparse merges by row
+    union, so a row on only one side keeps its value as is where the dense
+    sum would add +0.0 to it (which only differs for a -0.0 entry).
+    """
+
+    __slots__ = ("rows", "values", "shape")
+    __array_ufunc__ = None  # ndarray + RowSparse goes to __radd__
+
+    def __init__(self, rows: np.ndarray, values: np.ndarray, shape: tuple):
+        self.rows, self.values, self.shape = rows, values, shape
+
+    @classmethod
+    def scatter(cls, idx: np.ndarray, g: np.ndarray, shape: tuple) -> "RowSparse":
+        """The sum of g's rows into rows idx: each row adds its
+        contributions in the same order as np.add.at on a dense table."""
+        rows, inverse = np.unique(idx.ravel(), return_inverse=True)
+        values = np.zeros((len(rows),) + shape[1:])
+        np.add.at(values, inverse, g.reshape((idx.size,) + shape[1:]))
+        return cls(rows, values, shape)
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.rows] = self.values
+        return out
+
+    def __add__(self, other):
+        if not isinstance(other, RowSparse):
+            return self.dense() + other
+        rows = np.union1d(self.rows, other.rows)
+        values = np.zeros((len(rows),) + self.shape[1:])
+        values[np.searchsorted(rows, self.rows)] = self.values
+        values[np.searchsorted(rows, other.rows)] += other.values
+        return RowSparse(rows, values, self.shape)
+
+    __radd__ = __add__
+
+
 class Tensor:
     """A node in the computation tape.
 
     Attributes:
         data: the float64 ndarray value (row-major).
-        grad: accumulated gradient (same shape as data) after backward();
-            only populated for tensors with requires_grad=True.
+        raw_grad: the gradient accumulated by backward() as it is stored:
+            None, an ndarray shaped like data, or a RowSparse (the gradient
+            into a leaf that only take_rows reads). Only tensors with
+            requires_grad=True get one.
+        grad: raw_grad as a dense ndarray (a fresh array on each read of a
+            RowSparse) or None.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
+    __slots__ = ("data", "raw_grad", "requires_grad", "_parents", "_backward", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
-        arr = np.asarray(data, dtype=np.float64)
-        self.data = arr
-        self.grad: np.ndarray | None = None
+        if type(data) is not np.ndarray or data.dtype is not _F64:
+            data = np.asarray(data, dtype=np.float64)
+        self.data = data
+        self.raw_grad = None
         self.requires_grad = requires_grad
         self._parents: tuple = ()
         self._backward = None
@@ -69,16 +119,29 @@ class Tensor:
 
     __float__ = item
 
+    @property
+    def grad(self) -> np.ndarray | None:
+        g = self.raw_grad
+        return g.dense() if isinstance(g, RowSparse) else g
+
+    @grad.setter
+    def grad(self, value):
+        self.raw_grad = value
+
     def zero_grad(self):
-        self.grad = None
+        self.raw_grad = None
 
     @staticmethod
-    def _result(data, parents, backward) -> "Tensor":
+    def _result(data, parents: tuple, backward) -> "Tensor":
+        """The output of an op. It joins the tape when a parent requires a
+        gradient (every tensor on the tape does)."""
         out = Tensor(data)
-        if any(p.requires_grad or p._parents for p in parents):
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._backward = backward
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = parents
+                out._backward = backward
+                break
         return out
 
     # -- arithmetic ----------------------------------------------------
@@ -88,8 +151,10 @@ class Tensor:
         data = self.data + other.data
 
         def backward(g, grads):
-            grads[0] = _unbroadcast(g, self.data.shape)
-            grads[1] = _unbroadcast(g, other.data.shape)
+            if self.requires_grad:
+                grads[0] = _unbroadcast(g, self.data.shape)
+            if other.requires_grad:
+                grads[1] = _unbroadcast(g, other.data.shape)
 
         return Tensor._result(data, (self, other), backward)
 
@@ -114,8 +179,10 @@ class Tensor:
         a, b = self.data, other.data
 
         def backward(g, grads):
-            grads[0] = _unbroadcast(g * b, a.shape)
-            grads[1] = _unbroadcast(g * a, b.shape)
+            if self.requires_grad:
+                grads[0] = _unbroadcast(g * b, a.shape)
+            if other.requires_grad:
+                grads[1] = _unbroadcast(g * a, b.shape)
 
         return Tensor._result(data, (self, other), backward)
 
@@ -127,8 +194,10 @@ class Tensor:
         a, b = self.data, other.data
 
         def backward(g, grads):
-            grads[0] = _unbroadcast(g / b, a.shape)
-            grads[1] = _unbroadcast(-g * a / (b * b), b.shape)
+            if self.requires_grad:
+                grads[0] = _unbroadcast(g / b, a.shape)
+            if other.requires_grad:
+                grads[1] = _unbroadcast(-g * a / (b * b), b.shape)
 
         return Tensor._result(data, (self, other), backward)
 
@@ -143,8 +212,10 @@ class Tensor:
         a, b = self.data, other.data
 
         def backward(g, grads):
-            grads[0] = g @ b.T
-            grads[1] = a.T @ g
+            if self.requires_grad:
+                grads[0] = g @ b.T
+            if other.requires_grad:
+                grads[1] = a.T @ g
 
         return Tensor._result(data, (self, other), backward)
 
@@ -160,15 +231,21 @@ class Tensor:
         return Tensor._result(data, (self,), backward)
 
     def take_rows(self, indices) -> "Tensor":
-        """Gather rows by integer index; backward scatter-adds."""
+        """Gather rows by integer index; backward scatter-adds. Into a leaf
+        (a parameter table) it sends a RowSparse, so a step touches only the
+        rows that were read."""
         idx = np.asarray(indices, dtype=np.intp)
         data = self.data[idx]
         shape = self.data.shape
 
-        def backward(g, grads):
-            acc = np.zeros(shape)
-            np.add.at(acc, idx, g)
-            grads[0] = acc
+        if self.requires_grad and self._backward is None:
+            def backward(g, grads):
+                grads[0] = RowSparse.scatter(idx, g, shape)
+        else:
+            def backward(g, grads):
+                acc = np.zeros(shape)
+                np.add.at(acc, idx, g)
+                grads[0] = acc
 
         return Tensor._result(data, (self,), backward)
 
@@ -282,30 +359,32 @@ class Tensor:
         if not np.isfinite(self.data):
             raise NonFiniteLoss(f"loss is {float(self.data)}")
 
+        # tensors hash by identity; constants get no gradient, so the walk
+        # skips them
         topo: list[Tensor] = []
-        visited: set[int] = set()
+        visited: set[Tensor] = set()
         stack = [(self, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
                 topo.append(node)
                 continue
-            if id(node) in visited:
+            if node in visited:
                 continue
-            visited.add(id(node))
+            visited.add(node)
             stack.append((node, True))
             for p in node._parents:
-                if id(p) not in visited:
+                if p.requires_grad and p not in visited:
                     stack.append((p, False))
 
-        flow: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
+        flow: dict[Tensor, np.ndarray] = {self: np.ones_like(self.data)}
         for node in reversed(topo):
-            g = flow.pop(id(node), None)
+            g = flow.pop(node, None)
             if g is None:
                 continue
-            if node.requires_grad and node._backward is None:
-                node.grad = g if node.grad is None else node.grad + g
             if node._backward is None:
+                if node.requires_grad:
+                    node.raw_grad = g if node.raw_grad is None else node.raw_grad + g
                 continue
             grads: dict[int, np.ndarray] = {}
             node._backward(g, grads)
@@ -313,11 +392,10 @@ class Tensor:
                 pg = grads.get(i)
                 if pg is None:
                     continue
-                key = id(p)
-                if key in flow:
-                    flow[key] = flow[key] + pg
+                if p in flow:
+                    flow[p] = flow[p] + pg
                 else:
-                    flow[key] = pg
+                    flow[p] = pg
 
 
 # -- free-function helpers ----------------------------------------------
@@ -325,16 +403,19 @@ class Tensor:
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    tensors = tuple(tensors)
+    offsets = [0]
+    for t in tensors:
+        offsets.append(offsets[-1] + t.data.shape[axis])
 
     def backward(g, grads):
-        for i in range(len(sizes)):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(offsets[i], offsets[i + 1])
-            grads[i] = g[tuple(sl)]
+        for i, t in enumerate(tensors):
+            if t.requires_grad:
+                sl = [slice(None)] * g.ndim
+                sl[axis] = slice(offsets[i], offsets[i + 1])
+                grads[i] = g[tuple(sl)]
 
-    return Tensor._result(data, tuple(tensors), backward)
+    return Tensor._result(data, tensors, backward)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator, train: bool) -> Tensor:

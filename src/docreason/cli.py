@@ -34,6 +34,8 @@ EXIT_INVALID = 2
 EXIT_DIVERGED = 3
 EXIT_MISMATCH = 4
 
+_DIM_PROBE = "gcn.semantic.layer0.w"
+
 
 def _write_atomic(path: str, text: str):
     tmp = path + ".tmp"
@@ -68,9 +70,15 @@ def _load_into_model(config: RunConfig) -> Model:
         raise CheckpointMismatch(
             f"{path}: trained with embedder={meta['embedder']!r}, "
             f"run configured {config.embedder!r}")
+    # every model has this (dim, dim) weight: check dim before building
+    probe = arrays.get(_DIM_PROBE)
+    if probe is None or probe.shape != (meta["dim"], meta["dim"]):
+        raise CheckpointMismatch(
+            f"{path}: checkpoint meta 'dim' is {meta['dim']} but {_DIM_PROBE} has shape "
+            f"{None if probe is None else probe.shape}")
     config = dataclasses.replace(config, dim=meta["dim"], gcn_layers=meta["gcn_layers"])
     model = _build_model(config)
-    model.load_params(arrays)
+    model.load_params(arrays, path)
     return model
 
 

@@ -90,16 +90,19 @@ class Model:
         out.update(self.decoder.params())
         return out
 
-    def load_params(self, arrays: dict[str, np.ndarray]):
+    def load_params(self, arrays: dict[str, np.ndarray], source: str = "checkpoint"):
+        """Copy `arrays` into the parameters; a missing, extra or misshapen
+        array raises CheckpointMismatch naming `source` (e.g. the path)."""
         params = self.params()
         missing = sorted(set(params) - set(arrays))
         extra = sorted(set(arrays) - set(params))
         if missing or extra:
-            raise CheckpointMismatch(f"parameter names differ: missing={missing} extra={extra}")
+            raise CheckpointMismatch(
+                f"{source}: parameter names differ: missing={missing} extra={extra}")
         for name, tensor in params.items():
             if arrays[name].shape != tensor.data.shape:
-                raise CheckpointMismatch(
-                    f"{name}: checkpoint shape {arrays[name].shape} vs model {tensor.data.shape}")
+                raise CheckpointMismatch(f"{source}: {name} has shape {arrays[name].shape}, "
+                                         f"the model needs {tensor.data.shape}")
             tensor.data = arrays[name].astype(np.float64)
 
     def checkpoint_meta(self) -> dict:

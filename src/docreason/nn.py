@@ -118,6 +118,13 @@ def _hash_vector(text: str, dim: int, seed: int) -> np.ndarray:
     return vec
 
 
+@lru_cache(maxsize=65536)
+def _oov_slot(text: str) -> int:
+    """The table slot of a text outside the vocabulary."""
+    digest = hashlib.blake2b(text.encode(), digest_size=8).digest()
+    return int.from_bytes(digest, "big") % VOCAB_SIZE
+
+
 def _position_encoding(length: int, dim: int) -> np.ndarray:
     """Sinusoids: sin on the even columns, cos on the odd ones."""
     angle = np.arange(length)[:, None] / np.power(10000.0, (2 * (np.arange(dim) // 2)) / dim)
@@ -157,10 +164,7 @@ class ToyEmbedder:
 
     def _slot(self, text: str) -> int:
         tid = self.vocab.id_of(text)
-        if tid is not None:
-            return tid
-        digest = hashlib.blake2b(text.encode(), digest_size=8).digest()
-        return int.from_bytes(digest, "big") % VOCAB_SIZE
+        return _oov_slot(text) if tid is None else tid
 
     def _box_features(self, box: BoundingBox | None) -> np.ndarray:
         if box is None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import RowSparse, Tensor
 from .elements import NodeKind
 from .errors import (DivergenceDetected, DivisionByZero, InconsistentComponents, NoLeafCandidates,
                      NonFiniteResult, NoValidTokens, SchemaError)
@@ -87,8 +87,9 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
-        # rows (entries of a 1-D parameter) that have ever had a nonzero gradient
-        self.live = {k: np.zeros(p.data.shape[:1], dtype=bool) for k, p in params.items()}
+        # per parameter that has had a row-sparse gradient: the rows that
+        # have ever had a nonzero gradient entry
+        self.live: dict[str, np.ndarray] = {}
 
     def zero_grad(self):
         for p in self.params.values():
@@ -97,28 +98,37 @@ class Adam:
     def step(self, lr_scale: float = 1.0):
         """One Adam step, written into m, v and p.data in place.
 
-        Only live rows are touched. A row that has never had a nonzero
-        gradient entry has m = v = 0 and a zero (or -0.0) gradient, so the
-        dense update would move it by lr*0/(sqrt(0)+eps) = 0 (lr is finite),
-        and p - 0 == p bit for bit: skipping it changes nothing.
+        An entry that has never had a nonzero gradient has m = v = 0 and a
+        zero (or -0.0) gradient, so the update moves it by
+        lr*0/(sqrt(0)+eps) = 0 (lr is finite), and p - 0 == p bit for bit.
+        So a dense gradient updates its whole parameter without looking for
+        such entries, and a row-sparse one (RowSparse) updates only the live
+        rows: both match the dense update everywhere.
         """
         self.t += 1
         lr = self.lr * lr_scale
         c1 = 1 - self.b1 ** self.t
         c2 = 1 - self.b2 ** self.t
         for name, p in self.params.items():
-            g = p.grad
+            g = p.raw_grad
             if g is None:
                 continue
-            live = self.live[name]
-            live |= (g != 0).any(axis=tuple(range(1, g.ndim)))
             m, v = self.m[name], self.v[name]
-            if live.all():
+            live = self.live.get(name)
+            if not isinstance(g, RowSparse):
                 self._update(m, v, p.data, g, lr, c1, c2)
+                if live is not None:
+                    live[:] = True
                 continue
+            if live is None:
+                live = self.live[name] = np.zeros(len(p.data), dtype=bool)
+            hit = (g.values != 0).any(axis=tuple(range(1, g.values.ndim)))
+            live[g.rows[hit]] = True
             rows = np.flatnonzero(live)
+            g_rows = np.zeros((len(rows),) + g.shape[1:])
+            g_rows[np.searchsorted(rows, g.rows[hit])] = g.values[hit]
             m_rows, v_rows, p_rows = m[rows], v[rows], p.data[rows]
-            self._update(m_rows, v_rows, p_rows, g[rows], lr, c1, c2)
+            self._update(m_rows, v_rows, p_rows, g_rows, lr, c1, c2)
             m[rows], v[rows], p.data[rows] = m_rows, v_rows, p_rows
 
     def _update(self, m, v, p, g, lr, c1, c2):
@@ -147,18 +157,33 @@ def warmup_scale(step: int, total_steps: int, warmup_frac: float) -> float:
     return min(1.0, step / warmup_steps)
 
 
+def grad_norm(params: dict[str, Tensor]) -> float:
+    """Global L2 norm of the accumulated gradients. A RowSparse gradient
+    counts its stored rows only (the rest are zero), so it is not
+    densified."""
+    total = 0.0
+    for p in params.values():
+        g = p.raw_grad
+        if g is not None:
+            g = g.values if isinstance(g, RowSparse) else g
+            total += float(np.vdot(g, g))
+    return math.sqrt(total)
+
+
 @dataclass
 class TrainLog:
-    """One row per epoch. `terms` maps each of LOSS_TERMS to its mean over
-    the epoch's instances that had that term, or None when none did."""
+    """One row per epoch. `grad_norm` is the mean over the epoch's optimizer
+    steps of grad_norm() just before the step; `terms` maps each of
+    LOSS_TERMS to its mean over the epoch's instances that had that term,
+    or None when none did."""
     epochs: list[dict] = field(default_factory=list)
 
     def to_csv(self) -> str:
-        lines = [",".join(("epoch", "loss", "lr_scale", "dev_em") + LOSS_TERMS)]
+        lines = [",".join(("epoch", "loss", "lr_scale", "dev_em", "grad_norm") + LOSS_TERMS)]
         for row in self.epochs:
             cells = [str(row["epoch"]), f"{row['loss']:.6f}", f"{row['lr_scale']:.6f}"]
             cells += ["" if v is None else f"{v:.6f}"
-                      for v in [row["dev_em"], *row["terms"].values()]]
+                      for v in [row["dev_em"], row["grad_norm"], *row["terms"].values()]]
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 
@@ -196,6 +221,7 @@ def train(model: Model, instances: list[Instance], epochs: int = 50,
         epoch_loss = 0.0
         term_sums = dict.fromkeys(LOSS_TERMS, 0.0)
         term_counts = dict.fromkeys(LOSS_TERMS, 0)
+        norm_sum = 0.0
         opt.zero_grad()
         pending = 0
         for rank, idx in enumerate(order):
@@ -215,11 +241,12 @@ def train(model: Model, instances: list[Instance], epochs: int = 50,
             if pending == group or rank == len(order) - 1:
                 step += 1
                 scale = warmup_scale(step, total_steps, warmup_frac)
+                norm_sum += grad_norm(params)
                 opt.step(scale)
                 opt.zero_grad()
                 pending = 0
         record = {"epoch": epoch, "loss": epoch_loss / len(instances),
-                  "lr_scale": scale, "dev_em": None,
+                  "lr_scale": scale, "dev_em": None, "grad_norm": norm_sum / steps_per_epoch,
                   "terms": {name: term_sums[name] / term_counts[name] if term_counts[name]
                             else None for name in LOSS_TERMS}}
         stop = False

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from docreason.autodiff import (
+    RowSparse,
     Tensor,
     add_masked,
     concat,
@@ -163,6 +164,86 @@ class TestSoftmax:
         probs = np.exp(lp.data[0])
         assert probs[1] < 1e-12
         np.testing.assert_allclose(probs[[0, 2]].sum(), 1.0, atol=1e-12)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestRowSparseGradients:
+    """take_rows on a leaf sends a RowSparse; read densified, it must equal
+    the dense scatter-add (np.add.at into a zero table) bit for bit."""
+
+    def test_leaf_gradient_equals_the_dense_scatter_add(self):
+        rng = np.random.default_rng(11)
+        table = Tensor(rng.normal(size=(9, 4)), requires_grad=True)
+        # row 5 three times (its contributions cancel to exactly 0 below),
+        # row 2 twice, rows 0, 4, 6, 8 never
+        idx = np.array([5, 2, 7, 5, 2, 1, 3, 5])
+        w = rng.normal(size=(len(idx), 4))
+        w[7] = -(w[0] + w[3])  # (0 + w0 + w3) + w7 == 0 exactly
+        expect = np.zeros((9, 4))
+        np.add.at(expect, idx, w)
+        assert not expect[5].any()
+        (table.take_rows(idx) * Tensor(w)).sum().backward()
+        g = table.raw_grad
+        assert isinstance(g, RowSparse)
+        np.testing.assert_array_equal(g.rows, [1, 2, 3, 5, 7])
+        assert _same_bits(table.grad, expect)
+
+    def test_accumulates_over_gathers_and_backward_calls(self):
+        rng = np.random.default_rng(12)
+        table = Tensor(rng.normal(size=(12, 3)), requires_grad=True)
+        expect = np.zeros((12, 3))
+        for call in range(2):
+            firsts, seconds = rng.integers(0, 12, size=7), rng.integers(0, 6, size=4)
+            w1, w2 = rng.normal(size=(7, 3)), rng.normal(size=(4, 3))
+            loss = (table.take_rows(firsts) * Tensor(w1)).sum() \
+                + (table.take_rows(seconds) * Tensor(w2)).sum()
+            loss.backward()
+            # the dense tape: one zero table per gather, summed, then added
+            # to what the last call left
+            acc1, acc2 = np.zeros((12, 3)), np.zeros((12, 3))
+            np.add.at(acc1, firsts, w1)
+            np.add.at(acc2, seconds, w2)
+            expect = expect + (acc2 + acc1)
+            assert isinstance(table.raw_grad, RowSparse)
+            assert _same_bits(table.grad, expect), call
+        np.testing.assert_array_equal(table.raw_grad.rows, np.flatnonzero(expect.any(axis=1)))
+
+    def test_a_leaf_also_read_densely_gets_a_dense_sum(self):
+        rng = np.random.default_rng(13)
+        table = Tensor(rng.normal(size=(6, 2)), requires_grad=True)
+        idx = np.array([4, 1, 4])
+        w, c = rng.normal(size=(3, 2)), rng.normal(size=(6, 2))
+        ((table.take_rows(idx) * Tensor(w)).sum() + (table * Tensor(c)).sum()).backward()
+        expect = np.zeros((6, 2))
+        np.add.at(expect, idx, w)
+        expect = expect + c
+        assert type(table.raw_grad) is np.ndarray
+        assert _same_bits(table.grad, expect)
+
+    def test_gathers_from_computed_tensors_stay_dense(self):
+        a = Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)
+        h = a * 2.0
+        h.take_rows([3, 3, 0]).sum().backward()
+        assert type(a.raw_grad) is np.ndarray
+        np.testing.assert_array_equal(a.grad, [[2, 2], [0, 0], [0, 0], [4, 4]])
+
+    def test_one_dimensional_leaf_and_an_empty_gather(self):
+        v = Tensor(np.arange(5.0), requires_grad=True)
+        (v.take_rows([3, 0, 3]) * Tensor(np.array([1.0, 2.0, 4.0]))).sum().backward()
+        np.testing.assert_array_equal(v.grad, [2, 0, 0, 5, 0])
+        t = Tensor(np.ones((3, 2)), requires_grad=True)
+        (t.take_rows(np.array([], dtype=int)).sum() + t.take_rows([1]).sum()).backward()
+        np.testing.assert_array_equal(t.grad, [[0, 0], [1, 1], [0, 0]])
+
+    def test_constants_receive_no_gradient(self):
+        w = Tensor(np.ones((2, 2)), requires_grad=True)
+        const = Tensor(np.full((2, 2), 3.0))
+        ((const @ w) * const + const).sum().backward()
+        assert const.raw_grad is None
+        np.testing.assert_array_equal(w.grad, [[18, 18], [18, 18]])
 
 
 class TestBackwardSemantics:

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from docreason import cli
 from docreason.cli import main
 from docreason.config import SEED_ENV_VAR, RunConfig, load_config
 from docreason.errors import SchemaError
@@ -245,6 +246,34 @@ class TestTrainPredictEval:
         _edit_header(ckpt, lambda header: header["meta"].pop("dim"))
         assert main(["eval", "--corpus", corpus, "--checkpoint", str(ckpt),
                      "--out-dir", str(run_dir)]) == 4
+
+    def test_checkpoint_dim_or_shape_mismatch_exits_4_naming_the_path(
+            self, corpus, tmp_path, capsys, monkeypatch):
+        run_dir = tmp_path / "run"
+        assert main(_train_args(corpus, tmp_path)) == 0
+        ckpt = run_dir / "checkpoint.ckpt"
+        original = ckpt.read_bytes()
+
+        def transpose_first_non_square(header):
+            entry = next(e for e in header["params"]
+                         if len(e["shape"]) == 2 and e["shape"][0] != e["shape"][1])
+            entry["shape"].reverse()
+
+        build = cli._build_model
+        for edit, reason, builds in (
+                (lambda header: header["meta"].update(dim=2048), "'dim' is 2048", False),
+                (transpose_first_non_square, "the model needs", True)):
+            ckpt.write_bytes(original)
+            _edit_header(ckpt, edit)
+            # a dim that disagrees with the arrays fails before a model is built
+            monkeypatch.setattr(cli, "_build_model",
+                                build if builds else lambda config: pytest.fail("built"))
+            capsys.readouterr()
+            assert main(["predict", "--corpus", corpus, "--checkpoint", str(ckpt),
+                         "--out-dir", str(run_dir)]) == 4
+            err = capsys.readouterr().err
+            assert err.startswith("error: checkpoint mismatch: ") and str(ckpt) in err
+            assert reason in err and len(err.strip().splitlines()) == 1
 
     def test_mistyped_checkpoint_meta_exits_4_naming_the_path(self, corpus, tmp_path, capsys):
         run_dir = tmp_path / "run"

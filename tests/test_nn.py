@@ -1,5 +1,6 @@
 """Layers, graph convolution, the toy embedder, pooling, and checkpoints."""
 
+import hashlib
 import json
 import re
 
@@ -11,11 +12,13 @@ from docreason.document import ingest_document, tokenize, transform_multipage
 from docreason.elements import build_node_inventory, node_token_indices
 from docreason.errors import CheckpointMismatch, EmptyGraph, EmptySpan, ShapeMismatch
 from docreason.graphs import GraphKind, SemanticGraph
+from docreason.vocab import VOCAB_SIZE
 from docreason.nn import (
     FFN2,
     GCN,
     Linear,
     ToyEmbedder,
+    _oov_slot,
     _position_encoding,
     FileEmbedder,
     graph_summary,
@@ -173,6 +176,15 @@ class TestToyEmbedder:
     def test_only_slot_table_trains(self):
         emb = ToyEmbedder(np.random.default_rng(0), dim=8, seed=0)
         assert list(emb.params()) == ["embedder.table"]
+
+    def test_out_of_vocabulary_slot_is_the_blake2b_formula(self):
+        emb = ToyEmbedder(np.random.default_rng(0), dim=8, seed=0)
+        texts = ["zq-17", "zq-17", "Überschuss", "1,234.5", "", "x" * 300]
+        for text in texts:
+            assert emb.vocab.id_of(text) is None, text
+            digest = hashlib.blake2b(text.encode(), digest_size=8).digest()
+            assert emb._slot(text) == int.from_bytes(digest, "big") % VOCAB_SIZE, text
+        assert _oov_slot.cache_info().hits >= 1  # the repeated text
 
     def test_position_encoding_equals_the_where_form_by_bytes(self):
         for length in (0, 1, 755):

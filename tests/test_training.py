@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from docreason.autodiff import Tensor
+from docreason.autodiff import RowSparse, Tensor
 from docreason.errors import DivergenceDetected
 from docreason.elements import NodeKind
 from docreason.heads import ANSWER_TYPES, AnswerType
@@ -16,6 +16,7 @@ from docreason.training import (
     Adam,
     compute_loss,
     evaluate,
+    grad_norm,
     nll_rows,
     predict_corpus,
     predict_instance,
@@ -167,10 +168,53 @@ class TestOptimizer:
                 assert _same_bits(fast[name].data, slow[name].data), (step, name)
                 assert _same_bits(opt.m[name], ref.m[name]), (step, name)
                 assert _same_bits(opt.v[name], ref.v[name]), (step, name)
-        assert not opt.live["table"].all() and opt.live["w"].all()
+        assert opt.live == {}  # dense gradients keep no live-row bookkeeping
         assert _same_bits(fast["table"].data[30:], init["table"][30:])
         assert _same_bits(fast["bias"].data[7:], init["bias"][7:])
         assert not np.array_equal(fast["table"].data[:30], init["table"][:30])
+
+    def test_row_sparse_gradients_match_the_dense_reference_bit_for_bit(self):
+        """Gradients from take_rows on the tape reach Adam as RowSparse; the
+        reference gets the same gradients densified."""
+        rng = np.random.default_rng(8)
+        init = {"table": rng.normal(size=(50, 5)), "w": rng.normal(size=(4, 3))}
+        fast = {k: Tensor(a.copy(), requires_grad=True) for k, a in init.items()}
+        slow = {k: Tensor(a.copy(), requires_grad=True) for k, a in init.items()}
+        opt, ref = Adam(fast, lr=0.01), _DenseAdam(slow, lr=0.01)
+        ever = np.zeros(50, dtype=bool)
+        for step in range(24):
+            fast["table"].grad = fast["w"].grad = None
+            # rows 0-39 take turns, 30-39 go quiet after step 10, 40-49 are
+            # never gathered; row 0's two reads cancel to exactly 0, and
+            # row 1 is read with a zero weight
+            idx = np.concatenate([[0, 1, 0], rng.integers(2, 40 if step < 10 else 30,
+                                                          size=int(rng.integers(0, 9)))])
+            w = rng.normal(size=(len(idx), 5))
+            w[1] = 0.0
+            w[2] = -w[0]
+            loss = (fast["table"].take_rows(idx) * Tensor(w)).sum()
+            if step % 4 == 1:  # a second gather, merged by row union
+                loss = loss + fast["table"].take_rows(rng.integers(2, 40, size=3)).sum()
+            if step % 3:
+                loss = loss + (fast["w"] * fast["w"]).sum()
+            loss.backward()
+            assert isinstance(fast["table"].raw_grad, RowSparse)
+            if step == 12:  # a dense table gradient in between
+                fast["table"].grad = rng.normal(size=(50, 5)) * (rng.random((50, 1)) < 0.3)
+            for name in init:
+                slow[name].grad = fast[name].grad
+            ever |= slow["table"].grad.any(axis=1)
+            scale = 0.0 if step in (3, 17) else float(rng.uniform(0.1, 1.5))
+            opt.step(scale)
+            ref.step(scale)
+            for name in init:
+                assert _same_bits(fast[name].data, slow[name].data), (step, name)
+                assert _same_bits(opt.m[name], ref.m[name]), (step, name)
+                assert _same_bits(opt.v[name], ref.v[name]), (step, name)
+            if step == 11:
+                np.testing.assert_array_equal(opt.live["table"], ever)
+                assert not ever[:2].any() and not ever[40:].any()
+        assert set(opt.live) == {"table"} and opt.live["table"].all()  # after step 12
 
     def test_warmup_ramps_then_saturates(self):
         total = 100
@@ -212,8 +256,9 @@ class TestTrainingLoop:
             total = sum(counts[k] / 6 * row["terms"][k] for k in LOSS_TERMS)
             assert abs(total - row["loss"]) <= 1e-12
         lines = result.log.to_csv().splitlines()
-        assert lines[0] == "epoch,loss,lr_scale,dev_em,node,type,scale,start,end,token,tree"
-        assert all(len(line.split(",")) == 11 for line in lines)
+        assert lines[0] == ("epoch,loss,lr_scale,dev_em,grad_norm,"
+                            "node,type,scale,start,end,token,tree")
+        assert all(len(line.split(",")) == 12 for line in lines)
 
     def test_a_term_no_instance_had_is_an_empty_cell(self):
         spans = [i for i in _instances(n=10) if i.gold.answer_type == AnswerType.SPAN]
@@ -232,6 +277,38 @@ class TestTrainingLoop:
         assert set(a.best_params) == set(b.best_params)
         for name in a.best_params:
             np.testing.assert_array_equal(a.best_params[name], b.best_params[name])
+        assert a.log.to_csv() == b.log.to_csv()
+
+    def test_grad_norm_is_the_global_norm_before_each_step(self, monkeypatch):
+        model = _model(dim=8)
+        inst = _by_type(_instances())[AnswerType.ARITHMETIC]
+        sup = inst.gold
+        out = model.forward(inst, rng=np.random.default_rng(0), train=True,
+                            gold_nodes=sup.gold_nodes, heads={sup.answer_type})
+        compute_loss(model, inst, out, sup)[0].backward()
+        params = model.params()
+        # the tables reach the norm without being densified
+        assert isinstance(params["embedder.table"].raw_grad, RowSparse)
+        assert isinstance(model.decoder.const_table.raw_grad, RowSparse)
+        dense = sum(float((p.grad * p.grad).sum()) for p in params.values() if p.grad is not None)
+        assert grad_norm(params) == pytest.approx(np.sqrt(dense), rel=1e-12)
+
+        seen = []
+        step = Adam.step
+
+        def recording_step(opt, lr_scale=1.0):
+            seen.append(grad_norm(opt.params))
+            step(opt, lr_scale)
+
+        monkeypatch.setattr(Adam, "step", recording_step)
+        result = train(_model(dim=8), _instances(n=5), epochs=2, batch=2, grad_accum=1,
+                       eval_every=2, seed=3)
+        assert len(seen) == 6  # three steps per epoch
+        for epoch, row in enumerate(result.log.epochs):
+            norms = seen[3 * epoch:3 * epoch + 3]
+            assert row["grad_norm"] == sum(norms) / 3 > 0
+            cell = result.log.to_csv().splitlines()[epoch + 1].split(",")[4]
+            assert cell == f"{row['grad_norm']:.6f}"
 
     def test_non_finite_loss_stops_training(self):
         instances = _instances(n=2)
