@@ -25,7 +25,7 @@ from .metrics import EvalReport
 from .model import Model
 from .nn import FileEmbedder, load_checkpoint, save_checkpoint
 from .pipeline import load_corpus, load_records
-from .training import evaluate, predict_corpus, score_dump, train
+from .training import predict_corpus, score_dump, train
 from .vocab import VOCAB_SIZE
 
 logger = logging.getLogger(__name__)
@@ -50,7 +50,7 @@ def _build_model(config: RunConfig) -> Model:
         if not config.embeddings_path:
             raise SchemaError("external-file embedder needs embeddings_path")
         embedder = FileEmbedder(config.embeddings_path, config.dim)
-    return Model(config.model_config(), embedder=embedder)
+    return Model(config, embedder=embedder)
 
 
 def _load_into_model(config: RunConfig) -> Model:
@@ -96,6 +96,10 @@ def cmd_validate(config: RunConfig) -> int:
 def cmd_graphs(config: RunConfig) -> int:
     os.makedirs(config.out_dir, exist_ok=True)
     instances = load_corpus(config.corpus, config.max_len, with_gold=False)
+    for inst in instances:  # doc_ids become file names: check them all before writing
+        if any(c in inst.qid for c in ("/", "\\", "\0")):
+            raise ValidationError(f"doc_id {inst.qid!r} holds a path separator or NUL; "
+                                  "graphs cannot name a file after it")
     for inst in instances:
         for kind in GraphKind:
             payload = {"qid": inst.qid, **inst.graphs[kind].to_dict()}
@@ -148,12 +152,12 @@ def _emit_report(config: RunConfig, report: EvalReport) -> int:
 def cmd_eval(config: RunConfig) -> int:
     instances = load_corpus(config.corpus, config.max_len)
     if config.predictions:
-        report, _rows = score_dump(instances, load_records(config.predictions))
+        dump = load_records(config.predictions)
+    elif config.checkpoint:
+        dump = predict_corpus(_load_into_model(config), instances)
     else:
-        if not config.checkpoint:
-            raise SchemaError("eval needs --checkpoint or --predictions")
-        model = _load_into_model(config)
-        report, _rows = evaluate(model, instances)
+        raise SchemaError("eval needs --checkpoint or --predictions")
+    report, _rows = score_dump(instances, dump)
     return _emit_report(config, report)
 
 

@@ -14,28 +14,22 @@ from dataclasses import dataclass
 
 from .errors import SchemaError
 from .model import ModelConfig
+from .tree import DEFAULT_CONSTANTS
 
 SEED_ENV_VAR = "DOCREASON_SEED"
 
 
 @dataclass
-class RunConfig:
+class RunConfig(ModelConfig):
+    """The model settings (ModelConfig) plus the data, training and output
+    settings of a run."""
+
     corpus: str | None = None
     dev_corpus: str | None = None
     checkpoint: str | None = None
     predictions: str | None = None
     out_dir: str = "."
-    seed: int = 0
     max_len: int = 256
-    max_nodes: int = 12
-    beam: int = 5
-    max_span_len: int = 64
-    max_tree_depth: int = 4
-    dim: int = 32
-    gcn_layers: int = 2
-    gcn_dropout: float = 0.6
-    tree_dropout: float = 0.5
-    ffn_dropout: float = 0.1
     lr: float = 5e-4
     warmup: float = 0.06
     epochs: int = 50
@@ -44,17 +38,16 @@ class RunConfig:
     eval_every: int = 5
     embedder: str = "toy"
     embeddings_path: str | None = None
-    constants_max: int = 100
 
     def __post_init__(self):
-        for name in ("seed",):
-            if getattr(self, name) < 0:
-                raise SchemaError(f"config: {name} must be >= 0")
+        if self.seed < 0:
+            raise SchemaError("config: seed must be >= 0")
         for name in ("max_len", "max_nodes", "beam", "max_span_len", "dim",
-                     "gcn_layers", "batch", "grad_accum", "eval_every",
-                     "constants_max"):
+                     "gcn_layers", "batch", "grad_accum", "eval_every"):
             if getattr(self, name) < 1:
                 raise SchemaError(f"config: {name} must be >= 1")
+        if not 1 <= self.constants_max <= len(DEFAULT_CONSTANTS):
+            raise SchemaError(f"config: constants_max must be in 1..{len(DEFAULT_CONSTANTS)}")
         for name in ("lr", "warmup"):
             if not 0 < getattr(self, name) < math.inf:
                 raise SchemaError(f"config: {name} must be positive and finite")
@@ -62,13 +55,6 @@ class RunConfig:
             raise SchemaError("config: epochs and max_tree_depth must be >= 0")
         if self.embedder not in ("toy", "external-file"):
             raise SchemaError(f"config: unknown embedder {self.embedder!r}")
-
-    def model_config(self) -> ModelConfig:
-        return ModelConfig(dim=self.dim, gcn_layers=self.gcn_layers,
-                           gcn_dropout=self.gcn_dropout, tree_dropout=self.tree_dropout,
-                           ffn_dropout=self.ffn_dropout, max_nodes=self.max_nodes,
-                           max_span_len=self.max_span_len, max_tree_depth=self.max_tree_depth,
-                           beam=self.beam, constants_max=self.constants_max, seed=self.seed)
 
 
 _FIELD_NAMES = {f.name for f in dataclasses.fields(RunConfig)}

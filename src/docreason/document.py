@@ -13,7 +13,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .errors import DegenerateGeometry, QuestionTooLong, SchemaError, ValidationError
-from .vocab import Vocab, default_vocab, tokenize_text
+from .vocab import tokenize_text
 
 logger = logging.getLogger(__name__)
 
@@ -66,8 +66,6 @@ class CanonicalDocument:
     """
 
     doc_id: str
-    canvas_width: int
-    canvas_height: int
     blocks: list[Block]
     page_offsets: list[float]
 
@@ -85,25 +83,24 @@ class Token:
 class TokenSequence:
     tokens: list[Token]
     question_len: int
-    block_ranges: dict[int, tuple[int, int]] = field(default_factory=dict)
+    block_ranges: dict[int, tuple[int, int]] = field(init=False)
     starts: list[int] = field(init=False, repr=False, compare=False)
     ends: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.starts = [t.start for t in self.tokens]
         self.ends = [t.end for t in self.tokens]
-        if not self.block_ranges:
-            self.block_ranges = {}
-            current: int | None = None
-            start = 0
-            for i, tok in enumerate(self.tokens):
-                if tok.block_id != current:
-                    if current is not None:
-                        self.block_ranges[current] = (start, i)
-                    current = tok.block_id
-                    start = i
-            if current is not None:
-                self.block_ranges[current] = (start, len(self.tokens))
+        self.block_ranges = {}
+        current: int | None = None
+        start = 0
+        for i, tok in enumerate(self.tokens):
+            if tok.block_id != current:
+                if current is not None:
+                    self.block_ranges[current] = (start, i)
+                current = tok.block_id
+                start = i
+        if current is not None:
+            self.block_ranges[current] = (start, len(self.tokens))
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -223,19 +220,11 @@ def transform_multipage(doc: Document) -> CanonicalDocument:
                 int(round((b.box.y1 + COORD_MAX * p) / n)),
             )
         out_blocks.append(Block(b.block_id, b.page_index, b.order, b.text, box))
-    width = max(p.width for p in doc.pages)
-    height = sum(p.height for p in doc.pages)
-    return CanonicalDocument(
-        doc_id=doc.doc_id,
-        canvas_width=width,
-        canvas_height=height,
-        blocks=out_blocks,
-        page_offsets=[p / n for p in range(n)],
-    )
+    return CanonicalDocument(doc_id=doc.doc_id, blocks=out_blocks,
+                             page_offsets=[p / n for p in range(n)])
 
 
-def tokenize(canon: CanonicalDocument, question: str, max_len: int = 256,
-             vocab: Vocab | None = None) -> TokenSequence:
+def tokenize(canon: CanonicalDocument, question: str, max_len: int = 256) -> TokenSequence:
     """Build the model input sequence: question tokens, then block tokens.
 
     The question is never truncated (QuestionTooLong if it alone exceeds
@@ -243,8 +232,7 @@ def tokenize(canon: CanonicalDocument, question: str, max_len: int = 256,
     spent. Each token keeps a char span into its source text, and block
     tokens inherit their block's canonical box.
     """
-    vocab = vocab or default_vocab()
-    q_tokens = [Token(t, None, s, e, None) for t, s, e in tokenize_text(question, vocab)]
+    q_tokens = [Token(t, None, s, e, None) for t, s, e in tokenize_text(question)]
     if len(q_tokens) > max_len:
         raise QuestionTooLong(
             f"{canon.doc_id}: question tokenizes to {len(q_tokens)} tokens (max {max_len})")
@@ -252,7 +240,7 @@ def tokenize(canon: CanonicalDocument, question: str, max_len: int = 256,
     for block in canon.blocks:
         if len(tokens) >= max_len:
             break
-        for t, s, e in tokenize_text(block.text, vocab):
+        for t, s, e in tokenize_text(block.text):
             tokens.append(Token(t, block.block_id, s, e, block.box))
             if len(tokens) >= max_len:
                 break

@@ -66,7 +66,7 @@ class InconsistentComponents(DocReasonError):
     """Answer assembly received components inconsistent with the answer type."""
 
 
-class GoldOverCap(DocReasonError):
+class GoldOverCap(ValidationError):
     """The gold node set alone exceeds the selection cap."""
 
 

@@ -21,7 +21,7 @@ from .document import BoundingBox, TokenSequence
 from .elements import NodeSet, node_token_range
 from .errors import CheckpointMismatch, EmptyGraph, EmptySpan, ShapeMismatch
 from .graphs import SemanticGraph
-from .vocab import VOCAB_SIZE, Vocab, default_vocab
+from .vocab import VOCAB_SIZE, default_vocab
 
 COORD_SCALE = 1000.0
 
@@ -47,10 +47,9 @@ class FFN2:
     """Two-layer feed-forward: Linear -> GELU -> dropout -> Linear."""
 
     def __init__(self, rng: np.random.Generator, fan_in: int, fan_out: int, name: str,
-                 hidden: int | None = None, drop: float = 0.1):
-        hidden = hidden or fan_in
-        self.l1 = Linear(rng, fan_in, hidden, f"{name}.l1")
-        self.l2 = Linear(rng, hidden, fan_out, f"{name}.l2")
+                 drop: float = 0.1):
+        self.l1 = Linear(rng, fan_in, fan_in, f"{name}.l1")
+        self.l2 = Linear(rng, fan_in, fan_out, f"{name}.l2")
         self.drop = drop
 
     def __call__(self, x: Tensor, rng: np.random.Generator | None = None,
@@ -85,7 +84,6 @@ class GCN:
                  layers: int = 2, drop: float = 0.6):
         self.layers = [Linear(rng, dim, dim, f"{name}.layer{i}") for i in range(layers)]
         self.drop = drop
-        self.dim = dim
 
     def __call__(self, graph: SemanticGraph, h: Tensor,
                  rng: np.random.Generator | None = None, train: bool = False) -> Tensor:
@@ -143,11 +141,10 @@ class ToyEmbedder:
 
     name = "toy"
 
-    def __init__(self, rng: np.random.Generator, dim: int, seed: int,
-                 vocab: Vocab | None = None):
+    def __init__(self, rng: np.random.Generator, dim: int, seed: int):
         self.dim = dim
         self.seed = seed
-        self.vocab = vocab or default_vocab()
+        self.vocab = default_vocab()
         self.table = Tensor(rng.uniform(-0.05, 0.05, size=(VOCAB_SIZE, dim)),
                             requires_grad=True, name="embedder.table")
         box_rng = np.random.default_rng(seed + 1)

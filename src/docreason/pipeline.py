@@ -25,7 +25,6 @@ from .errors import SchemaError, ValidationError
 from .graphs import GraphKind, SemanticGraph, build_all_graphs
 from .heads import AnswerType, Scale
 from .tree import Answer, TreeNode, execute_tree, parse_tree, serialize_tree
-from .vocab import Vocab, default_vocab
 
 logger = logging.getLogger(__name__)
 
@@ -100,15 +99,13 @@ def resolve_ref(nodes: NodeSet, ref: dict) -> int:
         f"{'question' if block_id is None else f'block {block_id}'}")
 
 
-def build_instance(record: dict, max_len: int = 256,
-                   vocab: Vocab | None = None, with_gold: bool = True) -> Instance:
-    vocab = vocab or default_vocab()
+def build_instance(record: dict, max_len: int = 256, with_gold: bool = True) -> Instance:
     doc = ingest_document(record)
     question = record.get("question")
     if not isinstance(question, str) or not question.strip():
         raise SchemaError(f"{doc.doc_id}: question must be a non-empty string")
     canon = transform_multipage(doc)
-    seq = tokenize(canon, question, max_len, vocab)
+    seq = tokenize(canon, question, max_len)
     nodes = build_node_inventory(canon, question, seq)
     graphs = build_all_graphs(nodes)
     source_texts: dict[int | None, str] = {None: question}
@@ -242,7 +239,13 @@ def _bio_from_nodes(inst: Instance, node_ids: list[int]) -> list[str]:
     return _bio_from_ranges(len(inst.seq), ranges)
 
 
-def load_corpus(path: str, max_len: int = 256, vocab: Vocab | None = None,
-                with_gold: bool = True) -> list[Instance]:
-    vocab = vocab or default_vocab()
-    return [build_instance(r, max_len, vocab, with_gold) for r in load_records(path)]
+def load_corpus(path: str, max_len: int = 256, with_gold: bool = True) -> list[Instance]:
+    """One instance per record; doc_id keys the prediction dump and the
+    graph files, so a repeated doc_id raises ValidationError."""
+    instances: dict[str, Instance] = {}
+    for record in load_records(path):
+        inst = build_instance(record, max_len, with_gold=with_gold)
+        if inst.qid in instances:
+            raise ValidationError(f"{path}: duplicate doc_id {inst.qid!r}")
+        instances[inst.qid] = inst
+    return list(instances.values())

@@ -16,8 +16,8 @@ import numpy as np
 
 from .autodiff import RowSparse, Tensor
 from .elements import NodeKind
-from .errors import (DivergenceDetected, DivisionByZero, InconsistentComponents, NoLeafCandidates,
-                     NonFiniteResult, NoValidTokens, SchemaError)
+from .errors import (DivergenceDetected, DivisionByZero, GoldOverCap, InconsistentComponents,
+                     NoLeafCandidates, NonFiniteResult, NoValidTokens, SchemaError)
 from .heads import ANSWER_TYPES, SCALES, AnswerType, Scale
 from .metrics import build_report, classify_error, evidence_metrics, exact_match, numeracy_f1
 from .model import Model, ModelOutput
@@ -227,8 +227,11 @@ def train(model: Model, instances: list[Instance], epochs: int = 50,
         for rank, idx in enumerate(order):
             inst = instances[int(idx)]
             sup = inst.gold
-            out = model.forward(inst, rng=rng, train=True,
-                                gold_nodes=sup.gold_nodes, heads={sup.answer_type})
+            try:
+                out = model.forward(inst, rng=rng, train=True,
+                                    gold_nodes=sup.gold_nodes, heads={sup.answer_type})
+            except GoldOverCap as exc:
+                raise GoldOverCap(f"{inst.qid}: {exc}") from None
             loss, terms = compute_loss(model, inst, out, sup)
             if not np.isfinite(loss.data):
                 raise DivergenceDetected(f"non-finite loss on {inst.qid} (epoch {epoch})")
@@ -329,11 +332,9 @@ def predict_corpus(model: Model, instances: list[Instance]) -> list[dict]:
 
 
 def evaluate(model: Model, instances: list[Instance]):
-    rows = []
-    for inst in instances:
-        answer, failure, out = predict_instance(model, inst)
-        rows.append(score_prediction(inst, answer, failure, out.sel.selected))
-    return build_report(rows), rows
+    """Score the model on instances through its prediction dump, so a saved
+    dump (`eval --predictions`) scores the same."""
+    return score_dump(instances, predict_corpus(model, instances))
 
 
 def _dump_field(row: dict, name: str, enum):
@@ -344,23 +345,32 @@ def _dump_field(row: dict, name: str, enum):
 
 
 def score_dump(instances: list[Instance], dump: list[dict]):
-    """Score an existing prediction dump against gold; row order follows the
-    corpus and rows are matched by qid."""
+    """Score a prediction dump against gold; row order follows the corpus and
+    rows are matched by qid. A row without a string qid, a repeated qid or a
+    selected node that is not a node of its instance raises SchemaError."""
+    by_qid: dict[str, dict] = {}
     for i, row in enumerate(dump):
-        if not isinstance(row, dict) or "qid" not in row:
-            raise SchemaError(f"prediction row {i}: not an object with a 'qid'")
-    by_qid = {row["qid"]: row for row in dump}
+        if not isinstance(row, dict) or not isinstance(row.get("qid"), str):
+            raise SchemaError(f"prediction row {i}: not an object with a string 'qid'")
+        if row["qid"] in by_qid:
+            raise SchemaError(f"prediction {row['qid']}: repeated qid in row {i}")
+        by_qid[row["qid"]] = row
     rows = []
     for inst in instances:
-        row = by_qid.get(inst.qid)
-        if row is None or row.get("value") is None:
-            failure = (row or {}).get("failure", "invalid_prediction")
-            rows.append(score_prediction(inst, None, failure, (row or {}).get("selected_nodes", [])))
+        row = by_qid.get(inst.qid, {})
+        selected = row.get("selected_nodes", [])
+        if not isinstance(selected, list) or not all(
+                type(n) is int and 0 <= n < len(inst.nodes) for n in selected):
+            raise SchemaError(f"prediction {inst.qid}: selected_nodes {selected!r} "
+                              f"are not node ids below {len(inst.nodes)}")
+        if row.get("value") is None:
+            failure = row.get("failure", "invalid_prediction")
+            rows.append(score_prediction(inst, None, failure, selected))
             continue
         answer = Answer(_dump_field(row, "answer_type", AnswerType),
                         row["value"],
                         _dump_field(row, "scale", Scale),
                         raw_value=row["value"] if isinstance(row["value"], (int, float)) else None,
                         expression=row.get("expression"))
-        rows.append(score_prediction(inst, answer, None, row.get("selected_nodes", [])))
+        rows.append(score_prediction(inst, answer, None, selected))
     return build_report(rows), rows

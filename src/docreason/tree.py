@@ -414,9 +414,10 @@ def assemble_answer(atype: AnswerType, scale: Scale, seq: TokenSequence,
                     span: tuple[int, int] | None = None,
                     tags: list[str] | None = None,
                     tree: TreeNode | None = None,
-                    nodes: NodeSet | None = None,
-                    round_decimals: int | None = 2) -> Answer:
-    """Combine head outputs into the final typed answer."""
+                    nodes: NodeSet | None = None) -> Answer:
+    """Combine head outputs into the final typed answer. An Arithmetic
+    answer's display value is rounded to 2 decimals; raw_value keeps the
+    unrounded result, which scoring and the prediction dump use."""
     if atype == AnswerType.SPAN:
         if span is None:
             raise InconsistentComponents("Span answer without a span prediction")
@@ -445,6 +446,6 @@ def assemble_answer(atype: AnswerType, scale: Scale, seq: TokenSequence,
     if not math.isfinite(raw):
         raise NonFiniteResult(f"{serialize_tree(tree)} evaluates to {raw}")
     value = raw
-    if round_decimals is not None and value != int(value):
-        value = round(value, round_decimals)
+    if value != int(value):
+        value = round(value, 2)
     return Answer(atype, value, scale, raw_value=raw, expression=serialize_tree(tree))

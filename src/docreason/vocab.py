@@ -254,13 +254,13 @@ def pretokenize(text: str) -> list[tuple[str, int, int]]:
     return units
 
 
-def tokenize_text(text: str, vocab: Vocab | None = None) -> list[tuple[str, int, int]]:
+def tokenize_text(text: str) -> list[tuple[str, int, int]]:
     """Full tokenization of a source string: (token_text, start, end) triples.
 
     Deterministic: lowercase, whitespace+punctuation pre-split, then greedy
     word-piece fallback for out-of-vocabulary words. Number runs are atomic.
     """
-    vocab = vocab or default_vocab()
+    vocab = default_vocab()
     out: list[tuple[str, int, int]] = []
     for unit, start, end in pretokenize(text):
         if unit.isalpha() and unit not in vocab.token_to_id:

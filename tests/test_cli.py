@@ -85,6 +85,8 @@ class TestConfig:
         for rate in ("inf", "nan", "-1"):
             with pytest.raises(SchemaError):
                 RunConfig(lr=float(rate))
+        with pytest.raises(SchemaError):
+            RunConfig(constants_max=101)  # the decoder has 100 constant embeddings
         monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
         with pytest.raises(SchemaError):
             load_config()
@@ -128,7 +130,8 @@ class TestValidateAndGraphs:
                            * len(records[0]["pages"]))]
         long_question = [dict(records[0], question=" ".join(["how"] * 300))]
         for bad, message in ((zero_width, "non-positive dimensions"),
-                             (long_question, "question tokenizes to 300 tokens")):
+                             (long_question, "question tokenizes to 300 tokens"),
+                             ([records[0], records[0]], "duplicate doc_id")):
             path = tmp_path / "bad.json"
             path.write_text(json.dumps(bad))
             assert main(["validate", "--corpus", str(path), "--max-len", "256"]) == 2
@@ -143,6 +146,21 @@ class TestValidateAndGraphs:
         assert len(files) == 12
         payload = json.loads((out_dir / files[0]).read_text())
         assert {"qid", "kind", "node_ids", "edges"} <= set(payload)
+
+    def test_graphs_rejects_doc_ids_that_are_not_file_names(self, corpus, tmp_path, capsys):
+        with open(corpus, encoding="utf-8") as f:
+            records = json.load(f)
+        work = tmp_path / "work"
+        out_dir = work / "graphs"
+        for doc_id in ("sub/q1", "../x", "..\\x", "q\0"):
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps([records[0], dict(records[1], doc_id=doc_id)]))
+            assert main(["graphs", "--corpus", str(path), "--out-dir", str(out_dir)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and repr(doc_id) in err
+            assert len(err.strip().splitlines()) == 1
+        # nothing written: not in --out-dir and not next to it
+        assert os.listdir(work) == ["graphs"] and os.listdir(out_dir) == []
 
 
 class TestTrainPredictEval:
@@ -239,6 +257,21 @@ class TestTrainPredictEval:
             err = capsys.readouterr().err
             assert "row 0" in err and len(err.strip().splitlines()) == 1
 
+    def test_bad_selected_nodes_or_repeated_qid_in_dump_exits_2(self, corpus, tmp_path, capsys):
+        qid = load_corpus(corpus)[0].qid
+        row = {"qid": qid, "answer_type": "Span", "value": "x", "scale": "None"}
+        dump = tmp_path / "predictions.jsonl"
+        for rows, reason in (([dict(row, selected_nodes=[999])], "selected_nodes"),
+                             ([dict(row, selected_nodes=[-1])], "selected_nodes"),
+                             ([dict(row, selected_nodes="0")], "selected_nodes"),
+                             ([row, row], "repeated qid")):
+            dump.write_text("".join(json.dumps(r) + "\n" for r in rows))
+            assert main(["eval", "--corpus", corpus, "--predictions", str(dump),
+                         "--out-dir", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and qid in err and reason in err
+            assert len(err.strip().splitlines()) == 1
+
     def test_incomplete_checkpoint_meta_exits_4(self, corpus, tmp_path):
         run_dir = tmp_path / "run"
         assert main(_train_args(corpus, tmp_path)) == 0
@@ -292,6 +325,14 @@ class TestTrainPredictEval:
             err = capsys.readouterr().err
             assert err.startswith("error: checkpoint mismatch: ") and str(ckpt) in err
             assert repr(key) in err and len(err.strip().splitlines()) == 1
+
+    def test_gold_nodes_over_the_cap_exit_2_naming_the_qid(self, corpus, tmp_path, capsys):
+        qids = [inst.qid for inst in load_corpus(corpus)]
+        assert main(_train_args(corpus, tmp_path, max_nodes=1)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "exceed the cap of 1" in err
+        assert any(f"{qid}: " in err for qid in qids)
+        assert len(err.strip().splitlines()) == 1
 
     def test_divergence_exits_3(self, corpus, tmp_path, monkeypatch):
         import docreason.cli as cli

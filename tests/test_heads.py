@@ -95,8 +95,9 @@ class TestGoldInjection:
 
     def test_gold_over_cap_is_an_error(self):
         sel = _selection([0.9, 0.8, 0.7])
-        with pytest.raises(GoldOverCap):
+        with pytest.raises(GoldOverCap, match="3 gold nodes exceed the cap of 2"):
             inject_gold_nodes(sel, {0, 1, 2}, max_nodes=2)
+        assert issubclass(GoldOverCap, ValidationError)  # an input fault: exit 2
 
     def test_rejected_at_inference(self):
         sel = _selection([0.9])

@@ -8,7 +8,8 @@ import pytest
 from docreason.autodiff import RowSparse, Tensor
 from docreason.errors import DivergenceDetected
 from docreason.elements import NodeKind
-from docreason.heads import ANSWER_TYPES, AnswerType
+from docreason.heads import ANSWER_TYPES, SCALES, AnswerType, Scale
+from docreason.metrics import build_report
 from docreason.model import Model, ModelConfig
 from docreason.pipeline import build_instance
 from docreason.synthetic import generate_corpus
@@ -21,11 +22,12 @@ from docreason.training import (
     predict_corpus,
     predict_instance,
     score_dump,
+    score_prediction,
     LOSS_TERMS,
     train,
     warmup_scale,
 )
-from docreason.tree import parse_tree
+from docreason.tree import Answer, execute_tree, parse_tree
 
 
 def _instances(n=8, seed=6):
@@ -362,14 +364,49 @@ class TestPredictionAndScoring:
         assert json.loads(json.dumps(row, allow_nan=False)) == row
 
     def test_dump_scoring_matches_live_evaluation(self):
-        model = _model(dim=8)
+        """evaluate scores the prediction dump. Scoring each live Answer
+        gives the same rows, and so does the dump after a JSON round trip.
+        A divider model answers every question with two quantities by their
+        quotient, made its gold: the live Answer's display value is rounded
+        to 2 decimals, and only its exact raw_value, which the dump stores,
+        scores as correct."""
         instances = _instances(n=8)
-        live_report, live_rows = evaluate(model, instances)
-        dump = predict_corpus(model, instances)
-        dump_report, dump_rows = score_dump(instances, dump)
-        assert dump_report.to_json() == live_report.to_json()
-        assert [r["em"] for r in dump_rows] == [r["em"] for r in live_rows]
-        assert [r["f1"] for r in dump_rows] == [r["f1"] for r in live_rows]
+        trees = {}
+        for inst in instances:
+            quantities = inst.nodes.by_kind(NodeKind.QUANTITY)
+            if len(quantities) >= 2:
+                tree = parse_tree(f"(/ n#{quantities[0].node_id} n#{quantities[1].node_id})")
+                quotient = execute_tree(tree, inst.nodes)
+                inst.gold.answer = Answer(AnswerType.ARITHMETIC, quotient, Scale.NONE,
+                                          raw_value=quotient)
+                trees[inst.qid] = tree
+        divider = _model(dim=8)
+        forward = divider.forward
+
+        def divide(instance, **kwargs):
+            if instance.qid not in trees:
+                return forward(instance, **kwargs)
+            out = forward(instance, heads=set(), **kwargs)
+            out.type_out.argmax = ANSWER_TYPES.index(AnswerType.ARITHMETIC)
+            out.scale_out.argmax = SCALES.index(Scale.NONE)
+            out.tree = trees[instance.qid]
+            return out
+
+        divider.forward = divide
+        for model in (_model(dim=8), divider):
+            live_rows, rounded = [], 0
+            for inst in instances:
+                answer, failure, out = predict_instance(model, inst)
+                live_rows.append(score_prediction(inst, answer, failure, out.sel.selected))
+                rounded += answer is not None and answer.raw_value not in (None, answer.value)
+            report, rows = evaluate(model, instances)
+            assert rows == live_rows
+            assert report.to_json() == build_report(live_rows).to_json()
+            dump = [json.loads(json.dumps(row, allow_nan=False))
+                    for row in predict_corpus(model, instances)]
+            assert score_dump(instances, dump)[1] == live_rows
+        assert trees and rounded
+        assert all(row["em"] == 1 for row in rows if row["qid"] in trees)
 
     def test_missing_dump_rows_score_as_failures(self):
         instances = _instances(n=3)
