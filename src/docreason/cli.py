@@ -15,13 +15,12 @@ import os
 import sys
 from collections import Counter
 
-from .config import RunConfig, load_config
+from .config import SETTING_TYPES, RunConfig, load_config
 from .elements import NodeKind
-from .errors import (CheckpointMismatch, DivergenceDetected, DocReasonError,
-                     SchemaError, ValidationError)
+from .errors import (CheckpointMismatch, DocReasonError, NonFiniteLoss, SchemaError,
+                     ValidationError)
 from .graphs import GraphKind
 from .heads import AnswerType
-from .metrics import EvalReport
 from .model import Model
 from .nn import FileEmbedder, load_checkpoint, save_checkpoint
 from .pipeline import load_corpus, load_records
@@ -141,14 +140,6 @@ def cmd_predict(config: RunConfig) -> int:
     return 0
 
 
-def _emit_report(config: RunConfig, report: EvalReport) -> int:
-    os.makedirs(config.out_dir, exist_ok=True)
-    _write_atomic(os.path.join(config.out_dir, "report.json"), report.to_json())
-    _write_atomic(os.path.join(config.out_dir, "report.txt"), report.to_text())
-    print(report.to_text(), end="")
-    return 0
-
-
 def cmd_eval(config: RunConfig) -> int:
     instances = load_corpus(config.corpus, config.max_len)
     if config.predictions:
@@ -158,39 +149,15 @@ def cmd_eval(config: RunConfig) -> int:
     else:
         raise SchemaError("eval needs --checkpoint or --predictions")
     report, _rows = score_dump(instances, dump)
-    return _emit_report(config, report)
+    os.makedirs(config.out_dir, exist_ok=True)
+    _write_atomic(os.path.join(config.out_dir, "report.json"), report.to_json())
+    _write_atomic(os.path.join(config.out_dir, "report.txt"), report.to_text())
+    print(report.to_text(), end="")
+    return 0
 
 
 _COMMANDS = {"validate": cmd_validate, "graphs": cmd_graphs, "train": cmd_train,
              "predict": cmd_predict, "eval": cmd_eval}
-
-_FLAGS: list[tuple[str, type, str]] = [
-    ("corpus", str, "corpus JSON/JSONL path"),
-    ("dev_corpus", str, "held-out corpus for checkpoint selection"),
-    ("checkpoint", str, "checkpoint path to write (train) or read (predict/eval)"),
-    ("predictions", str, "existing prediction dump to score (eval)"),
-    ("out_dir", str, "output directory"),
-    ("seed", int, "RNG seed"),
-    ("max_len", int, "token budget per instance"),
-    ("max_nodes", int, "node selection cap"),
-    ("beam", int, "tree decoder beam width"),
-    ("max_span_len", int, "span decode length cap"),
-    ("max_tree_depth", int, "operator nesting cap"),
-    ("dim", int, "embedding width"),
-    ("gcn_layers", int, "layers per graph encoder"),
-    ("gcn_dropout", float, "graph encoder dropout"),
-    ("tree_dropout", float, "tree decoder dropout"),
-    ("ffn_dropout", float, "head dropout"),
-    ("lr", float, "Adam learning rate"),
-    ("warmup", float, "fraction of steps under linear warmup"),
-    ("epochs", int, "training epochs"),
-    ("batch", int, "instances per batch"),
-    ("grad_accum", int, "batches per optimizer step"),
-    ("eval_every", int, "epochs between dev evaluations"),
-    ("embedder", str, "toy | external-file"),
-    ("embeddings_path", str, "sidecar embeddings for external-file"),
-]
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -201,16 +168,16 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in _COMMANDS.items():
         p = sub.add_parser(name, help=fn.__doc__)
         p.add_argument("-c", "--config", help="JSON config file")
-        for flag, ftype, help_text in _FLAGS:
-            p.add_argument(f"--{flag.replace('_', '-')}", dest=flag, type=ftype,
-                           default=None, help=help_text)
+        for f in dataclasses.fields(RunConfig):
+            p.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name,
+                           type=SETTING_TYPES[f.name], default=None, help=f.metadata["help"])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
-    overrides = {flag: getattr(args, flag) for flag, _t, _h in _FLAGS}
+    overrides = {name: getattr(args, name) for name in SETTING_TYPES}
     try:
         config = load_config(args.config, overrides)
         if not config.corpus:
@@ -219,7 +186,7 @@ def main(argv: list[str] | None = None) -> int:
     except (SchemaError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except DivergenceDetected as exc:
+    except NonFiniteLoss as exc:
         print(f"error: training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     except CheckpointMismatch as exc:

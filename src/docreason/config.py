@@ -2,18 +2,20 @@
 
 Precedence, lowest to highest: dataclass defaults, config file values,
 the DOCREASON_SEED environment variable (seed only), explicit flags.
+Every field of RunConfig is both a config key and a flag.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import os
 from dataclasses import dataclass
+from typing import get_args, get_type_hints
 
+from .document import read_json
 from .errors import SchemaError
-from .model import ModelConfig
+from .model import ModelConfig, setting
 from .tree import DEFAULT_CONSTANTS
 
 SEED_ENV_VAR = "DOCREASON_SEED"
@@ -24,24 +26,32 @@ class RunConfig(ModelConfig):
     """The model settings (ModelConfig) plus the data, training and output
     settings of a run."""
 
-    corpus: str | None = None
-    dev_corpus: str | None = None
-    checkpoint: str | None = None
-    predictions: str | None = None
-    out_dir: str = "."
-    max_len: int = 256
-    lr: float = 5e-4
-    warmup: float = 0.06
-    epochs: int = 50
-    batch: int = 8
-    grad_accum: int = 8
-    eval_every: int = 5
-    embedder: str = "toy"
-    embeddings_path: str | None = None
+    corpus: str | None = setting(None, "corpus JSON/JSONL path")
+    dev_corpus: str | None = setting(None, "held-out corpus for checkpoint selection")
+    checkpoint: str | None = setting(
+        None, "checkpoint path to write (train) or read (predict/eval)")
+    predictions: str | None = setting(None, "existing prediction dump to score (eval)")
+    out_dir: str = setting(".", "output directory")
+    max_len: int = setting(256, "token budget per instance")
+    lr: float = setting(5e-4, "Adam learning rate")
+    warmup: float = setting(0.06, "fraction of steps under linear warmup")
+    epochs: int = setting(50, "training epochs")
+    batch: int = setting(8, "instances per batch")
+    grad_accum: int = setting(8, "batches per optimizer step")
+    eval_every: int = setting(5, "epochs between dev evaluations")
+    embedder: str = setting("toy", "toy | external-file")
+    embeddings_path: str | None = setting(None, "sidecar embeddings for external-file")
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise SchemaError("config: seed must be >= 0")
+        for f in dataclasses.fields(self):
+            value, want = getattr(self, f.name), SETTING_TYPES[f.name]
+            if not (type(value) is want or (want is float and type(value) is int)
+                    or (value is None and f.default is None)):
+                raise SchemaError(f"config: {f.name} must be {want.__name__}, "
+                                  f"not {value!r}")
+        for name in ("seed", "epochs", "max_tree_depth"):
+            if getattr(self, name) < 0:
+                raise SchemaError(f"config: {name} must be >= 0")
         for name in ("max_len", "max_nodes", "beam", "max_span_len", "dim",
                      "gcn_layers", "batch", "grad_accum", "eval_every"):
             if getattr(self, name) < 1:
@@ -51,26 +61,26 @@ class RunConfig(ModelConfig):
         for name in ("lr", "warmup"):
             if not 0 < getattr(self, name) < math.inf:
                 raise SchemaError(f"config: {name} must be positive and finite")
-        if self.epochs < 0 or self.max_tree_depth < 0:
-            raise SchemaError("config: epochs and max_tree_depth must be >= 0")
+        for name in ("gcn_dropout", "tree_dropout", "ffn_dropout"):
+            if not 0 <= getattr(self, name) < 1:
+                raise SchemaError(f"config: {name} must be in [0, 1)")
         if self.embedder not in ("toy", "external-file"):
             raise SchemaError(f"config: unknown embedder {self.embedder!r}")
 
 
-_FIELD_NAMES = {f.name for f in dataclasses.fields(RunConfig)}
+# each setting's value type: its annotation without the `| None`
+SETTING_TYPES: dict[str, type] = {
+    name: next(t for t in get_args(hint) or (hint,) if t is not type(None))
+    for name, hint in get_type_hints(RunConfig).items()}
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
     values: dict = {}
     if path is not None:
-        with open(path, encoding="utf-8") as f:
-            try:
-                loaded = json.load(f)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path}: not valid JSON ({exc})") from None
+        loaded = read_json(path)
         if not isinstance(loaded, dict):
             raise SchemaError(f"{path}: config must be a JSON object")
-        unknown = sorted(set(loaded) - _FIELD_NAMES)
+        unknown = sorted(set(loaded) - set(SETTING_TYPES))
         if unknown:
             raise SchemaError(f"{path}: unknown config keys {unknown}")
         values.update(loaded)

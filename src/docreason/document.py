@@ -4,10 +4,12 @@ Input records describe a visually-rich document as pages plus layout blocks
 with normalized bounding boxes (coordinates in 0..1000 relative to their
 page). This module validates records, flattens multi-page documents onto a
 single canonical canvas, and produces the token sequence the model consumes.
+It also holds `read_json`, the one reader of every JSON input file.
 """
 
 from __future__ import annotations
 
+import json
 import logging
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -119,6 +121,23 @@ class TokenSequence:
         lo, hi = self.source_range(block_id)
         first = bisect_right(self.ends, start, lo, hi)
         return first, max(first, bisect_left(self.starts, end, lo, hi))
+
+
+def read_json(path: str, lines: bool = False):
+    """The JSON value held by the file at `path`. With `lines`, a text that
+    does not start with '[' is JSON lines and reads as the list of its
+    values. An unreadable file or invalid JSON raises SchemaError naming
+    the path."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+        if lines and not text.lstrip().startswith("["):
+            return [json.loads(line) for line in text.splitlines() if line.strip()]
+        return json.loads(text)
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot read: {exc.strerror}") from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise SchemaError(f"{path}: invalid JSON: {exc}") from None
 
 
 def _require(cond: bool, msg: str):

@@ -42,7 +42,7 @@ class ShapeMismatch(DocReasonError):
 
 
 class NonFiniteLoss(DocReasonError):
-    """The training loss evaluated to NaN or infinity."""
+    """The training loss evaluated to NaN or infinity: training diverged."""
 
 
 class NoValidTokens(DocReasonError):
@@ -68,10 +68,6 @@ class InconsistentComponents(DocReasonError):
 
 class GoldOverCap(ValidationError):
     """The gold node set alone exceeds the selection cap."""
-
-
-class DivergenceDetected(DocReasonError):
-    """Training loss became non-finite."""
 
 
 class CheckpointMismatch(DocReasonError):

@@ -9,7 +9,7 @@ representations used by every head.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,25 +20,30 @@ from .heads import (ANSWER_TYPES, AnswerType, HeadOutput, NodeSelection,
                     UpdatedTokens, classify_answer_type, classify_nodes,
                     classify_scale, inject_gold_nodes, mask_and_update_tokens,
                     predict_span, tag_tokens)
-from .nn import (FFN2, GCN, FileEmbedder, ToyEmbedder, graph_summary,
-                 init_node_representations)
+from .nn import FFN2, GCN, ToyEmbedder, graph_summary, init_node_representations
 from .tree import TreeDecoder, TreeNode, decode_tree
 from .vocab import VOCAB_SIZE
 
 
+def setting(default, help_text: str):
+    """A config field: a setting with its default and the help text of its
+    flag. The field's annotation is the type its values must have."""
+    return field(default=default, metadata={"help": help_text})
+
+
 @dataclass
 class ModelConfig:
-    dim: int = 32
-    gcn_layers: int = 2
-    gcn_dropout: float = 0.6
-    tree_dropout: float = 0.5
-    ffn_dropout: float = 0.1
-    max_nodes: int = 12
-    max_span_len: int = 64
-    max_tree_depth: int = 4
-    beam: int = 5
-    constants_max: int = 100
-    seed: int = 0
+    dim: int = setting(32, "embedding width")
+    gcn_layers: int = setting(2, "layers per graph encoder")
+    gcn_dropout: float = setting(0.6, "graph encoder dropout, in [0, 1)")
+    tree_dropout: float = setting(0.5, "tree decoder dropout, in [0, 1)")
+    ffn_dropout: float = setting(0.1, "head dropout, in [0, 1)")
+    max_nodes: int = setting(12, "node selection cap")
+    max_span_len: int = setting(64, "span decode length cap")
+    max_tree_depth: int = setting(4, "operator nesting cap")
+    beam: int = setting(5, "tree decoder beam width")
+    constants_max: int = setting(100, "the decoder's constants are 1..constants_max (<= 100)")
+    seed: int = setting(0, "RNG seed")
 
 
 @dataclass
@@ -113,9 +118,7 @@ class Model:
     def encode(self, instance, rng=None, train=False) -> tuple[Tensor, Tensor, Tensor]:
         """Token embeddings through the graph stack; returns
         (token_embs, sd_reprs, h_sd)."""
-        if isinstance(self.embedder, FileEmbedder):
-            self.embedder.set_instance(instance.qid)
-        token_embs = self.embedder.embed(instance.seq)
+        token_embs = self.embedder.embed(instance.seq, instance.qid)
         init = init_node_representations(instance.nodes, token_embs, instance.seq)
         outs, order = [], []
         for kind in (GraphKind.QUANTITY, GraphKind.DATE, GraphKind.TEXT):

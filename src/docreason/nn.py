@@ -17,9 +17,9 @@ from functools import lru_cache
 import numpy as np
 
 from .autodiff import Tensor, dropout
-from .document import BoundingBox, TokenSequence
+from .document import BoundingBox, TokenSequence, read_json
 from .elements import NodeSet, node_token_range
-from .errors import CheckpointMismatch, EmptyGraph, EmptySpan, ShapeMismatch
+from .errors import CheckpointMismatch, EmptyGraph, EmptySpan, SchemaError, ShapeMismatch
 from .graphs import SemanticGraph
 from .vocab import VOCAB_SIZE, default_vocab
 
@@ -168,10 +168,11 @@ class ToyEmbedder:
             return np.zeros(4)
         return np.array(box.as_list()) / COORD_SCALE
 
-    def embed(self, seq: TokenSequence) -> Tensor:
-        """One row per token. The hash vector and slot are computed once per
-        distinct token text and the box encoding once per distinct box (all
-        tokens of a block share its box); rows gather them by index."""
+    def embed(self, seq: TokenSequence, qid: str | None = None) -> Tensor:
+        """One row per token; `qid` is not used. The hash vector and slot are
+        computed once per distinct token text and the box encoding once per
+        distinct box (all tokens of a block share its box); rows gather them
+        by index."""
         n = len(seq)
         if n == 0:
             return Tensor(np.zeros((0, self.dim)))
@@ -191,29 +192,32 @@ class ToyEmbedder:
 
 
 class FileEmbedder:
-    """Reads precomputed per-token embeddings from a sidecar JSON file
-    keyed by qid, so a real pretrained encoder can slot in later."""
+    """Reads precomputed per-token embeddings from a sidecar JSON file, an
+    object mapping each qid to one row of `dim` numbers per token, so a
+    real pretrained encoder can slot in later."""
 
     name = "external-file"
 
     def __init__(self, path: str, dim: int):
-        with open(path) as f:
-            self._rows = json.load(f)
+        self._rows = read_json(path)
+        if not isinstance(self._rows, dict):
+            raise SchemaError(f"{path}: embeddings must be a JSON object keyed by qid")
+        self.path = path
         self.dim = dim
-        self._qid: str | None = None
 
-    def set_instance(self, qid: str):
-        self._qid = qid
-
-    def embed(self, seq: TokenSequence) -> Tensor:
-        rows = self._rows.get(self._qid)
-        if rows is None:
-            raise KeyError(f"no embeddings for qid {self._qid!r}")
-        arr = np.asarray(rows, dtype=np.float64)
-        if arr.shape != (len(seq), self.dim):
-            raise ShapeMismatch(f"qid {self._qid!r}: embeddings {arr.shape} "
-                                f"vs sequence ({len(seq)}, {self.dim})")
-        return Tensor(arr)
+    def embed(self, seq: TokenSequence, qid: str) -> Tensor:
+        if qid not in self._rows:
+            raise SchemaError(f"{self.path}: no embeddings for qid {qid!r}")
+        try:
+            arr = np.asarray(self._rows[qid])
+            ok = (arr.dtype.kind in "iuf" and arr.shape == (len(seq), self.dim)
+                  and np.isfinite(arr).all())
+        except ValueError:  # ragged rows
+            ok = False
+        if not ok:
+            raise SchemaError(f"{self.path}: embeddings of qid {qid!r} are not a finite "
+                              f"numeric ({len(seq)}, {self.dim}) array")
+        return Tensor(arr.astype(np.float64))
 
     def params(self) -> dict[str, Tensor]:
         return {}

@@ -14,12 +14,12 @@ e#k for the k-th evidence ref and c#k for constants.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from dataclasses import dataclass
 
-from .document import CanonicalDocument, TokenSequence, ingest_document, tokenize, transform_multipage
+from .document import (CanonicalDocument, TokenSequence, ingest_document, read_json, tokenize,
+                       transform_multipage)
 from .elements import NodeKind, NodeSet, build_node_inventory, node_token_indices
 from .errors import SchemaError, ValidationError
 from .graphs import GraphKind, SemanticGraph, build_all_graphs
@@ -60,17 +60,7 @@ class Instance:
 def load_records(path: str) -> list[dict]:
     """Records of a JSON array or JSONL file; an unreadable file or invalid
     JSON raises SchemaError naming the path."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-        if text.lstrip().startswith("["):
-            records = json.loads(text)
-        else:
-            records = [json.loads(line) for line in text.splitlines() if line.strip()]
-    except OSError as exc:
-        raise SchemaError(f"{path}: cannot read: {exc.strerror}") from None
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise SchemaError(f"{path}: invalid JSON: {exc}") from None
+    records = read_json(path, lines=True)
     if not isinstance(records, list):
         raise SchemaError(f"{path}: top-level JSON must be a list")
     return records
@@ -79,7 +69,7 @@ def load_records(path: str) -> list[dict]:
 def resolve_ref(nodes: NodeSet, ref: dict) -> int:
     if not isinstance(ref, dict) or "kind" not in ref:
         raise SchemaError(f"evidence ref must be an object with a kind: {ref!r}")
-    kind = _REF_KINDS.get(ref["kind"])
+    kind = _REF_KINDS.get(ref["kind"]) if isinstance(ref["kind"], str) else None
     if kind is None:
         raise SchemaError(f"unknown evidence ref kind {ref['kind']!r}")
     block_id = ref.get("block_id")
@@ -191,7 +181,8 @@ def build_supervision(inst: Instance, answer: dict) -> Supervision:
                      if inst.nodes.get(n).kind == NodeKind.BLOCK]
         sup.span = _find_span_tokens(inst, value, block_ids)
     elif atype == AnswerType.SPANS:
-        if not isinstance(value, list) or len(value) < 2:
+        if (not isinstance(value, list) or len(value) < 2
+                or not all(isinstance(text, str) for text in value)):
             raise SchemaError(f"{inst.qid}: Spans answer value must be a list of >= 2 strings")
         sup.bio_labels = _bio_from_texts(inst, value, gold_nodes)
     else:  # Counting
@@ -199,7 +190,7 @@ def build_supervision(inst: Instance, answer: dict) -> Supervision:
                        if inst.nodes.get(n).kind in (NodeKind.QUANTITY, NodeKind.DATE)]
         if not element_ids:
             raise ValidationError(f"{inst.qid}: Counting answer needs Quantity/Date evidence refs")
-        if isinstance(value, (int, float)) and int(value) != len(element_ids):
+        if isinstance(value, (int, float)) and value != len(element_ids):
             logger.warning("%s: count %r differs from %d counted evidence nodes",
                            inst.qid, value, len(element_ids))
         sup.bio_labels = _bio_from_nodes(inst, element_ids)

@@ -16,8 +16,8 @@ import numpy as np
 
 from .autodiff import RowSparse, Tensor
 from .elements import NodeKind
-from .errors import (DivergenceDetected, DivisionByZero, GoldOverCap, InconsistentComponents,
-                     NoLeafCandidates, NonFiniteResult, NoValidTokens, SchemaError)
+from .errors import (DivisionByZero, GoldOverCap, InconsistentComponents, NoLeafCandidates,
+                     NonFiniteLoss, NonFiniteResult, NoValidTokens, SchemaError)
 from .heads import ANSWER_TYPES, SCALES, AnswerType, Scale
 from .metrics import build_report, classify_error, evidence_metrics, exact_match, numeracy_f1
 from .model import Model, ModelOutput
@@ -41,6 +41,9 @@ def nll_rows(log_probs: Tensor, labels: np.ndarray,
 
 _BIO_INDEX = {"B": 0, "I": 1, "O": 2}
 LOSS_TERMS = ("node", "type", "scale", "start", "end", "token", "tree")
+# why a question has no answer; the first also scores a question that a
+# prediction dump has no row for
+FAILURES = ("invalid_prediction", "execution_error")
 
 
 def compute_loss(model: Model, inst: Instance, out: ModelOutput,
@@ -230,16 +233,14 @@ def train(model: Model, instances: list[Instance], epochs: int = 50,
             try:
                 out = model.forward(inst, rng=rng, train=True,
                                     gold_nodes=sup.gold_nodes, heads={sup.answer_type})
-            except GoldOverCap as exc:
-                raise GoldOverCap(f"{inst.qid}: {exc}") from None
-            loss, terms = compute_loss(model, inst, out, sup)
-            if not np.isfinite(loss.data):
-                raise DivergenceDetected(f"non-finite loss on {inst.qid} (epoch {epoch})")
+                loss, terms = compute_loss(model, inst, out, sup)
+                (loss / float(min(group, len(instances)))).backward()
+            except (GoldOverCap, NonFiniteLoss) as exc:
+                raise type(exc)(f"{inst.qid}: {exc} (epoch {epoch})") from None
             epoch_loss += float(loss.data)
             for name, value in terms.items():
                 term_sums[name] += value
                 term_counts[name] += 1
-            (loss / float(min(group, len(instances)))).backward()
             pending += 1
             if pending == group or rank == len(order) - 1:
                 step += 1
@@ -346,14 +347,21 @@ def _dump_field(row: dict, name: str, enum):
 
 def score_dump(instances: list[Instance], dump: list[dict]):
     """Score a prediction dump against gold; row order follows the corpus and
-    rows are matched by qid. A row without a string qid, a repeated qid or a
-    selected node that is not a node of its instance raises SchemaError."""
+    rows are matched by qid. A row without a string qid, a repeated qid or
+    one that is not in the corpus, a failure that predict_corpus does not
+    write, or a selected node that is not a node of its instance raises
+    SchemaError."""
+    qids = {inst.qid for inst in instances}
     by_qid: dict[str, dict] = {}
     for i, row in enumerate(dump):
         if not isinstance(row, dict) or not isinstance(row.get("qid"), str):
             raise SchemaError(f"prediction row {i}: not an object with a string 'qid'")
         if row["qid"] in by_qid:
             raise SchemaError(f"prediction {row['qid']}: repeated qid in row {i}")
+        if row["qid"] not in qids:
+            raise SchemaError(f"prediction {row['qid']}: qid of row {i} is not in the corpus")
+        if row.get("failure", FAILURES[0]) not in FAILURES:
+            raise SchemaError(f"prediction {row['qid']}: unknown failure {row['failure']!r}")
         by_qid[row["qid"]] = row
     rows = []
     for inst in instances:
@@ -364,8 +372,7 @@ def score_dump(instances: list[Instance], dump: list[dict]):
             raise SchemaError(f"prediction {inst.qid}: selected_nodes {selected!r} "
                               f"are not node ids below {len(inst.nodes)}")
         if row.get("value") is None:
-            failure = row.get("failure", "invalid_prediction")
-            rows.append(score_prediction(inst, None, failure, selected))
+            rows.append(score_prediction(inst, None, row.get("failure", FAILURES[0]), selected))
             continue
         answer = Answer(_dump_field(row, "answer_type", AnswerType),
                         row["value"],

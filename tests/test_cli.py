@@ -1,8 +1,10 @@
 """Config precedence and end-to-end subcommand round trips."""
 
+import dataclasses
 import json
 import os
 
+import numpy as np
 import pytest
 
 from docreason import cli
@@ -87,9 +89,68 @@ class TestConfig:
                 RunConfig(lr=float(rate))
         with pytest.raises(SchemaError):
             RunConfig(constants_max=101)  # the decoder has 100 constant embeddings
+        for name in ("gcn_dropout", "tree_dropout", "ffn_dropout"):
+            for rate in (1.0, 1.5, -0.5, float("nan"), float("inf")):
+                with pytest.raises(SchemaError, match=f"{name} must be in"):
+                    RunConfig(**{name: rate})
+            assert getattr(RunConfig(**{name: 0}), name) == 0
         monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
         with pytest.raises(SchemaError):
             load_config()
+
+
+    def test_values_must_have_the_declared_type(self):
+        for key, value in (("dim", "8"), ("dim", 8.0), ("seed", None), ("epochs", 1.5),
+                           ("beam", True), ("lr", True), ("lr", "0.1"), ("out_dir", None),
+                           ("embedder", 1), ("corpus", ["a.json"]), ("ffn_dropout", {})):
+            with pytest.raises(SchemaError, match=f"config: {key} must be"):
+                RunConfig(**{key: value})
+        config = RunConfig(lr=1, warmup=1, corpus=None)  # a float setting takes an int
+        assert config.lr == 1 and config.corpus is None
+
+    def test_every_setting_is_a_flag_and_a_config_key(self, tmp_path):
+        fields = dataclasses.fields(RunConfig)
+        assert len(fields) == 25
+        parser = cli.build_parser()
+        for f in fields:
+            value = {"constants_max": 3, "epochs": 7}.get(f.name, f.default)
+            value = "x.json" if value is None else value
+            args = parser.parse_args(["validate", f"--{f.name.replace('_', '-')}", str(value)])
+            assert getattr(args, f.name) == value and f.metadata["help"]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"constants_max": 3}))
+        assert load_config(str(path)).constants_max == 3
+        assert load_config(None, {"constants_max": 4}).constants_max == 4
+
+    def test_readme_example_config(self, tmp_path):
+        path = tmp_path / "train.json"
+        path.write_text(json.dumps({"dim": 64, "epochs": 100, "batch": 1, "grad_accum": 1,
+                                    "lr": 0.0005, "warmup": 0.06, "gcn_dropout": 0.0,
+                                    "tree_dropout": 0.0, "ffn_dropout": 0.0}))
+        assert load_config(str(path)) == RunConfig(
+            dim=64, epochs=100, batch=1, grad_accum=1, gcn_dropout=0.0, tree_dropout=0.0,
+            ffn_dropout=0.0)
+
+    def test_config_faults_exit_2_with_one_line(self, corpus, tmp_path, capsys):
+        invalid = tmp_path / "invalid.json"
+        invalid.write_text('{"dim": 8')
+        for path in (tmp_path / "missing.json", tmp_path, invalid):
+            assert main(["validate", "-c", str(path), "--corpus", corpus]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and str(path) in err
+            assert len(err.strip().splitlines()) == 1
+        path = tmp_path / "c.json"
+        for values in ({"dim": "8"}, {"seed": None}, {"epochs": 1.5}, {"beam": True},
+                       {"ffn_dropout": 1.0}, {"gcn_dropout": -0.5}):
+            path.write_text(json.dumps(values))
+            for command in ("validate", "train"):
+                assert main([command, "-c", str(path), "--corpus", corpus,
+                             "--out-dir", str(tmp_path / "run")]) == 2
+                err = capsys.readouterr().err
+                assert err.startswith("error: config: ") and f"{next(iter(values))} must" in err
+                assert len(err.strip().splitlines()) == 1
+        assert main(_train_args(corpus, tmp_path, ffn_dropout=1.0)) == 2
+        assert "ffn_dropout must be in [0, 1)" in capsys.readouterr().err
 
 
 class TestValidateAndGraphs:
@@ -257,6 +318,27 @@ class TestTrainPredictEval:
             err = capsys.readouterr().err
             assert "row 0" in err and len(err.strip().splitlines()) == 1
 
+    def test_unknown_failure_or_foreign_qid_in_dump_exits_2(self, corpus, tmp_path, capsys):
+        qid = load_corpus(corpus)[0].qid
+        dump = tmp_path / "predictions.jsonl"
+        for row, message in (({"qid": qid, "value": None, "failure": "bogus"},
+                              f"prediction {qid}: unknown failure 'bogus'"),
+                             ({"qid": qid, "value": None, "failure": None},
+                              f"prediction {qid}: unknown failure None"),
+                             ({"qid": f"other-{qid}", "value": None},
+                              f"prediction other-{qid}: qid of row 0 is not in the corpus")):
+            dump.write_text(json.dumps(row) + "\n")
+            assert main(["eval", "--corpus", corpus, "--predictions", str(dump),
+                         "--out-dir", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: {message}\n"
+        for failure in ("execution_error", "invalid_prediction"):
+            dump.write_text(json.dumps({"qid": qid, "value": None, "failure": failure}) + "\n")
+            assert main(["eval", "--corpus", corpus, "--predictions", str(dump),
+                         "--out-dir", str(tmp_path / "out")]) == 0
+            report = json.loads((tmp_path / "out" / "report.json").read_text())
+            assert report["error_counts"][failure] >= 1
+
     def test_bad_selected_nodes_or_repeated_qid_in_dump_exits_2(self, corpus, tmp_path, capsys):
         qid = load_corpus(corpus)[0].qid
         row = {"qid": qid, "answer_type": "Span", "value": "x", "scale": "None"}
@@ -334,15 +416,47 @@ class TestTrainPredictEval:
         assert any(f"{qid}: " in err for qid in qids)
         assert len(err.strip().splitlines()) == 1
 
-    def test_divergence_exits_3(self, corpus, tmp_path, monkeypatch):
-        import docreason.cli as cli
-        from docreason.errors import DivergenceDetected
+    def test_divergence_exits_3(self, corpus, tmp_path, monkeypatch, capsys):
+        import docreason.training as training
+        compute_loss = training.compute_loss
 
-        def explode(*args, **kwargs):
-            raise DivergenceDetected("non-finite loss on q1 (epoch 0)")
+        def nan_loss(*args, **kwargs):
+            loss, terms = compute_loss(*args, **kwargs)
+            return loss * float("nan"), terms
 
-        monkeypatch.setattr(cli, "train", explode)
+        monkeypatch.setattr(training, "compute_loss", nan_loss)
+        qids = [inst.qid for inst in load_corpus(corpus)]
         assert main(_train_args(corpus, tmp_path)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: training diverged: ") and "loss is nan (epoch 0)" in err
+        assert any(f"{qid}: " in err for qid in qids)
+        assert len(err.strip().splitlines()) == 1
+
+    def test_external_embeddings_train_and_predict(self, corpus, tmp_path):
+        rng = np.random.default_rng(0)
+        rows = {inst.qid: rng.normal(size=(len(inst.seq), 8)).tolist()
+                for inst in load_corpus(corpus)}
+        path = tmp_path / "emb.json"
+        path.write_text(json.dumps(rows))
+        flags = ["--embedder", "external-file", "--embeddings-path", str(path)]
+        assert main(_train_args(corpus, tmp_path) + flags) == 0
+        assert main(["predict", "--corpus", corpus, "--out-dir", str(tmp_path / "run"),
+                     "--checkpoint", str(tmp_path / "run" / "checkpoint.ckpt")] + flags) == 0
+
+    def test_embeddings_file_faults_exit_2_naming_the_file(self, corpus, tmp_path, capsys):
+        qids = [inst.qid for inst in load_corpus(corpus)]
+        path = tmp_path / "emb.json"
+        for text, names_qid in (("{", False), ("[]", False), ("{}", True),
+                                (json.dumps({q: [[0.0] * 8] for q in qids}), True)):
+            path.write_text(text)
+            for emb in (path, tmp_path / "missing.json"):
+                assert main(_train_args(corpus, tmp_path) + [
+                    "--embedder", "external-file", "--embeddings-path", str(emb)]) == 2
+                err = capsys.readouterr().err
+                assert err.startswith("error: ") and str(emb) in err
+                assert len(err.strip().splitlines()) == 1
+                if emb == path and names_qid:
+                    assert any(repr(q) in err for q in qids)
 
     def test_seed_env_var_reaches_training(self, corpus, tmp_path, monkeypatch):
         run_a = tmp_path / "a"

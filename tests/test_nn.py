@@ -10,7 +10,7 @@ import pytest
 from docreason.autodiff import Tensor
 from docreason.document import ingest_document, tokenize, transform_multipage
 from docreason.elements import build_node_inventory, node_token_indices
-from docreason.errors import CheckpointMismatch, EmptyGraph, EmptySpan, ShapeMismatch
+from docreason.errors import CheckpointMismatch, EmptyGraph, EmptySpan, SchemaError, ShapeMismatch
 from docreason.graphs import GraphKind, SemanticGraph
 from docreason.vocab import VOCAB_SIZE
 from docreason.nn import (
@@ -210,19 +210,35 @@ class TestFileEmbedder:
         _, seq, _ = _fixture()
         rows = np.random.default_rng(0).normal(size=(len(seq), 4))
         path = tmp_path / "emb.json"
-        path.write_text(json.dumps({"q1": rows.tolist()}))
+        path.write_text(json.dumps({"q1": rows.tolist(), "q2": []}))
         emb = FileEmbedder(str(path), dim=4)
-        emb.set_instance("q1")
-        np.testing.assert_allclose(emb.embed(seq).data, rows)
+        np.testing.assert_allclose(emb.embed(seq, "q1").data, rows)
 
     def test_wrong_shape_is_rejected(self, tmp_path):
         _, seq, _ = _fixture()
         path = tmp_path / "emb.json"
-        path.write_text(json.dumps({"q1": [[0.0, 0.0]]}))
-        emb = FileEmbedder(str(path), dim=2)
-        emb.set_instance("q1")
-        with pytest.raises(ShapeMismatch):
-            emb.embed(seq)
+        n = len(seq)
+        for rows in ([[0.0, 0.0]], [[0.0] * 3] * n, [[0.0, 0.0]] * (n - 1) + [[0.0]],
+                     [["0", "0"]] * n, [[True, False]] * n, [[0.0, None]] * n,
+                     [[0.0, float("nan")]] * n, 1.5, "rows"):
+            path.write_text(json.dumps({"q1": rows}))
+            message = re.escape(f"{path}: embeddings of qid 'q1' are not")
+            with pytest.raises(SchemaError, match=message):
+                FileEmbedder(str(path), dim=2).embed(seq, "q1")
+
+    def test_file_faults_name_the_file_and_the_qid(self, tmp_path):
+        _, seq, _ = _fixture()
+        path = tmp_path / "emb.json"
+        for text, message in (("{", "invalid JSON"), ("[]", "must be a JSON object")):
+            path.write_text(text)
+            with pytest.raises(SchemaError, match=message):
+                FileEmbedder(str(path), dim=2)
+        for missing in (tmp_path / "missing.json", tmp_path):
+            with pytest.raises(SchemaError, match=re.escape(f"{missing}: cannot read")):
+                FileEmbedder(str(missing), dim=2)
+        path.write_text(json.dumps({"q1": [[0.0, 0.0]] * len(seq)}))
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: no embeddings for qid 'q2'")):
+            FileEmbedder(str(path), dim=2).embed(seq, "q2")
 
 
 class TestPooling:

@@ -89,6 +89,8 @@ class TestEvidenceRefs:
             resolve_ref(inst.nodes, {"kind": "paragraph"})
         with pytest.raises(SchemaError):
             resolve_ref(inst.nodes, "quantity")
+        with pytest.raises(SchemaError):
+            resolve_ref(inst.nodes, {"kind": ["quantity"]})
         with pytest.raises(ValidationError):
             resolve_ref(inst.nodes, {"kind": "block", "block_id": 9})
         with pytest.raises(ValidationError):
@@ -152,10 +154,11 @@ class TestOtherSupervision:
             build_instance(_record(answer))
 
     def test_spans_needs_at_least_two_values(self):
-        answer = {"type": "Spans", "value": ["1,731"], "scale": "None",
-                  "evidence_node_refs": [{"kind": "block", "block_id": 0}]}
-        with pytest.raises(SchemaError):
-            build_instance(_record(answer))
+        for value in (["1,731"], ["1,731", None], ["1,731", ["1,401"]]):
+            answer = {"type": "Spans", "value": value, "scale": "None",
+                      "evidence_node_refs": [{"kind": "block", "block_id": 0}]}
+            with pytest.raises(SchemaError, match="list of >= 2 strings"):
+                build_instance(_record(answer))
 
     def test_spans_bio_marks_each_value(self):
         answer = {"type": "Spans", "value": ["1,731", "1,401"], "scale": "None",
@@ -173,6 +176,17 @@ class TestOtherSupervision:
                       {"kind": "quantity", "block_id": 1, "index": 0}]}
         inst = build_instance(_record(answer))
         assert inst.gold.bio_labels.count("B") == 2
+
+    def test_counting_value_other_than_the_count_warns(self, caplog):
+        for value in (3, 2.5, float("nan"), float("inf")):
+            answer = {"type": "Counting", "value": value, "scale": "None",
+                      "evidence_node_refs": [
+                          {"kind": "quantity", "block_id": 0, "index": 0},
+                          {"kind": "quantity", "block_id": 1, "index": 0}]}
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="docreason.pipeline"):
+                build_instance(_record(answer))
+            assert any("differs from 2 counted" in r.message for r in caplog.records), value
 
     def test_counting_without_element_refs_raises(self):
         answer = {"type": "Counting", "value": 2, "scale": "None",

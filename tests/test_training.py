@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from docreason.autodiff import RowSparse, Tensor
-from docreason.errors import DivergenceDetected
+from docreason.errors import NonFiniteLoss
 from docreason.elements import NodeKind
 from docreason.heads import ANSWER_TYPES, SCALES, AnswerType, Scale
 from docreason.metrics import build_report
@@ -316,8 +316,9 @@ class TestTrainingLoop:
         instances = _instances(n=2)
         model = _model(dim=8)
         model.embedder.table.data[:] = np.nan
-        with pytest.raises(DivergenceDetected):
+        with pytest.raises(NonFiniteLoss, match=r"^[^:]+: loss is nan \(epoch 0\)$") as info:
             train(model, instances, epochs=1, batch=1, grad_accum=1)
+        assert str(info.value).split(":")[0] in {inst.qid for inst in instances}
 
     def test_target_metrics_stop_early(self):
         instances = _instances(n=3)
