@@ -317,8 +317,23 @@ class Tensor:
         data *= 0.5
 
         def backward(g, grads):
-            dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
-            grads[0] = g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner)
+            # g * (0.5 (1 + t) + 0.5 x (1 - t^2) * c (1 + 3a x x)) on two
+            # buffers, each element through the same operations in the same
+            # order as that expression.
+            q = 0.5 * x
+            r = t * t
+            np.subtract(1.0, r, out=r)
+            q *= r
+            np.multiply(x, 3.0 * _GELU_A, out=r)
+            r *= x
+            r += 1.0
+            r *= _GELU_C
+            q *= r
+            np.add(t, 1.0, out=r)
+            r *= 0.5
+            r += q
+            r *= g
+            grads[0] = r
 
         return Tensor._result(data, (self,), backward)
 

@@ -159,8 +159,17 @@ def cmd_eval(config: RunConfig) -> int:
 _COMMANDS = {"validate": cmd_validate, "graphs": cmd_graphs, "train": cmd_train,
              "predict": cmd_predict, "eval": cmd_eval}
 
+
+class _Parser(argparse.ArgumentParser):
+    """An invalid command line exits 2 with one `error: ...` line, as any
+    other invalid input does; subcommand parsers inherit this class."""
+
+    def error(self, message: str):
+        self.exit(EXIT_INVALID, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="docreason",
         description="Discrete reasoning over table-text documents: "
                     "graph-based evidence selection plus expression-tree answers.")

@@ -3,15 +3,19 @@
 Every instance is reduced to four kinds of nodes: one Question node, one
 Block node per layout block, and Quantity/Date nodes mined from the raw
 text of those sources. Nodes carry char spans back into their source text
-so they can be pooled from token representations.
+and the token range those spans cover, so they can be pooled from token
+representations without searching the sequence again.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Iterator
+from itertools import chain
 from dataclasses import dataclass, field
 from enum import Enum
+
+import numpy as np
 
 from .document import CanonicalDocument, TokenSequence
 from .errors import EmptyInventory, ValidationError
@@ -145,11 +149,30 @@ class ElementNode:
     is_percent: bool = False
     date_key: tuple[int, int, int] | None = None
     occurrence: int = 0  # index among same-kind nodes of the same source
+    # (lo, hi): the token positions whose char span overlaps the node's
+    # span, recorded by build_node_inventory; (0, 0) without a sequence.
+    token_range: tuple[int, int] = (0, 0)
 
 
 @dataclass
 class NodeSet:
+    """The inventory, plus integer arrays over it built once: `token_ranges`
+    (N, 2) holds each node's token_range, and `node_of` / `token_of` list
+    every (node, token) pair of those ranges in node order."""
+
     nodes: list[ElementNode] = field(default_factory=list)
+    token_ranges: np.ndarray = field(init=False, repr=False, compare=False)
+    node_of: np.ndarray = field(init=False, repr=False, compare=False)
+    token_of: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = len(self.nodes)
+        bounds = chain.from_iterable([m.token_range for m in self.nodes])
+        self.token_ranges = np.fromiter(bounds, np.intp, 2 * n).reshape(n, 2)
+        counts = self.token_ranges[:, 1] - self.token_ranges[:, 0]
+        self.node_of = np.repeat(np.arange(n), counts)
+        first = self.token_ranges[:, 0] - (np.cumsum(counts) - counts)
+        self.token_of = np.repeat(first, counts) + np.arange(len(self.node_of))
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -196,7 +219,8 @@ def build_node_inventory(canon: CanonicalDocument, question: str,
     blocks, by char offset), then Date nodes in the same source order.
     Elements whose span has no surviving token (truncation) are dropped, as
     are blocks with no tokens at all. Date spans claim overlapping numeric
-    spans, so a bare year never doubles as a quantity.
+    spans, so a bare year never doubles as a quantity. With `seq`, each node
+    records the token range it covers.
     """
     sources: list[tuple[int | None, str]] = [(None, question)]
     for block in canon.blocks:
@@ -205,19 +229,25 @@ def build_node_inventory(canon: CanonicalDocument, question: str,
     if len(sources) == 1:
         raise EmptyInventory(f"{canon.doc_id}: no block has any tokens")
 
-    def span_has_tokens(block_id: int | None, start: int, end: int) -> bool:
+    def token_range(block_id: int | None, start: int | None = None,
+                    end: int | None = None) -> tuple[int, int]:
+        """The tokens of the source that overlap [start, end); all of them
+        without a span."""
         if seq is None:
-            return True
-        lo, hi = seq.overlap_range(block_id, start, end)
-        return hi > lo
+            return (0, 0)
+        if start is None:
+            return seq.source_range(block_id)
+        return seq.overlap_range(block_id, start, end)
 
     nodes: list[ElementNode] = []
     parent_of: dict[int | None, int] = {}
-    nodes.append(ElementNode(0, NodeKind.QUESTION, None, None, 0, len(question), question))
+    nodes.append(ElementNode(0, NodeKind.QUESTION, None, None, 0, len(question), question,
+                             token_range=token_range(None)))
     parent_of[None] = 0
     for block_id, text in sources[1:]:
         nid = len(nodes)
-        nodes.append(ElementNode(nid, NodeKind.BLOCK, block_id, None, 0, len(text), text))
+        nodes.append(ElementNode(nid, NodeKind.BLOCK, block_id, None, 0, len(text), text,
+                                 token_range=token_range(block_id)))
         parent_of[block_id] = nid
 
     extracted = {block_id: _source_elements(text) for block_id, text in sources}
@@ -227,30 +257,20 @@ def build_node_inventory(canon: CanonicalDocument, question: str,
             spans = quantities if kind == NodeKind.QUANTITY else dates
             occurrence = 0
             for sp in spans:
-                if not span_has_tokens(block_id, sp.start, sp.end):
+                lo, hi = token_range(block_id, sp.start, sp.end)
+                if hi == lo and seq is not None:
                     occurrence += 1
                     continue
                 nid = len(nodes)
                 if kind == NodeKind.QUANTITY:
                     nodes.append(ElementNode(nid, kind, block_id, parent_of[block_id],
                                              sp.start, sp.end, sp.text, value=sp.value,
-                                             is_percent=sp.is_percent, occurrence=occurrence))
+                                             is_percent=sp.is_percent, occurrence=occurrence,
+                                             token_range=(lo, hi)))
                 else:
                     nodes.append(ElementNode(nid, kind, block_id, parent_of[block_id],
-                                             sp.start, sp.end, sp.text,
-                                             date_key=sp.key(), occurrence=occurrence))
+                                             sp.start, sp.end, sp.text, date_key=sp.key(),
+                                             occurrence=occurrence, token_range=(lo, hi)))
                 occurrence += 1
     return NodeSet(nodes=nodes)
 
-
-def node_token_range(node: ElementNode, seq: TokenSequence) -> tuple[int, int]:
-    """(lo, hi): the token positions whose char span overlaps the node's
-    span; Question and Block nodes cover their whole source."""
-    if node.kind in (NodeKind.QUESTION, NodeKind.BLOCK):
-        return seq.source_range(node.block_id)
-    return seq.overlap_range(node.block_id, node.start, node.end)
-
-
-def node_token_indices(node: ElementNode, seq: TokenSequence) -> list[int]:
-    """Token positions whose char span overlaps the node's span."""
-    return list(range(*node_token_range(node, seq)))

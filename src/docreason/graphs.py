@@ -8,10 +8,10 @@ Four graphs per instance:
 * semantic dependency: union of the three plus a containment edge from
   every Quantity/Date node to the Question/Block node it was mined from.
 
-Adjacency matrices are dense 0/1 float arrays indexed by graph-local
-position; node_ids maps positions back to inventory node ids. A comparison
-graph is one broadcast `>=` over its members' keys; the semantic graph writes
-each subgraph's edges, then all containment edges, in one indexed assignment.
+Adjacency matrices are dense bool arrays indexed by graph-local position;
+node_ids maps positions back to inventory node ids. A comparison graph is
+one broadcast `>=` over its members' keys; the semantic graph writes each
+subgraph's edges, then all containment edges, in one indexed assignment.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ class GraphKind(str, Enum):
 class SemanticGraph:
     kind: GraphKind
     node_ids: list[int]
-    adjacency: np.ndarray  # (n, n) float64, A[i, j] = 1 for edge i -> j
+    adjacency: np.ndarray  # (n, n) bool, A[i, j] True for edge i -> j
 
     def __post_init__(self):
         n = len(self.node_ids)
@@ -66,8 +66,8 @@ class SemanticGraph:
 def _comparison_graph(kind: GraphKind, members: list[ElementNode],
                       keys: np.ndarray) -> SemanticGraph:
     """Edge i -> j for every i != j with keys[i] >= keys[j], in one broadcast."""
-    adj = (keys[:, None] >= keys[None, :]).astype(np.float64)
-    np.fill_diagonal(adj, 0.0)
+    adj = keys[:, None] >= keys[None, :]
+    np.fill_diagonal(adj, False)
     return SemanticGraph(kind, [m.node_id for m in members], adj)
 
 
@@ -85,7 +85,7 @@ def build_date_graph(nodes: NodeSet) -> SemanticGraph:
 
 def build_text_graph(nodes: NodeSet) -> SemanticGraph:
     members = nodes.by_kind(NodeKind.QUESTION) + nodes.by_kind(NodeKind.BLOCK)
-    return SemanticGraph(GraphKind.TEXT, [m.node_id for m in members], 1.0 - np.eye(len(members)))
+    return SemanticGraph(GraphKind.TEXT, [m.node_id for m in members], ~np.eye(len(members), dtype=bool))
 
 
 def build_semantic_graph(nodes: NodeSet, quantity: SemanticGraph, date: SemanticGraph,
@@ -95,7 +95,7 @@ def build_semantic_graph(nodes: NodeSet, quantity: SemanticGraph, date: Semantic
     node_ids = [n.node_id for n in nodes.nodes]
     pos = {nid: i for i, nid in enumerate(node_ids)}
     n = len(node_ids)
-    adj = np.zeros((n, n))
+    adj = np.zeros((n, n), dtype=bool)
     for sub in (quantity, date, text):
         try:
             idx = np.array([pos[nid] for nid in sub.node_ids], dtype=np.intp)
@@ -103,10 +103,10 @@ def build_semantic_graph(nodes: NodeSet, quantity: SemanticGraph, date: Semantic
             raise IndexMismatch(
                 f"{sub.kind.value}: node {exc.args[0]} missing from inventory") from None
         src, dst = np.nonzero(sub.adjacency)
-        adj[idx[src], idx[dst]] = 1.0
+        adj[idx[src], idx[dst]] = True
     contained = np.array([(pos[m.node_id], pos[m.parent_id]) for m in nodes.nodes
                           if m.parent_id is not None], dtype=np.intp).reshape(-1, 2)
-    adj[contained[:, 0], contained[:, 1]] = 1.0
+    adj[contained[:, 0], contained[:, 1]] = True
     return SemanticGraph(GraphKind.SEMANTIC, node_ids, adj)
 
 

@@ -68,9 +68,9 @@ def classify_nodes(sd_reprs: Tensor, ffn: FFN2, max_nodes: int = 12,
     highest probabilities with ties broken toward lower node ids."""
     log_probs = ffn(sd_reprs, rng, train).log_softmax()
     probs = np.exp(log_probs.data[:, 1])
-    over = [i for i in range(len(probs)) if probs[i] > 0.5]
-    over.sort(key=lambda i: (-probs[i], i))
-    return NodeSelection(selected=sorted(over[:max_nodes]),
+    over = np.flatnonzero(probs > 0.5)
+    kept = over[np.argsort(-probs[over], kind="stable")[:max_nodes]]
+    return NodeSelection(selected=np.sort(kept).tolist(),
                          probabilities=probs, log_probs=log_probs)
 
 
@@ -94,24 +94,21 @@ def inject_gold_nodes(sel: NodeSelection, gold_nodes: set[int], max_nodes: int =
                          log_probs=sel.log_probs)
 
 
+_OWNER_KINDS = (NodeKind.QUESTION, NodeKind.BLOCK)  # the nodes that own their tokens
+
+
 def mask_and_update_tokens(token_embs: Tensor, sel: NodeSelection, nodes: NodeSet,
                            sd_reprs: Tensor, seq: TokenSequence) -> UpdatedTokens:
     """Tokens covered by a selected Question/Block node become
     concat(h_token, h_owner); everything else is an exactly-zero row."""
     owner_row = np.zeros(len(seq), dtype=np.int64)
     valid = np.zeros(len(seq), dtype=bool)
-    selected = set(sel.selected)
-    for node in nodes.nodes:
-        if node.node_id not in selected:
-            continue
-        if node.kind == NodeKind.QUESTION:
-            lo, hi = seq.question_range()
-        elif node.kind == NodeKind.BLOCK:
-            lo, hi = seq.block_ranges[node.block_id]
-        else:
-            continue
-        owner_row[lo:hi] = node.node_id
-        valid[lo:hi] = True
+    for i in sel.selected:
+        node = nodes.nodes[i]
+        if node.kind in _OWNER_KINDS:
+            lo, hi = node.token_range
+            owner_row[lo:hi] = node.node_id
+            valid[lo:hi] = True
     mask_col = Tensor(valid.astype(np.float64)[:, None])
     owners = sd_reprs.take_rows(owner_row) * mask_col
     matrix = concat([token_embs * mask_col, owners], axis=1)

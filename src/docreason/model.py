@@ -119,7 +119,7 @@ class Model:
         """Token embeddings through the graph stack; returns
         (token_embs, sd_reprs, h_sd)."""
         token_embs = self.embedder.embed(instance.seq, instance.qid)
-        init = init_node_representations(instance.nodes, token_embs, instance.seq)
+        init = init_node_representations(instance.nodes, token_embs)
         outs, order = [], []
         for kind in (GraphKind.QUANTITY, GraphKind.DATE, GraphKind.TEXT):
             graph = instance.graphs[kind]

@@ -17,11 +17,11 @@ from functools import lru_cache
 import numpy as np
 
 from .autodiff import Tensor, dropout
-from .document import BoundingBox, TokenSequence, read_json
-from .elements import NodeSet, node_token_range
+from .document import TokenSequence, read_json
+from .elements import NodeSet
 from .errors import CheckpointMismatch, EmptyGraph, EmptySpan, SchemaError, ShapeMismatch
 from .graphs import SemanticGraph
-from .vocab import VOCAB_SIZE, default_vocab
+from .vocab import VOCAB_SIZE
 
 COORD_SCALE = 1000.0
 
@@ -68,8 +68,9 @@ class FFN2:
 
 
 def normalize_adjacency(adj: np.ndarray) -> np.ndarray:
-    """D^-1/2 (max(A, A^T) + I) D^-1/2 of a float adjacency, in one buffer."""
-    a = np.maximum(adj, adj.T)
+    """D^-1/2 (max(A, A^T) + I) D^-1/2 of a bool or float adjacency, in one
+    float64 buffer."""
+    a = np.maximum(adj, adj.T, dtype=np.float64)
     a.flat[::a.shape[0] + 1] += 1.0  # the diagonal: + I
     inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
     a *= inv_sqrt[:, None]
@@ -116,13 +117,6 @@ def _hash_vector(text: str, dim: int, seed: int) -> np.ndarray:
     return vec
 
 
-@lru_cache(maxsize=65536)
-def _oov_slot(text: str) -> int:
-    """The table slot of a text outside the vocabulary."""
-    digest = hashlib.blake2b(text.encode(), digest_size=8).digest()
-    return int.from_bytes(digest, "big") % VOCAB_SIZE
-
-
 def _position_encoding(length: int, dim: int) -> np.ndarray:
     """Sinusoids: sin on the even columns, cos on the odd ones."""
     angle = np.arange(length)[:, None] / np.power(10000.0, (2 * (np.arange(dim) // 2)) / dim)
@@ -144,7 +138,6 @@ class ToyEmbedder:
     def __init__(self, rng: np.random.Generator, dim: int, seed: int):
         self.dim = dim
         self.seed = seed
-        self.vocab = default_vocab()
         self.table = Tensor(rng.uniform(-0.05, 0.05, size=(VOCAB_SIZE, dim)),
                             requires_grad=True, name="embedder.table")
         box_rng = np.random.default_rng(seed + 1)
@@ -159,33 +152,20 @@ class ToyEmbedder:
             self._positions.setflags(write=False)
         return self._positions[:n]
 
-    def _slot(self, text: str) -> int:
-        tid = self.vocab.id_of(text)
-        return _oov_slot(text) if tid is None else tid
-
-    def _box_features(self, box: BoundingBox | None) -> np.ndarray:
-        if box is None:
-            return np.zeros(4)
-        return np.array(box.as_list()) / COORD_SCALE
-
     def embed(self, seq: TokenSequence, qid: str | None = None) -> Tensor:
-        """One row per token; `qid` is not used. The hash vector and slot are
-        computed once per distinct token text and the box encoding once per
-        distinct box (all tokens of a block share its box); rows gather them
-        by index."""
+        """One row per token; `qid` is not used. The hash vector is looked up
+        once per distinct token text and the box encoding computed once per
+        source; rows gather them, and the table rows of the token slots, by
+        the sequence's index arrays."""
         n = len(seq)
         if n == 0:
             return Tensor(np.zeros((0, self.dim)))
-        texts: dict[str, int] = {}
-        boxes: dict[BoundingBox | None, int] = {}
-        text_idx = [texts.setdefault(tok.text, len(texts)) for tok in seq.tokens]
-        box_idx = [boxes.setdefault(tok.box, len(boxes)) for tok in seq.tokens]
-        hashes = np.array([_hash_vector(t, self.dim, self.seed) for t in texts])
-        box_rows = np.array([self._box_features(b) @ self._box_proj for b in boxes])
-        slots = np.array([self._slot(t) for t in texts], dtype=np.int64)[text_idx]
-        base = hashes[text_idx] + box_rows[box_idx]
+        hashes = np.array([_hash_vector(t, self.dim, self.seed) for t in seq.texts])
+        # one matmul per source: a single (S, 4) @ (4, dim) rounds differently
+        box_rows = np.array([f @ self._box_proj for f in seq.source_boxes / COORD_SCALE])
+        base = hashes[seq.text_ids] + box_rows[seq.source_ids]
         base += self._position_rows(n)
-        return self.table.take_rows(slots) + Tensor(base)
+        return self.table.take_rows(seq.slots) + Tensor(base)
 
     def params(self) -> dict[str, Tensor]:
         return {self.table.name: self.table}
@@ -223,27 +203,25 @@ class FileEmbedder:
         return {}
 
 
-def init_node_representations(nodes: NodeSet, token_embs: Tensor,
-                              seq: TokenSequence) -> Tensor:
+def init_node_representations(nodes: NodeSet, token_embs: Tensor) -> Tensor:
     """Mean-pool each node's token rows into an (N, dim) matrix.
 
-    A node's tokens are one contiguous range. Nodes are pooled in groups of
-    equal token count k as x[lo + arange(k)].sum(axis=1) * (1/k), which adds
-    the rows in the same order as a per-node x[idx].sum(axis=0) * (1/k), so
-    the rows are bit-identical to pooling each node on its own.
+    A node's tokens are its recorded token range. Nodes are pooled in groups
+    of equal token count k as x[lo + arange(k)].sum(axis=1) * (1/k), which
+    adds the rows in the same order as a per-node x[idx].sum(axis=0) * (1/k),
+    so the rows are bit-identical to pooling each node on its own.
     """
-    ranges = np.array([node_token_range(node, seq) for node in nodes.nodes], dtype=np.intp)
-    lo, counts = ranges[:, 0], ranges[:, 1] - ranges[:, 0]
-    for node, k in zip(nodes.nodes, counts):
-        if k == 0:
-            raise EmptySpan(f"node {node.node_id} ({node.kind.value}) covers no tokens")
+    lo, hi = nodes.token_ranges.T
+    counts = hi - lo
+    if not counts.all():
+        node = nodes.nodes[np.flatnonzero(counts == 0)[0]]
+        raise EmptySpan(f"node {node.node_id} ({node.kind.value}) covers no tokens")
     x = token_embs.data
     data = np.empty((len(nodes), x.shape[1]))
     for k in np.unique(counts):
         rows = np.flatnonzero(counts == k)
         data[rows] = x[lo[rows, None] + np.arange(k)].sum(axis=1) * (1.0 / k)
-    node_of = np.repeat(np.arange(len(nodes)), counts)
-    token_of = np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+    node_of, token_of = nodes.node_of, nodes.token_of
     inv_counts = 1.0 / counts
     shape = x.shape
 

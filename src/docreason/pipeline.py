@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .document import (CanonicalDocument, TokenSequence, ingest_document, read_json, tokenize,
                        transform_multipage)
-from .elements import NodeKind, NodeSet, build_node_inventory, node_token_indices
+from .elements import NodeKind, NodeSet, build_node_inventory
 from .errors import SchemaError, ValidationError
 from .graphs import GraphKind, SemanticGraph, build_all_graphs
 from .heads import AnswerType, Scale
@@ -225,8 +225,8 @@ def _bio_from_texts(inst: Instance, texts: list[str], gold_nodes: set[int]) -> l
 def _bio_from_nodes(inst: Instance, node_ids: list[int]) -> list[str]:
     ranges = []
     for nid in sorted(node_ids):
-        idx = node_token_indices(inst.nodes.get(nid), inst.seq)
-        ranges.append((idx[0], idx[-1]))
+        lo, hi = inst.nodes.get(nid).token_range
+        ranges.append((lo, hi - 1))
     return _bio_from_ranges(len(inst.seq), ranges)
 
 

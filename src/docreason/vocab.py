@@ -8,7 +8,9 @@ across runs and platforms.
 
 from __future__ import annotations
 
+import hashlib
 import string
+from functools import lru_cache
 
 VOCAB_SIZE = 8192
 _MAX_PIECE_LEN = 12
@@ -221,6 +223,17 @@ def default_vocab() -> Vocab:
     return _DEFAULT
 
 
+@lru_cache(maxsize=65536)
+def token_slot(text: str) -> int:
+    """The embedding-table slot of a token text: its vocabulary id, or a
+    blake2b hash of it into the table for a text outside the vocabulary."""
+    tid = default_vocab().token_to_id.get(text)
+    if tid is not None:
+        return tid
+    digest = hashlib.blake2b(text.encode(), digest_size=8).digest()
+    return int.from_bytes(digest, "big") % VOCAB_SIZE
+
+
 def pretokenize(text: str) -> list[tuple[str, int, int]]:
     """Split raw text into lowercased word/number/symbol units with char spans.
 
@@ -254,6 +267,13 @@ def pretokenize(text: str) -> list[tuple[str, int, int]]:
     return units
 
 
+@lru_cache(maxsize=65536)
+def _word_pieces(word: str) -> tuple[tuple[str, int, int], ...]:
+    """split_word of the default vocabulary, kept per word: the greedy
+    search is the costliest step of tokenizing, and corpora repeat words."""
+    return tuple(default_vocab().split_word(word))
+
+
 def tokenize_text(text: str) -> list[tuple[str, int, int]]:
     """Full tokenization of a source string: (token_text, start, end) triples.
 
@@ -264,7 +284,7 @@ def tokenize_text(text: str) -> list[tuple[str, int, int]]:
     out: list[tuple[str, int, int]] = []
     for unit, start, end in pretokenize(text):
         if unit.isalpha() and unit not in vocab.token_to_id:
-            for piece, s, e in vocab.split_word(unit):
+            for piece, s, e in _word_pieces(unit):
                 out.append((piece, start + s, start + e))
         else:
             out.append((unit, start, end))

@@ -153,6 +153,18 @@ class TestConfig:
         assert "ffn_dropout must be in [0, 1)" in capsys.readouterr().err
 
 
+    def test_invalid_arguments_exit_2_with_one_line(self, corpus, capsys):
+        for argv, fault in ((["validate", "--corpus", corpus, "--dim", "abc"], "--dim"),
+                            (["validate", "--corpus", corpus, "--bogus"], "--bogus"),
+                            (["bogus"], "'bogus'"), ([], "command")):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and fault in err, argv
+            assert len(err.splitlines()) == 1, err
+
+
 class TestValidateAndGraphs:
     def test_validate_reports_type_counts(self, corpus, capsys):
         assert main(["validate", "--corpus", corpus]) == 0

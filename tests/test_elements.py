@@ -9,7 +9,6 @@ from docreason.elements import (
     build_node_inventory,
     extract_dates,
     extract_quantities,
-    node_token_indices,
 )
 from docreason.errors import EmptyInventory
 
@@ -163,9 +162,9 @@ class TestTokenIndices:
         seq = tokenize(canon, "What was revenue?")
         nodes = build_node_inventory(canon, "What was revenue?", seq)
         q = nodes.question_node()
-        assert node_token_indices(q, seq) == list(range(*seq.question_range()))
+        assert list(range(*q.token_range)) == list(range(*seq.question_range()))
         b = nodes.block_node(0)
-        assert node_token_indices(b, seq) == list(range(*seq.block_ranges[0]))
+        assert list(range(*b.token_range)) == list(range(*seq.block_ranges[0]))
 
     def test_element_tokens_carry_its_digits(self):
         canon = _canon(["Revenue was 1,731 in 2019."])
@@ -174,7 +173,7 @@ class TestTokenIndices:
         for n in nodes:
             if n.kind not in (NodeKind.QUANTITY, NodeKind.DATE):
                 continue
-            idx = node_token_indices(n, seq)
+            idx = list(range(*n.token_range))
             assert idx, n
             joined = "".join(seq.tokens[i].text for i in idx)
             assert n.text.replace(",", "") in joined.replace(",", "") or joined
@@ -189,7 +188,7 @@ class TestTokenIndices:
             seq = tokenize(canon, "How much was paid?")
             nodes = build_node_inventory(canon, "How much was paid?", seq)
             for n in nodes:
-                idx = node_token_indices(n, seq)
+                idx = list(range(*n.token_range))
                 if n.block_id is None:
                     lo, hi = seq.question_range()
                 else:

@@ -1,6 +1,7 @@
-"""Encoder front end: bisected token ranges, whole-matrix pooling, the
-per-text/per-box embedder and Model.encode, each against a test-only copy of
-the per-token, per-node, one-row code they replace."""
+"""Encoder front end and head glue: token ranges recorded at ingest,
+whole-matrix pooling, the gathering embedder, Model.encode, token masking and
+node selection, each against a test-only copy of the per-token, per-node,
+one-row code they replace."""
 
 import numpy as np
 import pytest
@@ -8,12 +9,15 @@ import pytest
 from docreason import synthetic
 from docreason.autodiff import Tensor, concat, finite_difference
 from docreason.document import ingest_document, tokenize, transform_multipage
-from docreason.elements import NodeKind, build_node_inventory, node_token_indices
+from docreason.elements import NodeKind, build_node_inventory
 from docreason.errors import EmptySpan
 from docreason.graphs import GraphKind
+from docreason.heads import NodeSelection, classify_nodes, mask_and_update_tokens
 from docreason.model import Model, ModelConfig
-from docreason.nn import _hash_vector, _position_encoding, graph_summary, init_node_representations
+from docreason.nn import (FFN2, _hash_vector, _position_encoding, graph_summary,
+                          init_node_representations)
 from docreason.pipeline import build_instance, load_corpus
+from docreason.vocab import token_slot
 
 CORPUS = "data/synthetic-50.json"
 
@@ -42,8 +46,9 @@ def _reference_embed(embedder, seq) -> Tensor:
     slots = np.empty(n, dtype=np.int64)
     for i, tok in enumerate(seq.tokens):
         base[i] = _hash_vector(tok.text, embedder.dim, embedder.seed)
-        base[i] += embedder._box_features(tok.box) @ embedder._box_proj
-        slots[i] = embedder._slot(tok.text)
+        box = np.zeros(4) if tok.box is None else np.array(tok.box.as_list()) / 1000.0
+        base[i] += box @ embedder._box_proj
+        slots[i] = token_slot(tok.text)
     base += _position_encoding(n, embedder.dim)
     return embedder.table.take_rows(slots) + Tensor(base)
 
@@ -56,6 +61,32 @@ def _reference_pool(nodes, token_embs, seq) -> Tensor:
             raise EmptySpan(f"node {node.node_id} covers no tokens")
         rows.append(token_embs.take_rows(np.asarray(idx)).mean(axis=0, keepdims=True))
     return concat(rows, axis=0)
+
+
+def _reference_mask(token_embs, sel, nodes, sd_reprs, seq):
+    owner_row = np.zeros(len(seq), dtype=np.int64)
+    valid = np.zeros(len(seq), dtype=bool)
+    selected = set(sel.selected)
+    for node in nodes.nodes:
+        if node.node_id not in selected:
+            continue
+        if node.kind == NodeKind.QUESTION:
+            lo, hi = seq.question_range()
+        elif node.kind == NodeKind.BLOCK:
+            lo, hi = seq.block_ranges[node.block_id]
+        else:
+            continue
+        owner_row[lo:hi] = node.node_id
+        valid[lo:hi] = True
+    mask_col = Tensor(valid.astype(np.float64)[:, None])
+    owners = sd_reprs.take_rows(owner_row) * mask_col
+    return concat([token_embs * mask_col, owners], axis=1), valid
+
+
+def _reference_selection(probs, max_nodes) -> list[int]:
+    over = [i for i in range(len(probs)) if probs[i] > 0.5]
+    over.sort(key=lambda i: (-probs[i], i))
+    return sorted(over[:max_nodes])
 
 
 def _reference_encode(model, instance, rng=None, train=False):
@@ -108,6 +139,23 @@ def widened():
             for r in synthetic.generate_corpus(6, seed=31)]
 
 
+@pytest.fixture(scope="module")
+def truncated():
+    """Synthetic records cut at a max_len inside their block tokens, so that
+    later blocks and elements are dropped; those without a surviving
+    element are left out."""
+    rng = np.random.default_rng(12)
+    out = []
+    for record in synthetic.generate_corpus(30, seed=13):
+        full = build_instance(record, max_len=4096, with_gold=False)
+        max_len = int(rng.integers(full.seq.question_len + 1, len(full.seq)))
+        inst = build_instance(record, max_len=max_len, with_gold=False)
+        if len(inst.nodes) < len(full.nodes):
+            out.append(inst)
+    assert len(out) >= 10
+    return out
+
+
 def _bytes(t: Tensor) -> bytes:
     return t.data.tobytes()
 
@@ -135,10 +183,10 @@ class TestTokenRanges:
                     assert list(range(lo, hi)) == _scan_range(seq, block_id, start, end)
             assert len(seq) < full or r % 3
 
-    def test_node_token_indices_and_inventory_match_the_scan(self, bundled, widened):
-        for inst in bundled + widened:
+    def test_node_token_indices_and_inventory_match_the_scan(self, bundled, widened, truncated):
+        for inst in bundled + widened + truncated:
             for node in inst.nodes:
-                assert node_token_indices(node, inst.seq) == _scan_indices(node, inst.seq)
+                assert list(range(*node.token_range)) == _scan_indices(node, inst.seq)
         record = synthetic.generate_corpus(3, seed=9)[2]
         canon = transform_multipage(ingest_document(record))
         seq = tokenize(canon, record["question"], max_len=40)
@@ -146,19 +194,31 @@ class TestTokenRanges:
         for node in inventory:
             assert _scan_indices(node, seq)
 
+    def test_index_arrays_describe_the_tokens(self, bundled, truncated):
+        for inst in bundled + truncated:
+            seq = inst.seq
+            assert [seq.texts[i] for i in seq.text_ids] == [t.text for t in seq.tokens]
+            assert len(set(seq.texts)) == len(seq.texts)
+            assert seq.slots.tolist() == [token_slot(t.text) for t in seq.tokens]
+            boxes = [[0, 0, 0, 0] if t.box is None else t.box.as_list() for t in seq.tokens]
+            assert seq.source_boxes[seq.source_ids].tolist() == boxes
+            for name in ("text_ids", "slots", "source_ids"):
+                assert getattr(seq, name).dtype.kind == "i", name
+
 
 class TestPooling:
-    def test_matches_per_node_reference_by_bytes(self, widened):
-        inst = widened[0]
-        counts = {len(_scan_indices(n, inst.seq)) for n in inst.nodes}
+    def test_matches_per_node_reference_by_bytes(self, bundled, widened, truncated):
+        counts = {len(_scan_indices(n, widened[0].seq)) for n in widened[0].nodes}
         assert len(counts) >= 4
-        x = np.random.default_rng(1).normal(size=(len(inst.seq), 6))
-        quantity = inst.nodes.by_kind(NodeKind.QUANTITY)[0]
-        x[_scan_indices(quantity, inst.seq)] = -0.0
-        x[0, :3] = -0.0
-        embs = Tensor(x)
-        got = init_node_representations(inst.nodes, embs, inst.seq)
-        assert _bytes(got) == _bytes(_reference_pool(inst.nodes, embs, inst.seq))
+        rng = np.random.default_rng(1)
+        for inst in bundled + widened + truncated:
+            x = rng.normal(size=(len(inst.seq), 6))
+            for quantity in inst.nodes.by_kind(NodeKind.QUANTITY)[:1]:
+                x[_scan_indices(quantity, inst.seq)] = -0.0
+            x[0, :3] = -0.0
+            embs = Tensor(x)
+            got = init_node_representations(inst.nodes, embs)
+            assert _bytes(got) == _bytes(_reference_pool(inst.nodes, embs, inst.seq)), inst.qid
 
     def test_gradient_matches_finite_differences(self, bundled):
         inst = bundled[0]
@@ -167,7 +227,7 @@ class TestPooling:
         weights = Tensor(rng.normal(size=(len(inst.nodes), 3)))
 
         def loss():
-            pooled = init_node_representations(inst.nodes, embs, inst.seq)
+            pooled = init_node_representations(inst.nodes, embs)
             return (pooled * pooled * weights).sum()
 
         embs.zero_grad()
@@ -179,9 +239,9 @@ class TestPooling:
 
 class TestEncode:
     @pytest.mark.parametrize("train", [False, True])
-    def test_matches_one_row_reference_by_bytes(self, bundled, widened, train):
+    def test_matches_one_row_reference_by_bytes(self, bundled, widened, truncated, train):
         model = Model(ModelConfig(dim=16, seed=4))
-        for i, inst in enumerate(bundled + widened):
+        for i, inst in enumerate(bundled + widened + truncated):
             got = model.encode(inst, np.random.default_rng(i), train)
             want = _reference_encode(model, inst, np.random.default_rng(i), train)
             for a, b in zip(got, want):
@@ -205,3 +265,37 @@ class TestEncode:
             for name in grads[0]:
                 np.testing.assert_allclose(grads[0][name], grads[1][name],
                                            rtol=1e-12, atol=1e-15, err_msg=name)
+
+
+class TestHeadGlue:
+    def test_masking_matches_the_node_loop_by_bytes(self, bundled, widened, truncated):
+        rng = np.random.default_rng(8)
+        for inst in bundled + widened + truncated:
+            n, m = len(inst.seq), len(inst.nodes)
+            embs = Tensor(rng.normal(size=(n, 4)))
+            reprs = Tensor(rng.normal(size=(m, 4)))
+            choices = [[], list(range(m)), [m - 1],
+                       sorted(rng.choice(m, size=min(m, 12), replace=False).tolist()),
+                       [int(i) for i in rng.integers(0, m, size=5)]]  # unsorted, repeats
+            for selected in choices:
+                sel = NodeSelection(selected=selected, probabilities=np.zeros(m),
+                                    log_probs=Tensor(np.zeros((m, 2))))
+                got = mask_and_update_tokens(embs, sel, inst.nodes, reprs, inst.seq)
+                matrix, valid = _reference_mask(embs, sel, inst.nodes, reprs, inst.seq)
+                assert got.valid_mask.tobytes() == valid.tobytes(), (inst.qid, selected)
+                assert _bytes(got.matrix) == _bytes(matrix), (inst.qid, selected)
+
+    def test_selection_matches_the_sorted_loop(self, bundled, widened, truncated):
+        rng = np.random.default_rng(9)
+        ffn = FFN2(np.random.default_rng(1), 4, 2, "probe", drop=0.0)
+        for inst in bundled + widened + truncated:
+            m = len(inst.nodes)
+            reprs = rng.normal(size=(m, 4))
+            reprs[rng.integers(0, m, size=m // 2)] = reprs[0]  # tied probabilities
+            for bias in (-1.0, 0.0, 1.0):
+                ffn.l2.b.data[:] = [0.0, bias]
+                for max_nodes in (1, 3, 12, m):
+                    sel = classify_nodes(Tensor(reprs), ffn, max_nodes)
+                    want = _reference_selection(sel.probabilities, max_nodes)
+                    assert sel.selected == want, (inst.qid, bias, max_nodes)
+                    assert all(type(i) is int for i in sel.selected)

@@ -162,15 +162,16 @@ class TestEquivariance:
 
 
 # Reference builders: the per-pair and per-edge loops the array builders
-# replaced. The array builders must reproduce them byte for byte.
+# replaced, writing bool adjacencies. The array builders must reproduce them
+# byte for byte.
 
 def _loop_comparison(members, keys):
     n = len(members)
-    adj = np.zeros((n, n))
+    adj = np.zeros((n, n), dtype=bool)
     for i in range(n):
         for j in range(n):
             if i != j and keys[i] >= keys[j]:
-                adj[i, j] = 1.0
+                adj[i, j] = True
     return [m.node_id for m in members], adj
 
 
@@ -182,17 +183,17 @@ def _loop_graphs(nodes):
         GraphKind.QUANTITY: _loop_comparison(quantities, [m.value for m in quantities]),
         GraphKind.DATE: _loop_comparison(dates, [m.date_key for m in dates]),
         GraphKind.TEXT: ([m.node_id for m in text],
-                         np.ones((len(text), len(text))) - np.eye(len(text))),
+                         ~np.eye(len(text), dtype=bool)),
     }
     node_ids = [m.node_id for m in nodes.nodes]
     pos = {nid: i for i, nid in enumerate(node_ids)}
-    sd = np.zeros((len(node_ids), len(node_ids)))
+    sd = np.zeros((len(node_ids), len(node_ids)), dtype=bool)
     for ids, adj in subs.values():
         for src, dst in zip(*np.nonzero(adj)):
-            sd[pos[ids[int(src)]], pos[ids[int(dst)]]] = 1.0
+            sd[pos[ids[int(src)]], pos[ids[int(dst)]]] = True
     for node in nodes.nodes:
         if node.parent_id is not None:
-            sd[pos[node.node_id], pos[node.parent_id]] = 1.0
+            sd[pos[node.node_id], pos[node.parent_id]] = True
     return {**subs, GraphKind.SEMANTIC: (node_ids, sd)}
 
 

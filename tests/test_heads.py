@@ -42,7 +42,7 @@ def _instance(texts=("Paid 7 in cash.", "Then 9 more."), dim=8):
     seq = tokenize(canon, question)
     nodes = build_node_inventory(canon, question, seq)
     embs = ToyEmbedder(np.random.default_rng(0), dim=dim, seed=0).embed(seq)
-    reprs = init_node_representations(nodes, embs, seq)
+    reprs = init_node_representations(nodes, embs)
     return seq, nodes, embs, reprs
 
 

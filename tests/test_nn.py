@@ -9,16 +9,15 @@ import pytest
 
 from docreason.autodiff import Tensor
 from docreason.document import ingest_document, tokenize, transform_multipage
-from docreason.elements import build_node_inventory, node_token_indices
+from docreason.elements import build_node_inventory
 from docreason.errors import CheckpointMismatch, EmptyGraph, EmptySpan, SchemaError, ShapeMismatch
 from docreason.graphs import GraphKind, SemanticGraph
-from docreason.vocab import VOCAB_SIZE
+from docreason.vocab import VOCAB_SIZE, default_vocab, token_slot
 from docreason.nn import (
     FFN2,
     GCN,
     Linear,
     ToyEmbedder,
-    _oov_slot,
     _position_encoding,
     FileEmbedder,
     graph_summary,
@@ -178,13 +177,12 @@ class TestToyEmbedder:
         assert list(emb.params()) == ["embedder.table"]
 
     def test_out_of_vocabulary_slot_is_the_blake2b_formula(self):
-        emb = ToyEmbedder(np.random.default_rng(0), dim=8, seed=0)
         texts = ["zq-17", "zq-17", "Überschuss", "1,234.5", "", "x" * 300]
         for text in texts:
-            assert emb.vocab.id_of(text) is None, text
+            assert default_vocab().id_of(text) is None, text
             digest = hashlib.blake2b(text.encode(), digest_size=8).digest()
-            assert emb._slot(text) == int.from_bytes(digest, "big") % VOCAB_SIZE, text
-        assert _oov_slot.cache_info().hits >= 1  # the repeated text
+            assert token_slot(text) == int.from_bytes(digest, "big") % VOCAB_SIZE, text
+        assert token_slot.cache_info().hits >= 1  # the repeated text
 
     def test_position_encoding_equals_the_where_form_by_bytes(self):
         for length in (0, 1, 755):
@@ -245,9 +243,9 @@ class TestPooling:
     def test_single_token_node_copies_its_row(self):
         _, seq, nodes = _fixture()
         embs = ToyEmbedder(np.random.default_rng(0), dim=8, seed=0).embed(seq)
-        pooled = init_node_representations(nodes, embs, seq)
+        pooled = init_node_representations(nodes, embs)
         for node in nodes:
-            idx = node_token_indices(node, seq)
+            idx = list(range(*node.token_range))
             if len(idx) == 1:
                 np.testing.assert_allclose(pooled.data[node.node_id],
                                            embs.data[idx[0]], atol=1e-15)
@@ -255,17 +253,17 @@ class TestPooling:
     def test_rows_are_means_of_token_rows(self):
         _, seq, nodes = _fixture()
         embs = ToyEmbedder(np.random.default_rng(0), dim=8, seed=0).embed(seq)
-        pooled = init_node_representations(nodes, embs, seq)
+        pooled = init_node_representations(nodes, embs)
         for node in nodes:
-            idx = node_token_indices(node, seq)
+            idx = list(range(*node.token_range))
             np.testing.assert_allclose(pooled.data[node.node_id],
                                        embs.data[idx].mean(axis=0), atol=1e-12)
 
     def test_pooling_is_linear_in_the_embeddings(self):
         _, seq, nodes = _fixture()
         embs = ToyEmbedder(np.random.default_rng(0), dim=8, seed=0).embed(seq)
-        base = init_node_representations(nodes, embs, seq).data
-        scaled = init_node_representations(nodes, Tensor(3.0 * embs.data), seq).data
+        base = init_node_representations(nodes, embs).data
+        scaled = init_node_representations(nodes, Tensor(3.0 * embs.data)).data
         np.testing.assert_allclose(scaled, 3.0 * base, atol=1e-12)
 
     def test_summary_is_row_mean_and_rejects_empty(self):
@@ -278,10 +276,11 @@ class TestPooling:
         _, seq, nodes = _fixture()
         embs = ToyEmbedder(np.random.default_rng(0), dim=8, seed=0).embed(seq)
         from dataclasses import replace
-        bad = nodes.nodes[:-1] + [replace(nodes.nodes[-1], start=9000, end=9001)]
+        lo, _ = nodes.nodes[-1].token_range
+        bad = nodes.nodes[:-1] + [replace(nodes.nodes[-1], token_range=(lo, lo))]
         from docreason.elements import NodeSet
         with pytest.raises(EmptySpan):
-            init_node_representations(NodeSet(nodes=bad), embs, seq)
+            init_node_representations(NodeSet(nodes=bad), embs)
 
 
 class TestCheckpoints:
