@@ -5,14 +5,16 @@ that produced it. Calling :meth:`Tensor.backward` on a scalar walks the tape
 in reverse topological order and accumulates exact gradients into the
 ``grad`` attribute of every tensor created with ``requires_grad=True``.
 
-Only the operations the model actually needs are implemented; each op stores
-a closure that maps the output gradient to the gradients of those parents
-that require one (constants get none).
+Only the operations the model actually needs are implemented. Each op
+stores a closure `backward(g)` that maps the output gradient `g` to a tuple
+with one entry per parent: that parent's gradient, or None where the parent
+takes none (constants get none).
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 import numpy as np
 
@@ -134,7 +136,9 @@ class Tensor:
     @staticmethod
     def _result(data, parents: tuple, backward) -> "Tensor":
         """The output of an op. It joins the tape when a parent requires a
-        gradient (every tensor on the tape does)."""
+        gradient (every tensor on the tape does). `backward(g)` returns one
+        gradient per parent, in the order of `parents`, with None for a
+        parent that takes no gradient."""
         out = Tensor(data)
         for p in parents:
             if p.requires_grad:
@@ -150,21 +154,16 @@ class Tensor:
         other = other if isinstance(other, Tensor) else Tensor(other)
         data = self.data + other.data
 
-        def backward(g, grads):
-            if self.requires_grad:
-                grads[0] = _unbroadcast(g, self.data.shape)
-            if other.requires_grad:
-                grads[1] = _unbroadcast(g, other.data.shape)
+        def backward(g):
+            return (_unbroadcast(g, self.data.shape) if self.requires_grad else None,
+                    _unbroadcast(g, other.data.shape) if other.requires_grad else None)
 
         return Tensor._result(data, (self, other), backward)
 
     __radd__ = __add__
 
     def __neg__(self):
-        def backward(g, grads):
-            grads[0] = -g
-
-        return Tensor._result(-self.data, (self,), backward)
+        return Tensor._result(-self.data, (self,), lambda g: (-g,))
 
     def __sub__(self, other):
         other = other if isinstance(other, Tensor) else Tensor(other)
@@ -178,11 +177,9 @@ class Tensor:
         data = self.data * other.data
         a, b = self.data, other.data
 
-        def backward(g, grads):
-            if self.requires_grad:
-                grads[0] = _unbroadcast(g * b, a.shape)
-            if other.requires_grad:
-                grads[1] = _unbroadcast(g * a, b.shape)
+        def backward(g):
+            return (_unbroadcast(g * b, a.shape) if self.requires_grad else None,
+                    _unbroadcast(g * a, b.shape) if other.requires_grad else None)
 
         return Tensor._result(data, (self, other), backward)
 
@@ -193,11 +190,9 @@ class Tensor:
         data = self.data / other.data
         a, b = self.data, other.data
 
-        def backward(g, grads):
-            if self.requires_grad:
-                grads[0] = _unbroadcast(g / b, a.shape)
-            if other.requires_grad:
-                grads[1] = _unbroadcast(-g * a / (b * b), b.shape)
+        def backward(g):
+            return (_unbroadcast(g / b, a.shape) if self.requires_grad else None,
+                    _unbroadcast(-g * a / (b * b), b.shape) if other.requires_grad else None)
 
         return Tensor._result(data, (self, other), backward)
 
@@ -211,11 +206,9 @@ class Tensor:
         data = self.data @ other.data
         a, b = self.data, other.data
 
-        def backward(g, grads):
-            if self.requires_grad:
-                grads[0] = g @ b.T
-            if other.requires_grad:
-                grads[1] = a.T @ g
+        def backward(g):
+            return (g @ b.T if self.requires_grad else None,
+                    a.T @ g if other.requires_grad else None)
 
         return Tensor._result(data, (self, other), backward)
 
@@ -223,12 +216,7 @@ class Tensor:
 
     def reshape(self, *shape):
         old = self.data.shape
-        data = self.data.reshape(*shape)
-
-        def backward(g, grads):
-            grads[0] = g.reshape(old)
-
-        return Tensor._result(data, (self,), backward)
+        return Tensor._result(self.data.reshape(*shape), (self,), lambda g: (g.reshape(old),))
 
     def take_rows(self, indices) -> "Tensor":
         """Gather rows by integer index; backward scatter-adds. Into a leaf
@@ -239,13 +227,13 @@ class Tensor:
         shape = self.data.shape
 
         if self.requires_grad and self._backward is None:
-            def backward(g, grads):
-                grads[0] = RowSparse.scatter(idx, g, shape)
+            def backward(g):
+                return (RowSparse.scatter(idx, g, shape),)
         else:
-            def backward(g, grads):
+            def backward(g):
                 acc = np.zeros(shape)
                 np.add.at(acc, idx, g)
-                grads[0] = acc
+                return (acc,)
 
         return Tensor._result(data, (self,), backward)
 
@@ -253,10 +241,10 @@ class Tensor:
         data = self.data[start:stop]
         shape = self.data.shape
 
-        def backward(g, grads):
+        def backward(g):
             acc = np.zeros(shape)
             acc[start:stop] = g
-            grads[0] = acc
+            return (acc,)
 
         return Tensor._result(data, (self,), backward)
 
@@ -266,12 +254,10 @@ class Tensor:
         data = self.data.sum(axis=axis, keepdims=keepdims)
         shape = self.data.shape
 
-        def backward(g, grads):
-            if axis is None:
-                grads[0] = np.broadcast_to(g, shape).copy()
-            else:
-                gg = g if keepdims else np.expand_dims(g, axis)
-                grads[0] = np.broadcast_to(gg, shape).copy()
+        def backward(g):
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            return (np.broadcast_to(g, shape).copy(),)
 
         return Tensor._result(data, (self,), backward)
 
@@ -287,19 +273,11 @@ class Tensor:
     def relu(self):
         data = np.maximum(self.data, 0.0)
         mask = self.data > 0.0
-
-        def backward(g, grads):
-            grads[0] = g * mask
-
-        return Tensor._result(data, (self,), backward)
+        return Tensor._result(data, (self,), lambda g: (g * mask,))
 
     def tanh(self):
         data = np.tanh(self.data)
-
-        def backward(g, grads):
-            grads[0] = g * (1.0 - data * data)
-
-        return Tensor._result(data, (self,), backward)
+        return Tensor._result(data, (self,), lambda g: (g * (1.0 - data * data),))
 
     def gelu(self):
         # tanh approximation: 0.5 x (1 + tanh(c (x + a x^3))), computed in
@@ -316,7 +294,7 @@ class Tensor:
         data *= x
         data *= 0.5
 
-        def backward(g, grads):
+        def backward(g):
             # g * (0.5 (1 + t) + 0.5 x (1 - t^2) * c (1 + 3a x x)) on two
             # buffers, each element through the same operations in the same
             # order as that expression.
@@ -333,17 +311,13 @@ class Tensor:
             r *= 0.5
             r += q
             r *= g
-            grads[0] = r
+            return (r,)
 
         return Tensor._result(data, (self,), backward)
 
     def exp(self):
         data = np.exp(self.data)
-
-        def backward(g, grads):
-            grads[0] = g * data
-
-        return Tensor._result(data, (self,), backward)
+        return Tensor._result(data, (self,), lambda g: (g * data,))
 
     def log_softmax(self, axis: int = -1):
         x = self.data
@@ -353,10 +327,8 @@ class Tensor:
         data = shifted - lse
         sm = np.exp(data)
 
-        def backward(g, grads):
-            grads[0] = g - sm * g.sum(axis=axis, keepdims=True)
-
-        return Tensor._result(data, (self,), backward)
+        return Tensor._result(data, (self,),
+                              lambda g: (g - sm * g.sum(axis=axis, keepdims=True),))
 
     def softmax(self, axis: int = -1):
         return self.log_softmax(axis=axis).exp()
@@ -401,10 +373,13 @@ class Tensor:
                 if node.requires_grad:
                     node.raw_grad = g if node.raw_grad is None else node.raw_grad + g
                 continue
-            grads: dict[int, np.ndarray] = {}
-            node._backward(g, grads)
-            for i, p in enumerate(node._parents):
-                pg = grads.get(i)
+            # zip would drop a missing gradient silently; zip(strict=True)
+            # checks the same at ~0.4 us more per node (a keyword argument
+            # leaves zip's fast call path)
+            grads = node._backward(g)
+            if len(grads) != len(node._parents):
+                raise ValueError("a backward returned the wrong number of gradients")
+            for p, pg in zip(node._parents, grads):
                 if pg is None:
                     continue
                 if p in flow:
@@ -419,16 +394,14 @@ class Tensor:
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     data = np.concatenate([t.data for t in tensors], axis=axis)
     tensors = tuple(tensors)
-    offsets = [0]
-    for t in tensors:
-        offsets.append(offsets[-1] + t.data.shape[axis])
+    # each part's gradient is a slice of g at these bounds (np.split makes
+    # the same views at ~2.5x the cost per call)
+    bounds = [0, *accumulate(t.data.shape[axis] for t in tensors)]
+    lead = (slice(None),) * (axis % data.ndim)
 
-    def backward(g, grads):
-        for i, t in enumerate(tensors):
-            if t.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(offsets[i], offsets[i + 1])
-                grads[i] = g[tuple(sl)]
+    def backward(g):
+        return tuple(g[lead + (slice(lo, hi),)] if t.requires_grad else None
+                     for t, lo, hi in zip(tensors, bounds, bounds[1:]))
 
     return Tensor._result(data, tensors, backward)
 

@@ -44,11 +44,7 @@ def _write_atomic(path: str, text: str):
 
 
 def _build_model(config: RunConfig) -> Model:
-    embedder = None
-    if config.embedder == "external-file":
-        if not config.embeddings_path:
-            raise SchemaError("external-file embedder needs embeddings_path")
-        embedder = FileEmbedder(config.embeddings_path, config.dim)
+    embedder = None if config.embeddings is None else FileEmbedder(config.embeddings, config.dim)
     return Model(config, embedder=embedder)
 
 
@@ -65,10 +61,10 @@ def _load_into_model(config: RunConfig) -> Model:
     if meta["vocab_size"] != VOCAB_SIZE:
         raise CheckpointMismatch(
             f"{path}: built for vocab={meta['vocab_size']}, this build has {VOCAB_SIZE}")
-    if meta["embedder"] != config.embedder:
+    embedder = "toy" if config.embeddings is None else FileEmbedder.name
+    if meta["embedder"] != embedder:
         raise CheckpointMismatch(
-            f"{path}: trained with embedder={meta['embedder']!r}, "
-            f"run configured {config.embedder!r}")
+            f"{path}: trained with embedder={meta['embedder']!r}, run configured {embedder!r}")
     # every model has this (dim, dim) weight: check dim before building
     probe = arrays.get(_DIM_PROBE)
     if probe is None or probe.shape != (meta["dim"], meta["dim"]):

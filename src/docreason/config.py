@@ -39,8 +39,8 @@ class RunConfig(ModelConfig):
     batch: int = setting(8, "instances per batch")
     grad_accum: int = setting(8, "batches per optimizer step")
     eval_every: int = setting(5, "epochs between dev evaluations")
-    embedder: str = setting("toy", "toy | external-file")
-    embeddings_path: str | None = setting(None, "sidecar embeddings for external-file")
+    embeddings: str | None = setting(
+        None, "token embeddings JSON file (null: the built-in toy embedder)")
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
@@ -64,8 +64,6 @@ class RunConfig(ModelConfig):
         for name in ("gcn_dropout", "tree_dropout", "ffn_dropout"):
             if not 0 <= getattr(self, name) < 1:
                 raise SchemaError(f"config: {name} must be in [0, 1)")
-        if self.embedder not in ("toy", "external-file"):
-            raise SchemaError(f"config: unknown embedder {self.embedder!r}")
 
 
 # each setting's value type: its annotation without the `| None`

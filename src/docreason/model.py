@@ -36,7 +36,9 @@ class ModelConfig:
     dim: int = setting(32, "embedding width")
     gcn_layers: int = setting(2, "layers per graph encoder")
     gcn_dropout: float = setting(0.6, "graph encoder dropout, in [0, 1)")
-    tree_dropout: float = setting(0.5, "tree decoder dropout, in [0, 1)")
+    tree_dropout: float = setting(
+        0.5, "tree decoder dropout, in [0, 1); no effect yet: training runs the decoder "
+             "without dropout")
     ffn_dropout: float = setting(0.1, "head dropout, in [0, 1)")
     max_nodes: int = setting(12, "node selection cap")
     max_span_len: int = setting(64, "span decode length cap")

@@ -225,10 +225,10 @@ def init_node_representations(nodes: NodeSet, token_embs: Tensor) -> Tensor:
     inv_counts = 1.0 / counts
     shape = x.shape
 
-    def backward(g, grads):
+    def backward(g):
         acc = np.zeros(shape)
         np.add.at(acc, token_of, (g * inv_counts[:, None])[node_of])
-        grads[0] = acc
+        return (acc,)
 
     return Tensor._result(data, (token_embs,), backward)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .document import (CanonicalDocument, TokenSequence, ingest_document, read_json, tokenize,
@@ -108,21 +109,26 @@ def build_instance(record: dict, max_len: int = 256, with_gold: bool = True) -> 
     return inst
 
 
-def _find_span_tokens(inst: Instance, text: str, block_ids: list[int]) -> tuple[int, int]:
-    """Locate a gold answer string inside one of the evidence blocks (or the
-    question) and map it to an inclusive token range."""
-    needle = text.strip().lower()
-    candidates: list[int | None] = list(block_ids) or [*inst.seq.block_ranges, None]
+def _find_span_tokens(inst: Instance, text: str,
+                      block_ids: list[int]) -> tuple[int, tuple[int, int]]:
+    """Locate a gold answer string inside one of the evidence blocks (every
+    block, then the question, when none is given). Returns the node id of
+    the Question/Block it was found in and the inclusive range of that
+    source's tokens lying inside the match: a source's tokens have
+    increasing, non-overlapping char spans, so they are contiguous and two
+    bisections find them."""
+    needle, seq = text.strip().lower(), inst.seq
+    candidates: list[int | None] = list(block_ids) or [*seq.block_ranges, None]
     for bid in candidates:
-        hay = inst.source_texts[bid].lower()
-        at = hay.find(needle)
+        at = inst.source_texts[bid].lower().find(needle)
         if at < 0:
             continue
-        lo, hi = inst.seq.block_ranges[bid] if bid is not None else inst.seq.question_range()
-        covered = [i for i in range(lo, hi)
-                   if inst.seq.tokens[i].start >= at and inst.seq.tokens[i].end <= at + len(needle)]
-        if covered:
-            return (covered[0], covered[-1])
+        lo, hi = seq.source_range(bid)
+        first = bisect_left(seq.starts, at, lo, hi)
+        stop = bisect_right(seq.ends, at + len(needle), lo, hi)
+        if first < stop:
+            source = inst.nodes.question_node() if bid is None else inst.nodes.block_node(bid)
+            return source.node_id, (first, stop - 1)
     raise ValidationError(f"{inst.qid}: answer text {text!r} not found in evidence blocks")
 
 
@@ -177,14 +183,16 @@ def build_supervision(inst: Instance, answer: dict) -> Supervision:
     elif atype == AnswerType.SPAN:
         if not isinstance(value, str):
             raise SchemaError(f"{inst.qid}: Span answer value must be a string")
-        block_ids = [inst.nodes.get(n).block_id for n in gold_nodes
-                     if inst.nodes.get(n).kind == NodeKind.BLOCK]
-        sup.span = _find_span_tokens(inst, value, block_ids)
+        source, sup.span = _find_span_tokens(inst, value, _block_ids(inst, gold_nodes))
+        gold_nodes.add(source)  # the source an answer is found in is evidence
     elif atype == AnswerType.SPANS:
         if (not isinstance(value, list) or len(value) < 2
                 or not all(isinstance(text, str) for text in value)):
             raise SchemaError(f"{inst.qid}: Spans answer value must be a list of >= 2 strings")
-        sup.bio_labels = _bio_from_texts(inst, value, gold_nodes)
+        block_ids = _block_ids(inst, gold_nodes)
+        found = [_find_span_tokens(inst, text, block_ids) for text in value]
+        gold_nodes.update(source for source, _ in found)
+        sup.bio_labels = _bio_from_ranges(len(inst.seq), [span for _, span in found])
     else:  # Counting
         element_ids = [n for n in gold_nodes
                        if inst.nodes.get(n).kind in (NodeKind.QUANTITY, NodeKind.DATE)]
@@ -215,11 +223,10 @@ def _bio_from_ranges(length: int, ranges: list[tuple[int, int]]) -> list[str]:
     return labels
 
 
-def _bio_from_texts(inst: Instance, texts: list[str], gold_nodes: set[int]) -> list[str]:
-    block_ids = [inst.nodes.get(n).block_id for n in gold_nodes
-                 if inst.nodes.get(n).kind == NodeKind.BLOCK]
-    ranges = [_find_span_tokens(inst, t, block_ids) for t in texts]
-    return _bio_from_ranges(len(inst.seq), ranges)
+def _block_ids(inst: Instance, node_ids: set[int]) -> list[int]:
+    """The block ids of the Block nodes among node_ids."""
+    return [inst.nodes.get(n).block_id for n in node_ids
+            if inst.nodes.get(n).kind == NodeKind.BLOCK]
 
 
 def _bio_from_nodes(inst: Instance, node_ids: list[int]) -> list[str]:

@@ -260,6 +260,13 @@ class TestBackwardSemantics:
         (b + b * b).sum().backward()  # d/da (3a + 9a^2) = 3 + 18a
         np.testing.assert_allclose(a.grad, [3 + 18 * 2.0])
 
+    def test_a_backward_returning_too_few_gradients_fails(self):
+        a = Tensor(np.ones(2), requires_grad=True)
+        b = Tensor(np.ones(2), requires_grad=True)
+        out = Tensor._result(a.data + b.data, (a, b), lambda g: (g,))  # no entry for b
+        with pytest.raises(ValueError):
+            out.sum().backward()
+
     def test_backward_requires_scalar(self):
         a = Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(ShapeMismatch):

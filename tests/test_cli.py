@@ -12,8 +12,11 @@ from docreason.cli import main
 from docreason.config import SEED_ENV_VAR, RunConfig, load_config
 from docreason.errors import SchemaError
 from docreason.nn import load_checkpoint
-from docreason.pipeline import load_corpus
+from docreason.pipeline import load_corpus, load_records
 from docreason.synthetic import write_corpus
+
+
+BUNDLED = os.path.join(os.path.dirname(__file__), os.pardir, "data", "synthetic-50.json")
 
 
 @pytest.fixture(autouse=True)
@@ -49,7 +52,7 @@ def _edit_header(ckpt, edit):
 class TestConfig:
     def test_defaults(self):
         config = load_config()
-        assert config.seed == 0 and config.dim == 32 and config.embedder == "toy"
+        assert config.seed == 0 and config.dim == 32 and config.embeddings is None
 
     def test_file_overrides_defaults(self, tmp_path):
         path = tmp_path / "c.json"
@@ -82,8 +85,6 @@ class TestConfig:
                 load_config(str(path))
         with pytest.raises(SchemaError):
             RunConfig(dim=0)
-        with pytest.raises(SchemaError):
-            RunConfig(embedder="bert")
         for rate in ("inf", "nan", "-1"):
             with pytest.raises(SchemaError):
                 RunConfig(lr=float(rate))
@@ -102,7 +103,7 @@ class TestConfig:
     def test_values_must_have_the_declared_type(self):
         for key, value in (("dim", "8"), ("dim", 8.0), ("seed", None), ("epochs", 1.5),
                            ("beam", True), ("lr", True), ("lr", "0.1"), ("out_dir", None),
-                           ("embedder", 1), ("corpus", ["a.json"]), ("ffn_dropout", {})):
+                           ("embeddings", 1), ("corpus", ["a.json"]), ("ffn_dropout", {})):
             with pytest.raises(SchemaError, match=f"config: {key} must be"):
                 RunConfig(**{key: value})
         config = RunConfig(lr=1, warmup=1, corpus=None)  # a float setting takes an int
@@ -110,7 +111,7 @@ class TestConfig:
 
     def test_every_setting_is_a_flag_and_a_config_key(self, tmp_path):
         fields = dataclasses.fields(RunConfig)
-        assert len(fields) == 25
+        assert len(fields) == 24
         parser = cli.build_parser()
         for f in fields:
             value = {"constants_max": 3, "epochs": 7}.get(f.name, f.default)
@@ -420,6 +421,23 @@ class TestTrainPredictEval:
             assert err.startswith("error: checkpoint mismatch: ") and str(ckpt) in err
             assert repr(key) in err and len(err.strip().splitlines()) == 1
 
+    def test_span_answers_without_block_refs_train(self, tmp_path, capsys):
+        # the block an answer string is found in is gold evidence, so its
+        # tokens stay selected for the span and tagging heads
+        span, spans = load_records(BUNDLED)[1:3]
+        assert (span["answer"]["type"], spans["answer"]["type"]) == ("Span", "Spans")
+        for record, refs in ((span, None), (spans, []), (span, [{"kind": "question"}])):
+            record = json.loads(json.dumps(record))
+            del record["answer"]["evidence_node_refs"]
+            if refs is not None:
+                record["answer"]["evidence_node_refs"] = refs
+            path = tmp_path / "corpus.json"
+            path.write_text(json.dumps([record]))
+            for seed in range(4):
+                assert main(["train", "--corpus", str(path), "--out-dir", str(tmp_path / "run"),
+                             "--epochs", "1", "--dim", "8", "--seed", str(seed)]) == 0
+                assert capsys.readouterr().err == "", (refs, seed)
+
     def test_gold_nodes_over_the_cap_exit_2_naming_the_qid(self, corpus, tmp_path, capsys):
         qids = [inst.qid for inst in load_corpus(corpus)]
         assert main(_train_args(corpus, tmp_path, max_nodes=1)) == 2
@@ -450,7 +468,7 @@ class TestTrainPredictEval:
                 for inst in load_corpus(corpus)}
         path = tmp_path / "emb.json"
         path.write_text(json.dumps(rows))
-        flags = ["--embedder", "external-file", "--embeddings-path", str(path)]
+        flags = ["--embeddings", str(path)]
         assert main(_train_args(corpus, tmp_path) + flags) == 0
         assert main(["predict", "--corpus", corpus, "--out-dir", str(tmp_path / "run"),
                      "--checkpoint", str(tmp_path / "run" / "checkpoint.ckpt")] + flags) == 0
@@ -462,8 +480,7 @@ class TestTrainPredictEval:
                                 (json.dumps({q: [[0.0] * 8] for q in qids}), True)):
             path.write_text(text)
             for emb in (path, tmp_path / "missing.json"):
-                assert main(_train_args(corpus, tmp_path) + [
-                    "--embedder", "external-file", "--embeddings-path", str(emb)]) == 2
+                assert main(_train_args(corpus, tmp_path) + ["--embeddings", str(emb)]) == 2
                 err = capsys.readouterr().err
                 assert err.startswith("error: ") and str(emb) in err
                 assert len(err.strip().splitlines()) == 1

@@ -1,6 +1,6 @@
-"""Property: `validate` on a corpus or config with one value of the wrong
-JSON type exits 0, 2, 3 or 4 with at most one stderr line, never with a
-traceback."""
+"""Properties: `validate` on a corpus or config with one value of the wrong
+JSON type, and `train` on a record whose evidence refs are rewritten, exit
+0, 2, 3 or 4 with at most one stderr line, never with a traceback."""
 
 import contextlib
 import io
@@ -16,7 +16,8 @@ from docreason.config import SETTING_TYPES
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "data", "synthetic-50.json")
 with open(CORPUS, encoding="utf-8") as _f:
-    RECORDS = json.load(_f)[:3]
+    TYPED_RECORDS = json.load(_f)[:4]  # Arithmetic, Span, Spans, Counting
+RECORDS = TYPED_RECORDS[:3]
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-10**6, 10**6)
@@ -46,9 +47,10 @@ def _paths(value, prefix=()):
 PATHS = [(i, path) for i, record in enumerate(RECORDS) for path in _paths(record)]
 
 
-def _validate(files: dict[str, object], *extra: str) -> tuple[int, str]:
-    """Run `docreason validate` in process on the given JSON files and
-    return its exit code and stderr."""
+def _run(command: str, files: dict[str, object], *extra: str) -> tuple[int, str]:
+    """Run a `docreason` command in process on the given JSON files (the
+    directory that holds them is `{tmp}` in `extra`) and return its exit
+    code and stderr."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
             contextlib.redirect_stdout(io.StringIO()):
@@ -56,7 +58,7 @@ def _validate(files: dict[str, object], *extra: str) -> tuple[int, str]:
             with open(os.path.join(tmp, name), "w", encoding="utf-8") as f:
                 json.dump(value, f)
         args = [a.format(tmp=tmp) for a in extra]
-        code = main(["validate", "--corpus", os.path.join(tmp, "corpus.json"), *args])
+        code = main([command, "--corpus", os.path.join(tmp, "corpus.json"), *args])
     return code, err.getvalue()
 
 
@@ -75,12 +77,34 @@ def test_a_record_value_of_another_json_type(where, data):
         parent = parent[key]
     old = parent[path[-1]]
     parent[path[-1]] = data.draw(JSON_VALUES.filter(lambda v: _json_type(v) != _json_type(old)))
-    _assert_contract(*_validate({"corpus.json": records}))
+    _assert_contract(*_run("validate", {"corpus.json": records}))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(sorted(SETTING_TYPES)), JSON_VALUES)
 def test_a_config_value_of_any_json_type(key, value):
-    code, err = _validate({"corpus.json": RECORDS, "config.json": {key: value}},
-                          "-c", "{tmp}/config.json")
+    code, err = _run("validate", {"corpus.json": RECORDS, "config.json": {key: value}},
+                     "-c", "{tmp}/config.json")
     _assert_contract(code, err)
+
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(range(len(TYPED_RECORDS))),
+       st.sampled_from(("absent", "empty", "question", "another block",
+                        "a quantity of another block")),
+       st.integers(0, 3), st.data())
+def test_train_on_a_record_with_rewritten_evidence_refs(index, rewrite, seed, data):
+    record = json.loads(json.dumps(TYPED_RECORDS[index]))
+    answer = record["answer"]
+    named = {ref.get("block_id") for ref in answer.pop("evidence_node_refs")}
+    other = data.draw(st.sampled_from([b["block_id"] for b in record["blocks"]
+                                       if b["block_id"] not in named]))
+    refs = {"empty": [], "question": [{"kind": "question"}],
+            "another block": [{"kind": "block", "block_id": other}],
+            "a quantity of another block": [{"kind": "quantity", "block_id": other,
+                                             "index": 0}]}.get(rewrite)
+    if refs is not None:
+        answer["evidence_node_refs"] = refs
+    _assert_contract(*_run("train", {"corpus.json": [record]}, "--out-dir", "{tmp}",
+                           "--epochs", "1", "--dim", "8", "--seed", str(seed)))

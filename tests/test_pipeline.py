@@ -11,6 +11,7 @@ from docreason.errors import SchemaError, ValidationError
 from docreason.graphs import GraphKind
 from docreason.heads import AnswerType, Scale
 from docreason.pipeline import (
+    _find_span_tokens,
     build_instance,
     build_supervision,
     load_corpus,
@@ -152,6 +153,66 @@ class TestOtherSupervision:
                   "evidence_node_refs": [{"kind": "block", "block_id": 0}]}
         with pytest.raises(ValidationError):
             build_instance(_record(answer))
+
+    @pytest.mark.parametrize("refs", ["absent", [], [{"kind": "question"}]])
+    def test_the_source_of_an_answer_is_gold_without_block_refs(self, refs):
+        question = {None} if refs == [{"kind": "question"}] else set()
+
+        def gold(atype, value):
+            answer = {"type": atype, "value": value, "scale": "None"}
+            if refs != "absent":
+                answer["evidence_node_refs"] = refs
+            inst = build_instance(_record(answer))
+            return inst, {inst.nodes.get(n).block_id for n in inst.gold.gold_nodes}
+
+        inst, sources = gold("Span", "1,401")
+        assert sources == {1} | question
+        s, e = inst.gold.span
+        assert inst.seq.tokens[s].block_id == inst.seq.tokens[e].block_id == 1
+        assert gold("Spans", ["1,731", "1,401"])[1] == {0, 1} | question
+        # a string in no block is found in the question, whose node is gold
+        inst, sources = gold("Span", "change in revenue")
+        assert sources == {None}
+        assert inst.nodes.question_node().node_id in inst.gold.gold_nodes
+
+    def test_span_ranges_match_the_token_scan_on_the_bundled_corpus(self):
+        def scan(inst, text, block_ids):
+            """The per-token scan the bisections replaced: the first source
+            holding the string, and the tokens inside the match."""
+            needle = text.strip().lower()
+            for bid in list(block_ids) or [*inst.seq.block_ranges, None]:
+                at = inst.source_texts[bid].lower().find(needle)
+                if at < 0:
+                    continue
+                lo, hi = inst.seq.source_range(bid)
+                covered = [i for i in range(lo, hi)
+                           if inst.seq.tokens[i].start >= at
+                           and inst.seq.tokens[i].end <= at + len(needle)]
+                if covered:
+                    return bid, (covered[0], covered[-1])
+            return None
+
+        checked = 0
+        for record in load_records("data/synthetic-50.json"):
+            answer = record["answer"]
+            if answer["type"] not in ("Span", "Spans"):
+                continue
+            inst = build_instance(record)
+            # the bundled records reference the answer's block, so gold is
+            # exactly the refs and their owners
+            gold = {resolve_ref(inst.nodes, ref) for ref in answer["evidence_node_refs"]}
+            gold |= {inst.nodes.get(n).parent_id for n in gold} - {None}
+            assert inst.gold.gold_nodes == gold
+            ref_blocks = [ref["block_id"] for ref in answer["evidence_node_refs"]
+                          if ref["kind"] == "block"]
+            texts = [answer["value"]] if answer["type"] == "Span" else answer["value"]
+            for text in texts:
+                for block_ids in (ref_blocks, []):
+                    bid, span = scan(inst, text, block_ids)
+                    source, got = _find_span_tokens(inst, text, block_ids)
+                    assert got == span and inst.nodes.get(source).block_id == bid
+                    checked += 1
+        assert checked > 40
 
     def test_spans_needs_at_least_two_values(self):
         for value in (["1,731"], ["1,731", None], ["1,731", ["1,401"]]):
