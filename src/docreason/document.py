@@ -13,6 +13,8 @@ import json
 import logging
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import attrgetter, ne
 from typing import NamedTuple
 
 import numpy as np
@@ -86,6 +88,13 @@ class Token(NamedTuple):
     box: BoundingBox | None
 
 
+_START, _END = attrgetter("start"), attrgetter("end")
+
+# The index arrays an instance keeps hold positions below its token and node
+# counts; 32 bits halve what they take while the instance stays loaded.
+INDEX_DTYPE = np.int32
+
+
 @dataclass
 class TokenSequence:
     """The model input: question tokens, then block tokens.
@@ -96,14 +105,12 @@ class TokenSequence:
     embedding-table slot (vocab.token_slot); `source_ids` is each token's
     source, 0 for the question and k for the k-th block in the sequence,
     and `source_boxes` holds one row of box coordinates per source (zeros
-    for the question, which has no box).
+    for the question, which has no box). The index arrays are INDEX_DTYPE.
     """
 
     tokens: list[Token]
     question_len: int
     block_ranges: dict[int, tuple[int, int]] = field(init=False)
-    starts: list[int] = field(init=False, repr=False, compare=False)
-    ends: list[int] = field(init=False, repr=False, compare=False)
     texts: list[str] = field(init=False, repr=False, compare=False)
     text_ids: np.ndarray = field(init=False, repr=False, compare=False)
     slots: np.ndarray = field(init=False, repr=False, compare=False)
@@ -112,27 +119,19 @@ class TokenSequence:
 
     def __post_init__(self):
         n = len(self.tokens)
-        self.starts = [t.start for t in self.tokens]
-        self.ends = [t.end for t in self.tokens]
         texts = [t.text for t in self.tokens]
         self.texts = list(dict.fromkeys(texts))
         index = dict(zip(self.texts, range(len(self.texts))))
-        self.text_ids = np.fromiter(map(index.__getitem__, texts), np.intp, n)
-        slots = np.fromiter(map(token_slot, self.texts), np.intp, len(self.texts))
+        self.text_ids = np.fromiter(map(index.__getitem__, texts), INDEX_DTYPE, n)
+        slots = np.fromiter(map(token_slot, self.texts), INDEX_DTYPE, len(self.texts))
         self.slots = slots[self.text_ids]
-        self.block_ranges = {}
-        current: int | None = None
-        start = 0
-        for i, tok in enumerate(self.tokens):
-            if tok.block_id != current:
-                if current is not None:
-                    self.block_ranges[current] = (start, i)
-                current = tok.block_id
-                start = i
-        if current is not None:
-            self.block_ranges[current] = (start, n)
+        # one range per run of tokens with one block id, cut where the id changes
+        ids = [t.block_id for t in self.tokens]
+        cuts = [0, *compress(range(1, n), map(ne, ids, ids[1:])), n]
+        self.block_ranges = {ids[lo]: (lo, hi) for lo, hi in zip(cuts, cuts[1:])
+                             if lo < hi and ids[lo] is not None}
         lengths = [self.question_len] + [hi - lo for lo, hi in self.block_ranges.values()]
-        self.source_ids = np.repeat(np.arange(len(lengths)), lengths)
+        self.source_ids = np.repeat(np.arange(len(lengths), dtype=INDEX_DTYPE), lengths)
         self.source_boxes = np.array([[0, 0, 0, 0]] + [self.tokens[lo].box.as_list()
                                                        for lo, _ in self.block_ranges.values()])
 
@@ -151,8 +150,15 @@ class TokenSequence:
         [start, end). Tokens of a source have increasing, non-overlapping char
         spans, so those tokens are contiguous and two bisections find them."""
         lo, hi = self.source_range(block_id)
-        first = bisect_right(self.ends, start, lo, hi)
-        return first, max(first, bisect_left(self.starts, end, lo, hi))
+        first = bisect_right(self.tokens, start, lo, hi, key=_END)
+        return first, max(first, bisect_left(self.tokens, end, lo, hi, key=_START))
+
+    def inside_range(self, block_id: int | None, start: int, end: int) -> tuple[int, int]:
+        """(lo, hi): the tokens of one source whose char span lies inside
+        [start, end), found by two bisections as in overlap_range."""
+        lo, hi = self.source_range(block_id)
+        first = bisect_left(self.tokens, start, lo, hi, key=_START)
+        return first, max(first, bisect_right(self.tokens, end, lo, hi, key=_END))
 
 
 def read_json(path: str, lines: bool = False):
@@ -177,11 +183,16 @@ def _require(cond: bool, msg: str):
         raise SchemaError(msg)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: true and false are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_box(raw, where: str) -> BoundingBox:
     _require(isinstance(raw, list) and len(raw) == 4, f"{where}: box must be a 4-element list")
     vals = []
     for v in raw:
-        _require(isinstance(v, int) and not isinstance(v, bool), f"{where}: box coordinates must be integers")
+        _require(_is_int(v), f"{where}: box coordinates must be integers")
         vals.append(v)
     x0, y0, x1, y1 = vals
     if not (0 <= x0 <= x1 <= COORD_MAX and 0 <= y0 <= y1 <= COORD_MAX):
@@ -213,7 +224,7 @@ def ingest_document(record: dict) -> Document:
         _require(isinstance(rp, dict), f"{doc_id}: page {p} must be an object")
         _warn_unknown(rp, _KNOWN_PAGE_FIELDS, f"{doc_id} page {p}")
         w, h = rp.get("width"), rp.get("height")
-        _require(isinstance(w, int) and isinstance(h, int), f"{doc_id}: page {p} width/height must be integers")
+        _require(_is_int(w) and _is_int(h), f"{doc_id}: page {p} width/height must be integers")
         pages.append(Page(w, h))
 
     raw_blocks = record.get("blocks")
@@ -224,18 +235,16 @@ def ingest_document(record: dict) -> Document:
         _require(isinstance(rb, dict), f"{doc_id}: block {i} must be an object")
         _warn_unknown(rb, _KNOWN_BLOCK_FIELDS, f"{doc_id} block {i}")
         bid = rb.get("block_id")
-        _require(isinstance(bid, int) and not isinstance(bid, bool), f"{doc_id}: block {i} block_id must be an integer")
+        _require(_is_int(bid), f"{doc_id}: block {i} block_id must be an integer")
         if bid in seen_ids:
             raise ValidationError(f"{doc_id}: duplicate block_id {bid}")
         seen_ids.add(bid)
         page_index = rb.get("page_index")
-        _require(isinstance(page_index, int) and not isinstance(page_index, bool),
-                 f"{doc_id}: block {bid} page_index must be an integer")
+        _require(_is_int(page_index), f"{doc_id}: block {bid} page_index must be an integer")
         if not 0 <= page_index < len(pages):
             raise ValidationError(f"{doc_id}: block {bid} page_index {page_index} out of range")
         order = rb.get("order")
-        _require(isinstance(order, int) and not isinstance(order, bool),
-                 f"{doc_id}: block {bid} order must be an integer")
+        _require(_is_int(order), f"{doc_id}: block {bid} order must be an integer")
         text = rb.get("text")
         _require(isinstance(text, str), f"{doc_id}: block {bid} text must be a string")
         if text.strip() == "":
@@ -281,18 +290,20 @@ def tokenize(canon: CanonicalDocument, question: str, max_len: int = 256) -> Tok
     The question is never truncated (QuestionTooLong if it alone exceeds
     max_len); document tokens are dropped from the tail once the budget is
     spent. Each token keeps a char span into its source text, and block
-    tokens inherit their block's canonical box.
+    tokens inherit their block's canonical box. Block tokens with equal
+    texts share one string, so a loaded instance holds each text once.
     """
     q_tokens = [Token(t, None, s, e, None) for t, s, e in tokenize_text(question)]
     if len(q_tokens) > max_len:
         raise QuestionTooLong(
             f"{canon.doc_id}: question tokenizes to {len(q_tokens)} tokens (max {max_len})")
     tokens = list(q_tokens)
+    texts = {t.text: t.text for t in q_tokens}
     for block in canon.blocks:
         if len(tokens) >= max_len:
             break
         for t, s, e in tokenize_text(block.text):
-            tokens.append(Token(t, block.block_id, s, e, block.box))
+            tokens.append(Token(texts.setdefault(t, t), block.block_id, s, e, block.box))
             if len(tokens) >= max_len:
                 break
     return TokenSequence(tokens=tokens, question_len=len(q_tokens))

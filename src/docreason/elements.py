@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .document import CanonicalDocument, TokenSequence
+from .document import INDEX_DTYPE, CanonicalDocument, TokenSequence
 from .errors import EmptyInventory, ValidationError
 
 MAX_BARE_YEAR = 2100
@@ -31,7 +31,7 @@ class NodeKind(str, Enum):
     DATE = "date"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class QuantitySpan:
     value: float
     start: int
@@ -40,7 +40,7 @@ class QuantitySpan:
     is_percent: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DateSpan:
     year: int
     month: int  # 0 when absent
@@ -61,28 +61,41 @@ _MONTHS = {
 _MONTH_ABBR = {name[:3]: num for name, num in _MONTHS.items()}
 _MONTH_PAT = "|".join(list(_MONTHS) + [f"{a}\\.?" for a in _MONTH_ABBR])
 
+# Each branch can only start at a digit (day-month-year, bare year) or at a
+# letter (the month and fiscal-year forms). A lookahead in front of each group
+# skips it at every other position of digit-dense text; the branches keep
+# their order among those that can start at one position, and their group
+# names, which `lastgroup` reports.
 _DATE_RE = re.compile(
     rf"""
-    (?P<dmy>\b(?P<dmy_d>[0-3]?\d)\s+(?P<dmy_m>{_MONTH_PAT})\s+(?P<dmy_y>\d{{4}})\b)
-  | (?P<mdy>\b(?P<mdy_m>{_MONTH_PAT})\s+(?P<mdy_d>[0-3]?\d)\s*,\s*(?P<mdy_y>\d{{4}})\b)
-  | (?P<my>\b(?P<my_m>{_MONTH_PAT})\s+(?P<my_y>\d{{4}})\b)
-  | (?P<fy>\b(?:FY\s?|F)(?P<fy_y>\d{{4}}|\d{{2}})\b)
-  | (?P<year>(?<![\d.,])(?<![$€£])(?P<year_y>\d{{4}})\b(?!\.\d)(?!\s?%))
+    (?=\d)
+    (?:(?P<dmy>\b(?P<dmy_d>[0-3]?\d)\s+(?P<dmy_m>{_MONTH_PAT})\s+(?P<dmy_y>\d{{4}})\b)
+     | (?P<year>(?<![\d.,])(?<![$€£])(?P<year_y>\d{{4}})\b(?!\.\d)(?!\s?%)))
+  | (?=[^\W\d_])
+    (?:(?P<mdy>\b(?P<mdy_m>{_MONTH_PAT})\s+(?P<mdy_d>[0-3]?\d)\s*,\s*(?P<mdy_y>\d{{4}})\b)
+     | (?P<my>\b(?P<my_m>{_MONTH_PAT})\s+(?P<my_y>\d{{4}})\b)
+     | (?P<fy>\b(?:FY\s?|F)(?P<fy_y>\d{{4}}|\d{{2}})\b))
     """,
     re.IGNORECASE | re.VERBOSE,
 )
 
+# Likewise a quantity starts with a sign, a currency symbol, "(" or a digit.
 _QUANT_RE = re.compile(
     r"""
-    (?P<paren>\(\s*(?P<paren_cur>[$€£])?\s*(?P<paren_num>\d{1,3}(?:,\d{3})+|\d+)(?P<paren_frac>\.\d+)?\s*\))
-  | (?P<plain>(?P<sign>[-+])?(?:(?P<cur>[$€£])\s?)?(?P<num>\d{1,3}(?:,\d{3})+|\d+)(?P<frac>\.\d+)?(?P<pct>\s?%)?)
+    (?=[-+$€£(\d])
+    (?:(?P<paren>\(\s*(?P<paren_cur>[$€£])?\s*(?P<paren_num>\d{1,3}(?:,\d{3})+|\d+)(?P<paren_frac>\.\d+)?\s*\))
+     | (?P<plain>(?P<sign>[-+])?(?:(?P<cur>[$€£])\s?)?(?P<num>\d{1,3}(?:,\d{3})+|\d+)(?P<frac>\.\d+)?(?P<pct>\s?%)?))
     """,
     re.VERBOSE,
 )
 
 
 def _month_num(text: str) -> int:
-    t = text.lower().rstrip(".")
+    """The month a matched name or abbreviation names. It folds case as
+    IGNORECASE matching does: casefold maps ſ to s. The other letters that
+    match an ASCII one, İ and ı for i, fold to something else, but no month
+    has an i among its first three letters, and those pick the abbreviation."""
+    t = text.casefold().rstrip(".")
     return _MONTHS.get(t) or _MONTH_ABBR[t[:3]]
 
 
@@ -91,29 +104,21 @@ def extract_dates(text: str) -> list[DateSpan]:
     fiscal-year markers, and bare years 1900..2100."""
     out: list[DateSpan] = []
     for m in _DATE_RE.finditer(text):
-        if m.lastgroup is None:
-            continue
-        if m.group("dmy"):
-            y, mo, d = int(m.group("dmy_y")), _month_num(m.group("dmy_m")), int(m.group("dmy_d"))
-            if not (1 <= d <= 31):
+        kind = m.lastgroup
+        if kind == "year" or kind == "fy":  # a two-digit fiscal year is 20xx
+            raw = m.group(kind + "_y")
+            y, mo, d = int(raw) + 2000 if len(raw) == 2 else int(raw), 0, 0
+            if not MIN_BARE_YEAR <= y <= MAX_BARE_YEAR:
                 continue
-        elif m.group("mdy"):
-            y, mo, d = int(m.group("mdy_y")), _month_num(m.group("mdy_m")), int(m.group("mdy_d"))
-            if not (1 <= d <= 31):
-                continue
-        elif m.group("my"):
+        elif kind == "my":
             y, mo, d = int(m.group("my_y")), _month_num(m.group("my_m")), 0
-        elif m.group("fy"):
-            raw = m.group("fy_y")
-            y = int(raw) + 2000 if len(raw) == 2 else int(raw)
-            mo = d = 0
-            if not (MIN_BARE_YEAR <= y <= MAX_BARE_YEAR):
+        else:  # dmy or mdy
+            year, month, day = m.group(kind + "_y", kind + "_m", kind + "_d")
+            y, mo, d = int(year), _month_num(month), int(day)
+            if not 1 <= d <= 31:
                 continue
-        else:
-            y, mo, d = int(m.group("year_y")), 0, 0
-            if not (MIN_BARE_YEAR <= y <= MAX_BARE_YEAR):
-                continue
-        out.append(DateSpan(y, mo, d, m.start(), m.end(), m.group(0)))
+        start, end = m.span()
+        out.append(DateSpan(y, mo, d, start, end, text[start:end]))
     return out
 
 
@@ -122,21 +127,20 @@ def extract_quantities(text: str) -> list[QuantitySpan]:
     currency-prefixed amounts, and parenthesized negatives like (1,234)."""
     out: list[QuantitySpan] = []
     for m in _QUANT_RE.finditer(text):
-        if m.group("paren"):
-            digits = m.group("paren_num") + (m.group("paren_frac") or "")
-            value = -float(digits.replace(",", ""))
-            out.append(QuantitySpan(value, m.start(), m.end(), m.group(0)))
-            continue
-        digits = m.group("num") + (m.group("frac") or "")
-        value = float(digits.replace(",", ""))
-        if m.group("sign") == "-":
-            value = -value
-        out.append(QuantitySpan(value, m.start(), m.end(), m.group(0),
-                                is_percent=m.group("pct") is not None))
+        paren_num, paren_frac, sign, num, frac, pct = m.group(
+            "paren_num", "paren_frac", "sign", "num", "frac", "pct")
+        start, end = m.span()
+        if paren_num is not None:
+            value = -float((paren_num + (paren_frac or "")).replace(",", ""))
+        else:
+            value = float((num + (frac or "")).replace(",", ""))
+            if sign == "-":
+                value = -value
+        out.append(QuantitySpan(value, start, end, text[start:end], pct is not None))
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ElementNode:
     node_id: int
     kind: NodeKind
@@ -158,7 +162,8 @@ class ElementNode:
 class NodeSet:
     """The inventory, plus integer arrays over it built once: `token_ranges`
     (N, 2) holds each node's token_range, and `node_of` / `token_of` list
-    every (node, token) pair of those ranges in node order."""
+    every (node, token) pair of those ranges in node order. They are
+    INDEX_DTYPE arrays, as the sequence's are."""
 
     nodes: list[ElementNode] = field(default_factory=list)
     token_ranges: np.ndarray = field(init=False, repr=False, compare=False)
@@ -168,11 +173,12 @@ class NodeSet:
     def __post_init__(self):
         n = len(self.nodes)
         bounds = chain.from_iterable([m.token_range for m in self.nodes])
-        self.token_ranges = np.fromiter(bounds, np.intp, 2 * n).reshape(n, 2)
+        self.token_ranges = np.fromiter(bounds, INDEX_DTYPE, 2 * n).reshape(n, 2)
         counts = self.token_ranges[:, 1] - self.token_ranges[:, 0]
-        self.node_of = np.repeat(np.arange(n), counts)
-        first = self.token_ranges[:, 0] - (np.cumsum(counts) - counts)
-        self.token_of = np.repeat(first, counts) + np.arange(len(self.node_of))
+        self.node_of = np.repeat(np.arange(n, dtype=INDEX_DTYPE), counts)
+        first = self.token_ranges[:, 0] - (np.cumsum(counts, dtype=INDEX_DTYPE) - counts)
+        self.token_of = np.repeat(first, counts)
+        self.token_of += np.arange(len(self.node_of), dtype=INDEX_DTYPE)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -199,14 +205,18 @@ class NodeSet:
         raise KeyError(f"no block node for block_id {block_id}")
 
 
-def _overlaps(a_start: int, a_end: int, b_start: int, b_end: int) -> bool:
-    return a_start < b_end and b_start < a_end
-
-
 def _source_elements(text: str) -> tuple[list[QuantitySpan], list[DateSpan]]:
+    """The quantities and dates of one source text; a quantity that overlaps
+    a date is dropped. Both lists are sorted and free of overlaps within
+    themselves, so one merge walk finds, for each quantity, the only date
+    that can overlap it: the first that ends after the quantity starts."""
     dates = extract_dates(text)
-    quantities = [q for q in extract_quantities(text)
-                  if not any(_overlaps(q.start, q.end, d.start, d.end) for d in dates)]
+    quantities, i = [], 0
+    for q in extract_quantities(text):
+        while i < len(dates) and dates[i].end <= q.start:
+            i += 1
+        if i == len(dates) or q.end <= dates[i].start:
+            quantities.append(q)
     return quantities, dates
 
 
@@ -250,27 +260,21 @@ def build_node_inventory(canon: CanonicalDocument, question: str,
                                  token_range=token_range(block_id)))
         parent_of[block_id] = nid
 
-    extracted = {block_id: _source_elements(text) for block_id, text in sources}
+    extracted = [(block_id, parent_of[block_id], *_source_elements(text))
+                 for block_id, text in sources]
     for kind in (NodeKind.QUANTITY, NodeKind.DATE):
-        for block_id, _text in sources:
-            quantities, dates = extracted[block_id]
+        for block_id, parent, quantities, dates in extracted:
             spans = quantities if kind == NodeKind.QUANTITY else dates
-            occurrence = 0
-            for sp in spans:
+            for occurrence, sp in enumerate(spans):
                 lo, hi = token_range(block_id, sp.start, sp.end)
                 if hi == lo and seq is not None:
-                    occurrence += 1
-                    continue
-                nid = len(nodes)
+                    continue  # truncated away; its occurrence stays counted
                 if kind == NodeKind.QUANTITY:
-                    nodes.append(ElementNode(nid, kind, block_id, parent_of[block_id],
-                                             sp.start, sp.end, sp.text, value=sp.value,
-                                             is_percent=sp.is_percent, occurrence=occurrence,
-                                             token_range=(lo, hi)))
+                    value, is_percent, date_key = sp.value, sp.is_percent, None
                 else:
-                    nodes.append(ElementNode(nid, kind, block_id, parent_of[block_id],
-                                             sp.start, sp.end, sp.text, date_key=sp.key(),
-                                             occurrence=occurrence, token_range=(lo, hi)))
-                occurrence += 1
+                    value, is_percent, date_key = None, False, sp.key()
+                nodes.append(ElementNode(len(nodes), kind, block_id, parent, sp.start, sp.end,
+                                         sp.text, value, is_percent, date_key, occurrence,
+                                         (lo, hi)))
     return NodeSet(nodes=nodes)
 

@@ -10,8 +10,9 @@ Four graphs per instance:
 
 Adjacency matrices are dense bool arrays indexed by graph-local position;
 node_ids maps positions back to inventory node ids. A comparison graph is
-one broadcast `>=` over its members' keys; the semantic graph writes each
-subgraph's edges, then all containment edges, in one indexed assignment.
+one broadcast `>=` over its members' keys; the semantic graph ORs each
+subgraph's adjacency into its members' block, then writes all containment
+edges in one indexed assignment.
 """
 
 from __future__ import annotations
@@ -88,29 +89,55 @@ def build_text_graph(nodes: NodeSet) -> SemanticGraph:
     return SemanticGraph(GraphKind.TEXT, [m.node_id for m in members], ~np.eye(len(members), dtype=bool))
 
 
+def _block(pos: dict[int, int], sub: SemanticGraph):
+    """The index of the block that `sub`'s members span in the inventory-wide
+    adjacency: two slices when they are one run of consecutive positions, as
+    every subgraph of a build_node_inventory inventory is, else np.ix_."""
+    try:
+        idx = [pos[nid] for nid in sub.node_ids]
+    except KeyError as exc:
+        raise IndexMismatch(
+            f"{sub.kind.value}: node {exc.args[0]} missing from inventory") from None
+    first = idx[0] if idx else 0
+    if idx == list(range(first, first + len(idx))):
+        run = slice(first, first + len(idx))
+        return run, run
+    if len(set(idx)) != len(idx):
+        raise IndexMismatch(f"{sub.kind.value}: a node is listed twice")
+    return np.ix_(idx, idx)
+
+
+def _union(nodes: NodeSet, subs: tuple[SemanticGraph, ...]) -> tuple[SemanticGraph, list]:
+    """The semantic graph over `subs`, and the index of each one's block in
+    its adjacency."""
+    node_ids = [m.node_id for m in nodes.nodes]
+    pos = dict(zip(node_ids, range(len(node_ids))))
+    adj = np.zeros((len(node_ids), len(node_ids)), dtype=bool)
+    blocks = [_block(pos, sub) for sub in subs]
+    for sub, block in zip(subs, blocks):
+        adj[block] |= sub.adjacency.astype(bool, copy=False)
+    leaves = [i for i, m in enumerate(nodes.nodes) if m.parent_id is not None]
+    adj[leaves, [pos[nodes.nodes[i].parent_id] for i in leaves]] = True
+    return SemanticGraph(GraphKind.SEMANTIC, node_ids, adj), blocks
+
+
 def build_semantic_graph(nodes: NodeSet, quantity: SemanticGraph, date: SemanticGraph,
                          text: SemanticGraph) -> SemanticGraph:
     """Union of the three graphs re-indexed onto the full inventory, plus a
-    containment edge from each leaf element to its parent node."""
-    node_ids = [n.node_id for n in nodes.nodes]
-    pos = {nid: i for i, nid in enumerate(node_ids)}
-    n = len(node_ids)
-    adj = np.zeros((n, n), dtype=bool)
-    for sub in (quantity, date, text):
-        try:
-            idx = np.array([pos[nid] for nid in sub.node_ids], dtype=np.intp)
-        except KeyError as exc:
-            raise IndexMismatch(
-                f"{sub.kind.value}: node {exc.args[0]} missing from inventory") from None
-        src, dst = np.nonzero(sub.adjacency)
-        adj[idx[src], idx[dst]] = True
-    contained = np.array([(pos[m.node_id], pos[m.parent_id]) for m in nodes.nodes
-                          if m.parent_id is not None], dtype=np.intp).reshape(-1, 2)
-    adj[contained[:, 0], contained[:, 1]] = True
-    return SemanticGraph(GraphKind.SEMANTIC, node_ids, adj)
+    containment edge from each leaf element to its parent node. Each
+    subgraph's adjacency is ORed into the block of its members."""
+    return _union(nodes, (quantity, date, text))[0]
 
 
 def build_all_graphs(nodes: NodeSet) -> dict[GraphKind, SemanticGraph]:
-    qc, dc, tr = build_quantity_graph(nodes), build_date_graph(nodes), build_text_graph(nodes)
-    sd = build_semantic_graph(nodes, qc, dc, tr)
+    """The four graphs of an inventory. The three subgraphs have disjoint
+    members, and containment edges run from a leaf to a Question/Block node,
+    outside every block; so each subgraph's block of the semantic adjacency
+    is its own adjacency, and the subgraph keeps that block (a view when its
+    members are one run): each edge is stored once."""
+    subs = build_quantity_graph(nodes), build_date_graph(nodes), build_text_graph(nodes)
+    sd, blocks = _union(nodes, subs)
+    for sub, block in zip(subs, blocks):
+        sub.adjacency = sd.adjacency[block]
+    qc, dc, tr = subs
     return {GraphKind.QUANTITY: qc, GraphKind.DATE: dc, GraphKind.TEXT: tr, GraphKind.SEMANTIC: sd}

@@ -16,16 +16,15 @@ from __future__ import annotations
 
 import logging
 import re
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .document import (CanonicalDocument, TokenSequence, ingest_document, read_json, tokenize,
                        transform_multipage)
 from .elements import NodeKind, NodeSet, build_node_inventory
-from .errors import SchemaError, ValidationError
+from .errors import DivisionByZero, SchemaError, ValidationError
 from .graphs import GraphKind, SemanticGraph, build_all_graphs
 from .heads import AnswerType, Scale
-from .tree import Answer, TreeNode, execute_tree, parse_tree, serialize_tree
+from .tree import Answer, TreeNode, execute_tree, parse_tree, serialize_tree, tree_leaves
 
 logger = logging.getLogger(__name__)
 
@@ -114,18 +113,14 @@ def _find_span_tokens(inst: Instance, text: str,
     """Locate a gold answer string inside one of the evidence blocks (every
     block, then the question, when none is given). Returns the node id of
     the Question/Block it was found in and the inclusive range of that
-    source's tokens lying inside the match: a source's tokens have
-    increasing, non-overlapping char spans, so they are contiguous and two
-    bisections find them."""
+    source's tokens lying inside the match."""
     needle, seq = text.strip().lower(), inst.seq
     candidates: list[int | None] = list(block_ids) or [*seq.block_ranges, None]
     for bid in candidates:
         at = inst.source_texts[bid].lower().find(needle)
         if at < 0:
             continue
-        lo, hi = seq.source_range(bid)
-        first = bisect_left(seq.starts, at, lo, hi)
-        stop = bisect_right(seq.ends, at + len(needle), lo, hi)
+        first, stop = seq.inside_range(bid, at, at + len(needle))
         if first < stop:
             source = inst.nodes.question_node() if bid is None else inst.nodes.block_node(bid)
             return source.node_id, (first, stop - 1)
@@ -170,13 +165,21 @@ def build_supervision(inst: Instance, answer: dict) -> Supervision:
         if not isinstance(expr, str):
             raise SchemaError(f"{inst.qid}: Arithmetic answer needs an expression")
         tree = parse_tree(_substitute_expression(expr, ref_ids))
-        for leaf_id in _leaf_node_ids(tree):
-            node = inst.nodes.get(leaf_id)
+        for leaf in tree_leaves(tree):
+            if leaf.kind != "node":
+                continue
+            if not 0 <= leaf.value < len(inst.nodes):
+                raise ValidationError(f"{inst.qid}: expression leaf n#{leaf.value} is not a node")
+            node = inst.nodes.get(leaf.value)
             if node.kind not in (NodeKind.QUANTITY, NodeKind.DATE):
-                raise ValidationError(f"{inst.qid}: expression leaf n#{leaf_id} is a {node.kind.value} node")
+                raise ValidationError(
+                    f"{inst.qid}: expression leaf n#{leaf.value} is a {node.kind.value} node")
         sup.gold_tree = tree
         if isinstance(value, (int, float)):
-            got = execute_tree(tree, inst.nodes)
+            try:
+                got = execute_tree(tree, inst.nodes)
+            except DivisionByZero:
+                raise ValidationError(f"{inst.qid}: expression {expr} divides by zero") from None
             if abs(got - float(value)) > 1e-6 * max(1.0, abs(float(value))):
                 logger.warning("%s: expression %s executes to %r, gold value is %r",
                                inst.qid, serialize_tree(tree), got, value)
@@ -203,15 +206,6 @@ def build_supervision(inst: Instance, answer: dict) -> Supervision:
                            inst.qid, value, len(element_ids))
         sup.bio_labels = _bio_from_nodes(inst, element_ids)
     return sup
-
-
-def _leaf_node_ids(tree: TreeNode) -> list[int]:
-    if tree.kind == "node":
-        return [tree.value]
-    out = []
-    for child in tree.children:
-        out.extend(_leaf_node_ids(child))
-    return out
 
 
 def _bio_from_ranges(length: int, ranges: list[tuple[int, int]]) -> list[str]:

@@ -17,12 +17,13 @@ import numpy as np
 from .autodiff import RowSparse, Tensor
 from .elements import NodeKind
 from .errors import (DivisionByZero, GoldOverCap, InconsistentComponents, NoLeafCandidates,
-                     NonFiniteLoss, NonFiniteResult, NoValidTokens, SchemaError)
+                     NonFiniteLoss, NonFiniteResult, NoValidTokens, SchemaError, ValidationError)
 from .heads import ANSWER_TYPES, SCALES, AnswerType, Scale
 from .metrics import build_report, classify_error, evidence_metrics, exact_match, numeracy_f1
 from .model import Model, ModelOutput
 from .pipeline import Instance, Supervision
-from .tree import Answer, assemble_answer, selection_vocab, teacher_forced_log_probs
+from .tree import (Answer, assemble_answer, selection_vocab, teacher_forced_log_probs,
+                   tree_leaves)
 
 
 def nll_rows(log_probs: Tensor, labels: np.ndarray,
@@ -206,7 +207,16 @@ def train(model: Model, instances: list[Instance], epochs: int = 50,
           target_type_acc: float | None = None) -> TrainResult:
     """Deterministic training loop. Gradients accumulate over batch *
     grad_accum instances per optimizer step; dev EM decides the best
-    checkpoint (train set doubles as dev when none given)."""
+    checkpoint (train set doubles as dev when none given). A gold expression
+    constant the decoder cannot write raises ValidationError before the
+    first step."""
+    for inst in instances:
+        tree = inst.gold.gold_tree
+        for leaf in tree_leaves(tree) if tree is not None else ():
+            if leaf.kind == "const" and leaf.value not in model.constants:
+                raise ValidationError(
+                    f"{inst.qid}: expression constant c#{leaf.value} is outside the decoder's "
+                    f"constants 1..{model.config.constants_max}")
     rng = np.random.default_rng(seed)
     params = model.params()
     opt = Adam(params, lr=lr)

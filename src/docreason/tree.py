@@ -60,7 +60,7 @@ def parse_tree(s: str) -> TreeNode:
         tok = tokens[pos]
         pos += 1
         if tok == "(":
-            op = tokens[pos]
+            op = tokens[pos] if pos < len(tokens) else None
             pos += 1
             if op not in OPS:
                 raise ValidationError(f"unknown operator {op!r} in {s!r}")
@@ -70,16 +70,22 @@ def parse_tree(s: str) -> TreeNode:
                 raise ValidationError(f"missing ')' in {s!r}")
             pos += 1
             return TreeNode("op", op, (left, right))
-        if tok.startswith("c#"):
-            return TreeNode("const", int(tok[2:]))
-        if tok.startswith("n#"):
-            return TreeNode("node", int(tok[2:]))
-        raise ValidationError(f"bad leaf token {tok!r} in {s!r}")
+        try:
+            return TreeNode({"c#": "const", "n#": "node"}[tok[:2]], int(tok[2:]))
+        except (KeyError, ValueError):
+            raise ValidationError(f"bad leaf token {tok!r} in {s!r}") from None
 
     out = parse()
     if pos != len(tokens):
         raise ValidationError(f"trailing tokens in {s!r}")
     return out
+
+
+def tree_leaves(t: TreeNode) -> list[TreeNode]:
+    """The leaves of a tree, left to right."""
+    if t.kind != "op":
+        return [t]
+    return tree_leaves(t.children[0]) + tree_leaves(t.children[1])
 
 
 def leaf_value(node: ElementNode) -> float:

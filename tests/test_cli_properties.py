@@ -1,6 +1,9 @@
 """Properties: `validate` on a corpus or config with one value of the wrong
 JSON type, and `train` on a record whose evidence refs are rewritten, exit
-0, 2, 3 or 4 with at most one stderr line, never with a traceback."""
+0, 2, 3 or 4 with at most one stderr line, never with a traceback. Values
+of the right JSON type that are out of range (an expression constant the
+decoder cannot write) or odd (block text with letters that match ASCII ones
+only under case folding) exit 0 or 2."""
 
 import contextlib
 import io
@@ -62,8 +65,8 @@ def _run(command: str, files: dict[str, object], *extra: str) -> tuple[int, str]
     return code, err.getvalue()
 
 
-def _assert_contract(code: int, err: str):
-    assert code in (0, 2, 3, 4), err
+def _assert_contract(code: int, err: str, codes=(0, 2, 3, 4)):
+    assert code in codes, err
     assert len(err.splitlines()) <= 1 and "Traceback" not in err, err
 
 
@@ -108,3 +111,31 @@ def test_train_on_a_record_with_rewritten_evidence_refs(index, rewrite, seed, da
         answer["evidence_node_refs"] = refs
     _assert_contract(*_run("train", {"corpus.json": [record]}, "--out-dir", "{tmp}",
                            "--epochs", "1", "--dim", "8", "--seed", str(seed)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(-10, 200) | st.integers(-10**9, 10**9), st.integers(1, 100))
+def test_train_with_an_expression_constant_of_any_size(constant, constants_max):
+    record = json.loads(json.dumps(TYPED_RECORDS[0]))
+    answer = record["answer"]  # times constant/constant: the gold value still holds
+    answer["expression"] = f"(* {answer['expression']} (/ c#{constant} c#{constant}))"
+    _assert_contract(*_run("train", {"corpus.json": [record]}, "--out-dir", "{tmp}",
+                           "--epochs", "1", "--dim", "8", "--constants-max", str(constants_max)),
+                     codes=(0, 2))
+
+
+CASE_FOLD_TEXT = ["ſ", "\u212a", "İ", "ı", "ſeptember 2019", "14 ſep. 2019", "aprİl 3, 2017",
+                  "ſEPT. 2019", "F\u212a19", "３ ſep 2019", "²"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(i, k) for i, r in enumerate(RECORDS) for k in range(len(r["blocks"]))]),
+       st.sampled_from(CASE_FOLD_TEXT), st.floats(0, 1), st.booleans())
+def test_validate_on_block_text_with_case_fold_letters(where, fragment, at, replace_s):
+    index, block = where
+    records = json.loads(json.dumps(RECORDS))
+    target = records[index]["blocks"][block]
+    text = target["text"].replace("s", "ſ") if replace_s else target["text"]
+    cut = int(at * len(text))
+    target["text"] = text[:cut] + fragment + text[cut:]
+    _assert_contract(*_run("validate", {"corpus.json": records}), codes=(0, 2))

@@ -99,6 +99,13 @@ class TestIngest:
         with pytest.raises(ValidationError):
             ingest_document(rec)
 
+    def test_boolean_page_size_is_a_schema_error(self):
+        for key in ("width", "height"):
+            rec = _record()
+            rec["pages"][0][key] = True
+            with pytest.raises(SchemaError, match="width/height must be integers"):
+                ingest_document(rec)
+
     def test_duplicate_block_id_raises(self):
         rec = _record(texts=("a b", "c d"))
         rec["blocks"][1]["block_id"] = 0

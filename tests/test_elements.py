@@ -84,6 +84,24 @@ class TestDates:
         assert extract_dates("paid $2019 for it") == []
         assert extract_dates("reached 2019% of plan") == []
 
+    def test_months_spelled_with_case_fold_letters(self):
+        # IGNORECASE matches ſ to s, the Kelvin sign to k, and İ and ı to i,
+        # so each such spelling of a name or abbreviation names its month.
+        folds = {"s": "ſ", "k": "K", "i": "İı"}
+        names = ["january", "february", "march", "april", "may", "june", "july", "august",
+                 "september", "october", "november", "december"]
+        for month, name in enumerate(names, start=1):
+            for word in (name, name[:3], name[:3] + "."):
+                variants = {word.upper(), word.title()}
+                for i, letter in enumerate(word):
+                    variants.update(word[:i] + c + word[i + 1:] for c in folds.get(letter, ""))
+                for letter, chars in folds.items():
+                    variants.update(word.replace(letter, c) for c in chars)
+                for v in variants:
+                    text = f"{v} 2019; 14 {v} 2019; {v} 14, 2019"
+                    assert [d.key() for d in extract_dates(text)] == \
+                        [(2019, month, 0), (2019, month, 14), (2019, month, 14)], text
+
     def test_spans_cover_source_text(self):
         text = "between March 2018 and 14 August 2019"
         for d in extract_dates(text):

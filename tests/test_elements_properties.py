@@ -11,7 +11,10 @@ from docreason.elements import extract_dates, extract_quantities
 FRAGMENTS = ["1", "7", "42", "2019", "1999", "2101", "1,234", "12,345,678", ".5", ",", ".",
              "%", " %", "$", "€", "£", "(", ")", "-", "+", " ", "  ", "\n", "FY", "FY ", "F",
              "March", "mar.", "Sept", "August", "may", "Dec.", "31", "0", "14 ", ", ",
-             "14 August 2019", "August 14, 2019", "March 2018", "FY19", "FY 2020", " 2018 "]
+             "14 August 2019", "August 14, 2019", "March 2018", "FY19", "FY 2020", " 2018 ",
+             # letters that IGNORECASE matches to ASCII ones (ſ to s, the Kelvin sign
+             # to k, İ to i), and digits that are, or only look like, \d
+             "ſ", "\u212a", "İ", "３", "²", "ſeptember", "14 ſep. 2019"]
 TEXTS = st.lists(st.one_of(st.sampled_from(FRAGMENTS), st.text(max_size=3)),
                  max_size=30).map("".join)
 PROPERTY = settings(max_examples=400, derandomize=True, deadline=None)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from docreason.document import ingest_document, transform_multipage
-from docreason.elements import NodeKind, build_node_inventory
+from docreason.elements import NodeKind, NodeSet, build_node_inventory
 from docreason.errors import IndexMismatch
 from docreason.graphs import (
     GraphKind,
@@ -249,6 +249,32 @@ class TestArrayBuildersMatchLoops:
             sizes.append((len(inst.graphs[GraphKind.QUANTITY].node_ids),
                           len(inst.graphs[GraphKind.DATE].node_ids)))
         assert min(q for q, _ in sizes) >= 60 and min(d for _, d in sizes) >= 25
+
+    def test_interleaved_kinds(self):
+        # Hand-built inventories may interleave kinds, so a subgraph's members
+        # are no run of positions and its block is gathered instead of sliced.
+        nodes = _inventory(["Paid 5 then 9 in 2019.", "Then 2 in 2020 and 7."]).nodes
+        order = [0, 3, 1, 7, 4, 2, 8, 5, 6]
+        assert sorted(order) == list(range(len(nodes)))
+        moved = NodeSet(nodes=[nodes[i] for i in order])
+        _assert_matches_loops(moved, build_all_graphs(moved))
+
+    def test_subgraph_members_out_of_inventory_order(self):
+        # members that fill a run of positions in another order are gathered
+        nodes = _inventory(["Paid 5 then 9 then 7 then 2."])
+        qc = build_quantity_graph(nodes)
+        order = [0, 2, 1, 3]
+        ids = [qc.node_ids[i] for i in order]
+        shuffled = SemanticGraph(GraphKind.QUANTITY, ids, qc.adjacency[np.ix_(order, order)])
+        sd = build_semantic_graph(nodes, shuffled, build_date_graph(nodes), build_text_graph(nodes))
+        assert sd.adjacency.tobytes() == build_all_graphs(nodes)[GraphKind.SEMANTIC].adjacency.tobytes()
+
+    def test_a_node_listed_twice_in_a_subgraph_is_rejected(self):
+        nodes = _inventory(["Paid 5 then 9."])
+        qc = build_quantity_graph(nodes)
+        twice = SemanticGraph(GraphKind.QUANTITY, qc.node_ids[:1] * 2, np.zeros((2, 2), bool))
+        with pytest.raises(IndexMismatch):
+            build_semantic_graph(nodes, twice, build_date_graph(nodes), build_text_graph(nodes))
 
     def test_edges_sort_by_node_id_not_position(self):
         rng = np.random.default_rng(4)

@@ -132,6 +132,16 @@ class TestArithmeticSupervision:
         with pytest.raises(ValidationError):
             build_instance(_record(answer))
 
+    def test_expression_dividing_by_zero_names_the_question(self):
+        for expr in ("(/ e#0 c#0)", "(/ e#0 (- e#1 e#1))"):
+            with pytest.raises(ValidationError, match=r"^q1: .* divides by zero$"):
+                build_instance(_record(dict(self._answer(), expression=expr)))
+
+    def test_expression_leaf_outside_the_inventory_raises(self):
+        for expr in ("(- e#0 n#9999)", "(- e#0 c#1.5)", "("):
+            with pytest.raises(ValidationError):
+                build_instance(_record(dict(self._answer(), expression=expr)))
+
     def test_missing_expression_is_a_schema_error(self):
         answer = self._answer()
         del answer["expression"]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from docreason.autodiff import RowSparse, Tensor
-from docreason.errors import NonFiniteLoss
+from docreason.errors import NonFiniteLoss, ValidationError
 from docreason.elements import NodeKind
 from docreason.heads import ANSWER_TYPES, SCALES, AnswerType, Scale
 from docreason.metrics import build_report
@@ -319,6 +319,21 @@ class TestTrainingLoop:
         with pytest.raises(NonFiniteLoss, match=r"^[^:]+: loss is nan \(epoch 0\)$") as info:
             train(model, instances, epochs=1, batch=1, grad_accum=1)
         assert str(info.value).split(":")[0] in {inst.qid for inst in instances}
+
+    def test_expression_constant_outside_the_decoder_stops_before_a_step(self):
+        records = generate_corpus(n=6, seed=6)
+        record = next(r for r in records if r["answer"]["type"] == "Arithmetic")
+        expr = record["answer"]["expression"]
+        for constant, constants_max in ((1000, 100), (50, 10), (-3, 100)):
+            # times constant/constant, so the gold value still holds
+            record["answer"]["expression"] = f"(* {expr} (/ c#{constant} c#{constant}))"
+            instances = [build_instance(r) for r in records]
+            model = _model(dim=8, constants_max=constants_max)
+            before = {k: p.data.copy() for k, p in model.params().items()}
+            with pytest.raises(ValidationError,
+                               match=rf"^{record['doc_id']}: expression constant c#{constant} "):
+                train(model, instances, epochs=1, batch=1, grad_accum=1)
+            assert all(np.array_equal(p.data, before[k]) for k, p in model.params().items())
 
     def test_target_metrics_stop_early(self):
         instances = _instances(n=3)
