@@ -10,15 +10,18 @@ representations without searching the sequence again.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
+from calendar import monthrange
 from collections.abc import Iterator
 from itertools import chain
 from dataclasses import dataclass, field
+from datetime import MINYEAR
 from enum import Enum
 
 import numpy as np
 
 from .document import INDEX_DTYPE, CanonicalDocument, TokenSequence
-from .errors import EmptyInventory, ValidationError
+from .errors import EmptyInventory, IndexMismatch, ValidationError
 
 MAX_BARE_YEAR = 2100
 MIN_BARE_YEAR = 1900
@@ -101,7 +104,9 @@ def _month_num(text: str) -> int:
 
 def extract_dates(text: str) -> list[DateSpan]:
     """Find date mentions: day-month-year, month-day-year, month-year,
-    fiscal-year markers, and bare years 1900..2100."""
+    fiscal-year markers, and bare years 1900..2100. A day or month form that
+    names no calendar date, such as 31 February 2017 or August 0000, is
+    skipped."""
     out: list[DateSpan] = []
     for m in _DATE_RE.finditer(text):
         kind = m.lastgroup
@@ -112,10 +117,12 @@ def extract_dates(text: str) -> list[DateSpan]:
                 continue
         elif kind == "my":
             y, mo, d = int(m.group("my_y")), _month_num(m.group("my_m")), 0
+            if y < MINYEAR:
+                continue
         else:  # dmy or mdy
             year, month, day = m.group(kind + "_y", kind + "_m", kind + "_d")
             y, mo, d = int(year), _month_num(month), int(day)
-            if not 1 <= d <= 31:
+            if y < MINYEAR or not 1 <= d <= monthrange(y, mo)[1]:
                 continue
         start, end = m.span()
         out.append(DateSpan(y, mo, d, start, end, text[start:end]))
@@ -154,24 +161,38 @@ class ElementNode:
     date_key: tuple[int, int, int] | None = None
     occurrence: int = 0  # index among same-kind nodes of the same source
     # (lo, hi): the token positions whose char span overlaps the node's
-    # span, recorded by build_node_inventory; (0, 0) without a sequence.
+    # span, recorded by build_node_inventory; a node built by hand without
+    # a sequence keeps (0, 0).
     token_range: tuple[int, int] = (0, 0)
+
+
+_KIND_RANK = {kind: rank for rank, kind in enumerate(NodeKind)}
 
 
 @dataclass
 class NodeSet:
-    """The inventory, plus integer arrays over it built once: `token_ranges`
-    (N, 2) holds each node's token_range, and `node_of` / `token_of` list
-    every (node, token) pair of those ranges in node order. They are
-    INDEX_DTYPE arrays, as the sequence's are."""
+    """The inventory, laid out as node id = position with the kinds in runs
+    [question | blocks | quantities | dates], which __post_init__ checks once
+    and records as one slice per kind in `runs`. Integer arrays over it are
+    built once: `token_ranges` (N, 2) holds each node's token_range, and
+    `node_of` / `token_of` list every (node, token) pair of those ranges in
+    node order. They are INDEX_DTYPE arrays, as the sequence's are."""
 
     nodes: list[ElementNode] = field(default_factory=list)
+    runs: dict[NodeKind, slice] = field(init=False, repr=False, compare=False)
     token_ranges: np.ndarray = field(init=False, repr=False, compare=False)
     node_of: np.ndarray = field(init=False, repr=False, compare=False)
     token_of: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.nodes)
+        if [m.node_id for m in self.nodes] != list(range(n)):
+            raise IndexMismatch(f"node ids are not 0..{n - 1} in order")
+        ranks = [_KIND_RANK[m.kind] for m in self.nodes]
+        if ranks != sorted(ranks):
+            raise IndexMismatch("node kinds are not grouped in NodeKind order")
+        ends = [bisect_left(ranks, r) for r in range(len(NodeKind) + 1)]
+        self.runs = {kind: slice(lo, hi) for kind, lo, hi in zip(NodeKind, ends, ends[1:])}
         bounds = chain.from_iterable([m.token_range for m in self.nodes])
         self.token_ranges = np.fromiter(bounds, INDEX_DTYPE, 2 * n).reshape(n, 2)
         counts = self.token_ranges[:, 1] - self.token_ranges[:, 0]
@@ -187,16 +208,15 @@ class NodeSet:
         return iter(self.nodes)
 
     def by_kind(self, kind: NodeKind) -> list[ElementNode]:
-        return [n for n in self.nodes if n.kind == kind]
+        return self.nodes[self.runs[kind]]
 
     def get(self, node_id: int) -> ElementNode:
-        node = self.nodes[node_id]
-        if node.node_id != node_id:
-            raise ValidationError(f"node ids not dense: {node.node_id} at position {node_id}")
-        return node
+        if not 0 <= node_id < len(self.nodes):
+            raise ValidationError(f"node id {node_id} outside an inventory of {len(self.nodes)}")
+        return self.nodes[node_id]
 
     def question_node(self) -> ElementNode:
-        return self.by_kind(NodeKind.QUESTION)[0]
+        return self.nodes[0]
 
     def block_node(self, block_id: int) -> ElementNode:
         for n in self.by_kind(NodeKind.BLOCK):
@@ -221,7 +241,7 @@ def _source_elements(text: str) -> tuple[list[QuantitySpan], list[DateSpan]]:
 
 
 def build_node_inventory(canon: CanonicalDocument, question: str,
-                         seq: TokenSequence | None = None) -> NodeSet:
+                         seq: TokenSequence) -> NodeSet:
     """Construct the full node inventory for one instance.
 
     Node ids are dense and deterministic: Question first, then Block nodes
@@ -229,35 +249,25 @@ def build_node_inventory(canon: CanonicalDocument, question: str,
     blocks, by char offset), then Date nodes in the same source order.
     Elements whose span has no surviving token (truncation) are dropped, as
     are blocks with no tokens at all. Date spans claim overlapping numeric
-    spans, so a bare year never doubles as a quantity. With `seq`, each node
-    records the token range it covers.
+    spans, so a bare year never doubles as a quantity. Each node records the
+    token range of `seq` it covers.
     """
     sources: list[tuple[int | None, str]] = [(None, question)]
     for block in canon.blocks:
-        if seq is None or block.block_id in seq.block_ranges:
+        if block.block_id in seq.block_ranges:
             sources.append((block.block_id, block.text))
     if len(sources) == 1:
         raise EmptyInventory(f"{canon.doc_id}: no block has any tokens")
 
-    def token_range(block_id: int | None, start: int | None = None,
-                    end: int | None = None) -> tuple[int, int]:
-        """The tokens of the source that overlap [start, end); all of them
-        without a span."""
-        if seq is None:
-            return (0, 0)
-        if start is None:
-            return seq.source_range(block_id)
-        return seq.overlap_range(block_id, start, end)
-
     nodes: list[ElementNode] = []
     parent_of: dict[int | None, int] = {}
     nodes.append(ElementNode(0, NodeKind.QUESTION, None, None, 0, len(question), question,
-                             token_range=token_range(None)))
+                             token_range=seq.source_range(None)))
     parent_of[None] = 0
     for block_id, text in sources[1:]:
         nid = len(nodes)
         nodes.append(ElementNode(nid, NodeKind.BLOCK, block_id, None, 0, len(text), text,
-                                 token_range=token_range(block_id)))
+                                 token_range=seq.source_range(block_id)))
         parent_of[block_id] = nid
 
     extracted = [(block_id, parent_of[block_id], *_source_elements(text))
@@ -266,8 +276,8 @@ def build_node_inventory(canon: CanonicalDocument, question: str,
         for block_id, parent, quantities, dates in extracted:
             spans = quantities if kind == NodeKind.QUANTITY else dates
             for occurrence, sp in enumerate(spans):
-                lo, hi = token_range(block_id, sp.start, sp.end)
-                if hi == lo and seq is not None:
+                lo, hi = seq.overlap_range(block_id, sp.start, sp.end)
+                if hi == lo:
                     continue  # truncated away; its occurrence stays counted
                 if kind == NodeKind.QUANTITY:
                     value, is_percent, date_key = sp.value, sp.is_percent, None
@@ -277,4 +287,3 @@ def build_node_inventory(canon: CanonicalDocument, question: str,
                                          sp.text, value, is_percent, date_key, occurrence,
                                          (lo, hi)))
     return NodeSet(nodes=nodes)
-

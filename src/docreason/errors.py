@@ -34,7 +34,7 @@ class EmptyGraph(DocReasonError):
 
 
 class IndexMismatch(DocReasonError):
-    """Graph node maps disagree with the NodeSet they were built over."""
+    """A NodeSet or graph breaks the layout: ids 0..N-1, kinds and members in runs."""
 
 
 class ShapeMismatch(DocReasonError):

@@ -9,10 +9,12 @@ Four graphs per instance:
   every Quantity/Date node to the Question/Block node it was mined from.
 
 Adjacency matrices are dense bool arrays indexed by graph-local position;
-node_ids maps positions back to inventory node ids. A comparison graph is
-one broadcast `>=` over its members' keys; the semantic graph ORs each
-subgraph's adjacency into its members' block, then writes all containment
-edges in one indexed assignment.
+node_ids maps positions back to inventory node ids. The inventory lays its
+kinds out in runs (see NodeSet), so each subgraph's members are one run of
+ids. A comparison graph is one broadcast `>=` over its members' keys; the
+semantic graph ORs each subgraph's adjacency into its run's block, then
+writes all containment edges from the leaves' parent ids in one indexed
+assignment.
 """
 
 from __future__ import annotations
@@ -48,6 +50,13 @@ class SemanticGraph:
     @property
     def num_nodes(self) -> int:
         return len(self.node_ids)
+
+    @property
+    def run(self) -> slice:
+        """The node ids as a slice of the inventory: the members of every
+        graph built over a NodeSet are one run of its ids."""
+        lo = self.node_ids[0] if self.node_ids else 0
+        return slice(lo, lo + len(self.node_ids))
 
     def edges(self) -> list[tuple[int, int]]:
         """Directed edges as (src, dst) inventory node ids, sorted."""
@@ -89,55 +98,32 @@ def build_text_graph(nodes: NodeSet) -> SemanticGraph:
     return SemanticGraph(GraphKind.TEXT, [m.node_id for m in members], ~np.eye(len(members), dtype=bool))
 
 
-def _block(pos: dict[int, int], sub: SemanticGraph):
-    """The index of the block that `sub`'s members span in the inventory-wide
-    adjacency: two slices when they are one run of consecutive positions, as
-    every subgraph of a build_node_inventory inventory is, else np.ix_."""
-    try:
-        idx = [pos[nid] for nid in sub.node_ids]
-    except KeyError as exc:
-        raise IndexMismatch(
-            f"{sub.kind.value}: node {exc.args[0]} missing from inventory") from None
-    first = idx[0] if idx else 0
-    if idx == list(range(first, first + len(idx))):
-        run = slice(first, first + len(idx))
-        return run, run
-    if len(set(idx)) != len(idx):
-        raise IndexMismatch(f"{sub.kind.value}: a node is listed twice")
-    return np.ix_(idx, idx)
-
-
-def _union(nodes: NodeSet, subs: tuple[SemanticGraph, ...]) -> tuple[SemanticGraph, list]:
-    """The semantic graph over `subs`, and the index of each one's block in
-    its adjacency."""
-    node_ids = [m.node_id for m in nodes.nodes]
-    pos = dict(zip(node_ids, range(len(node_ids))))
-    adj = np.zeros((len(node_ids), len(node_ids)), dtype=bool)
-    blocks = [_block(pos, sub) for sub in subs]
-    for sub, block in zip(subs, blocks):
-        adj[block] |= sub.adjacency.astype(bool, copy=False)
-    leaves = [i for i, m in enumerate(nodes.nodes) if m.parent_id is not None]
-    adj[leaves, [pos[nodes.nodes[i].parent_id] for i in leaves]] = True
-    return SemanticGraph(GraphKind.SEMANTIC, node_ids, adj), blocks
-
-
 def build_semantic_graph(nodes: NodeSet, quantity: SemanticGraph, date: SemanticGraph,
                          text: SemanticGraph) -> SemanticGraph:
-    """Union of the three graphs re-indexed onto the full inventory, plus a
-    containment edge from each leaf element to its parent node. Each
-    subgraph's adjacency is ORed into the block of its members."""
-    return _union(nodes, (quantity, date, text))[0]
+    """Union of the three graphs over the full inventory, plus a containment
+    edge from each leaf element to its parent node. Each subgraph's members
+    must be one run of inventory ids, else IndexMismatch, and its adjacency
+    is ORed into that run's block."""
+    n = len(nodes)
+    adj = np.zeros((n, n), dtype=bool)
+    for sub in (quantity, date, text):
+        if list(range(n)[sub.run]) != sub.node_ids:
+            raise IndexMismatch(
+                f"{sub.kind.value}: members are not one run of the inventory ids 0..{n - 1}")
+        adj[sub.run, sub.run] |= sub.adjacency.astype(bool, copy=False)
+    leaves = [m for m in nodes.nodes if m.parent_id is not None]
+    adj[[m.node_id for m in leaves], [m.parent_id for m in leaves]] = True
+    return SemanticGraph(GraphKind.SEMANTIC, list(range(n)), adj)
 
 
 def build_all_graphs(nodes: NodeSet) -> dict[GraphKind, SemanticGraph]:
-    """The four graphs of an inventory. The three subgraphs have disjoint
-    members, and containment edges run from a leaf to a Question/Block node,
-    outside every block; so each subgraph's block of the semantic adjacency
-    is its own adjacency, and the subgraph keeps that block (a view when its
-    members are one run): each edge is stored once."""
-    subs = build_quantity_graph(nodes), build_date_graph(nodes), build_text_graph(nodes)
-    sd, blocks = _union(nodes, subs)
-    for sub, block in zip(subs, blocks):
-        sub.adjacency = sd.adjacency[block]
-    qc, dc, tr = subs
+    """The four graphs of an inventory. The three subgraphs are disjoint runs
+    of the inventory, and containment edges run from a leaf to a
+    Question/Block node, outside every run's block; so each subgraph's block
+    of the semantic adjacency is its own adjacency, and the subgraph keeps a
+    view of that block: each edge is stored once."""
+    qc, dc, tr = build_quantity_graph(nodes), build_date_graph(nodes), build_text_graph(nodes)
+    sd = build_semantic_graph(nodes, qc, dc, tr)
+    for sub in (qc, dc, tr):
+        sub.adjacency = sd.adjacency[sub.run, sub.run]
     return {GraphKind.QUANTITY: qc, GraphKind.DATE: dc, GraphKind.TEXT: tr, GraphKind.SEMANTIC: sd}

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import Tensor, add_masked, concat
 from .document import TokenSequence
@@ -132,16 +133,16 @@ def predict_span(u: UpdatedTokens, start_ffn: FFN2, end_ffn: FFN2,
         raise NoValidTokens("span prediction over a fully masked sequence")
     start_lp = _masked_position_log_probs(u, start_ffn, rng, train)
     end_lp = _masked_position_log_probs(u, end_ffn, rng, train)
-    s_row, e_row = start_lp.data[0], end_lp.data[0]
-    best, best_score = None, -np.inf
-    for s in np.nonzero(u.valid_mask)[0]:
-        for e in range(s, min(s + max_span_len, len(e_row))):
-            if not u.valid_mask[e]:
-                continue
-            score = s_row[s] + e_row[e]
-            if score > best_score:
-                best, best_score = (int(s), int(e)), score
-    return start_lp, end_lp, best
+    # scores[s, k] is the score of (s, s + k), -inf at invalid starts and ends
+    # and past the end; the first maximum in row-major order has the lowest s, e.
+    valid, n = u.valid_mask, len(u.valid_mask)
+    w = min(max_span_len, n)
+    ends = np.full(n + w - 1, -np.inf)
+    ends[:n][valid] = end_lp.data[0][valid]
+    scores = np.where(valid[:, None], start_lp.data[0][:, None], -np.inf) \
+        + sliding_window_view(ends, w)
+    s, k = divmod(int(np.argmax(scores)), w)
+    return start_lp, end_lp, (s, s + k)
 
 
 def tag_tokens(u: UpdatedTokens, ffn: FFN2, rng: np.random.Generator | None = None,

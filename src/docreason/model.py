@@ -1,10 +1,10 @@
 """Full model: embedder, four graph encoders, five heads, tree decoder.
 
 Forward flow per instance: token embeddings are mean-pooled into node
-rows; the quantity/date/text graphs each run their own GCN and the
-outputs (the three member sets partition the inventory) initialize the
-semantic-dependency graph, whose GCN yields the final node
-representations used by every head.
+rows; the quantity/date/text graphs each run their own GCN over their run
+of rows, and the outputs (the three runs partition the inventory) are
+concatenated in inventory order to initialize the semantic-dependency
+graph, whose GCN yields the final node representations used by every head.
 """
 
 from __future__ import annotations
@@ -122,14 +122,16 @@ class Model:
         (token_embs, sd_reprs, h_sd)."""
         token_embs = self.embedder.embed(instance.seq, instance.qid)
         init = init_node_representations(instance.nodes, token_embs)
-        outs, order = [], []
+        # Each GCN takes its graph's run of rows. They run in this order, which
+        # fixes their dropout draws, and their outputs join in node order.
+        outs = {}
         for kind in (GraphKind.QUANTITY, GraphKind.DATE, GraphKind.TEXT):
             graph = instance.graphs[kind]
-            if graph.num_nodes == 0:
-                continue
-            outs.append(self.gcns[kind](graph, init.take_rows(graph.node_ids), rng, train))
-            order.extend(graph.node_ids)
-        sd_init = concat(outs, axis=0).take_rows(np.argsort(order))
+            if graph.num_nodes:
+                rows = init.slice_rows(graph.run.start, graph.run.stop)
+                outs[kind] = self.gcns[kind](graph, rows, rng, train)
+        sd_init = concat([outs[kind] for kind in (GraphKind.TEXT, GraphKind.QUANTITY,
+                                                  GraphKind.DATE) if kind in outs], axis=0)
         sd_reprs = self.gcns[GraphKind.SEMANTIC](instance.graphs[GraphKind.SEMANTIC],
                                                  sd_init, rng, train)
         return token_embs, sd_reprs, graph_summary(sd_reprs)

@@ -1,16 +1,19 @@
 """Quantity/date extraction and node inventory construction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from docreason.document import ingest_document, tokenize, transform_multipage
 from docreason.elements import (
     NodeKind,
+    NodeSet,
     build_node_inventory,
     extract_dates,
     extract_quantities,
 )
-from docreason.errors import EmptyInventory
+from docreason.errors import EmptyInventory, IndexMismatch, ValidationError
 
 
 def _canon(texts, pages=1):
@@ -24,6 +27,10 @@ def _canon(texts, pages=1):
         ],
     }
     return transform_multipage(ingest_document(record))
+
+
+def _inventory(canon, question):
+    return build_node_inventory(canon, question, tokenize(canon, question))
 
 
 class TestQuantities:
@@ -78,6 +85,16 @@ class TestDates:
         assert extract_dates("value 2101 here") == []
         assert [d.year for d in extract_dates("1900 to 2100")] == [1900, 2100]
 
+    def test_impossible_calendar_dates_are_skipped(self):
+        assert [d.key() for d in extract_dates("on 29 February 2020")] == [(2020, 2, 29)]
+        assert [d.key() for d in extract_dates("on February 29, 2020")] == [(2020, 2, 29)]
+        for text in ("on 29 February 2019", "on February 29, 2019", "on 31 April 2018",
+                     "on April 31, 2018", "on 31 February 2017", "in August 0000",
+                     "on 14 August 0000", "on August 14, 0000", "on 0 March 2018"):
+            assert extract_dates(text) == [], text
+        # the skipped date's numbers are quantities again, as for day 32
+        assert [q.value for q in extract_quantities("on 31 April 2018")] == [31.0, 2018.0]
+
     def test_bare_year_not_inside_amounts(self):
         # decimals, currency amounts, and percentages are not years
         assert extract_dates("grew by 2019.5 points") == []
@@ -111,7 +128,7 @@ class TestDates:
 class TestInventory:
     def test_id_order_is_question_blocks_quantities_dates(self):
         canon = _canon(["Revenue was 1,731 in 2019.", "Costs hit 44 in 2020."])
-        nodes = build_node_inventory(canon, "What was revenue in 2019?")
+        nodes = _inventory(canon, "What was revenue in 2019?")
         kinds = [n.kind for n in nodes]
         assert kinds == [
             NodeKind.QUESTION,
@@ -123,7 +140,7 @@ class TestInventory:
 
     def test_question_elements_come_before_block_elements(self):
         canon = _canon(["Costs hit 44."])
-        nodes = build_node_inventory(canon, "Is 7 enough?")
+        nodes = _inventory(canon, "Is 7 enough?")
         quantities = nodes.by_kind(NodeKind.QUANTITY)
         assert [q.value for q in quantities] == [7.0, 44.0]
         assert quantities[0].block_id is None
@@ -131,7 +148,7 @@ class TestInventory:
 
     def test_parents_point_at_containing_source(self):
         canon = _canon(["Revenue was 1,731 in 2019."])
-        nodes = build_node_inventory(canon, "How much in 2018?")
+        nodes = _inventory(canon, "How much in 2018?")
         for n in nodes:
             if n.kind in (NodeKind.QUESTION, NodeKind.BLOCK):
                 assert n.parent_id is None
@@ -142,13 +159,13 @@ class TestInventory:
 
     def test_dates_claim_overlapping_numbers(self):
         canon = _canon(["Opened in 2019."])
-        nodes = build_node_inventory(canon, "When did it open?")
+        nodes = _inventory(canon, "When did it open?")
         assert nodes.by_kind(NodeKind.QUANTITY) == []
         assert [d.date_key for d in nodes.by_kind(NodeKind.DATE)] == [(2019, 0, 0)]
 
     def test_occurrence_counts_per_source(self):
         canon = _canon(["Paid 5 then 5 then 9.", "Paid 5 again."])
-        nodes = build_node_inventory(canon, "How much was paid?")
+        nodes = _inventory(canon, "How much was paid?")
         occ = [(q.block_id, q.value, q.occurrence)
                for q in nodes.by_kind(NodeKind.QUANTITY)]
         assert occ == [(0, 5.0, 0), (0, 5.0, 1), (0, 9.0, 2), (1, 5.0, 0)]
@@ -168,10 +185,33 @@ class TestInventory:
 
     def test_get_checks_dense_ids(self):
         canon = _canon(["Paid 5."])
-        nodes = build_node_inventory(canon, "How much?")
+        nodes = _inventory(canon, "How much?")
         assert nodes.get(0).kind == NodeKind.QUESTION
+        for node_id in (-1, len(nodes)):
+            with pytest.raises(ValidationError):
+                nodes.get(node_id)
         with pytest.raises(KeyError):
             nodes.block_node(99)
+
+    def test_kinds_are_recorded_as_runs(self):
+        canon = _canon(["Revenue was 1,731 in 2019.", "Costs hit 44."])
+        nodes = _inventory(canon, "What was revenue in 2019?")
+        runs = [(k, r.start, r.stop) for k, r in nodes.runs.items()]
+        assert runs == [(NodeKind.QUESTION, 0, 1), (NodeKind.BLOCK, 1, 3),
+                        (NodeKind.QUANTITY, 3, 5), (NodeKind.DATE, 5, 7)]
+        for kind in NodeKind:
+            assert nodes.by_kind(kind) == [n for n in nodes if n.kind == kind]
+        assert nodes.question_node() is nodes.nodes[0]
+        no_dates = NodeSet(nodes=nodes.by_kind(NodeKind.QUESTION) + nodes.by_kind(NodeKind.BLOCK))
+        assert no_dates.by_kind(NodeKind.DATE) == [] and no_dates.runs[NodeKind.DATE] == slice(3, 3)
+
+    def test_ids_must_be_positions(self):
+        nodes = _inventory(_canon(["Paid 5 in 2019."]), "How much?").nodes
+        for bad in (nodes[1:], nodes[:2] + nodes[3:], nodes[:1] + nodes[:1],
+                    [replace(nodes[0], node_id=1)]):
+            with pytest.raises(IndexMismatch, match="ids"):
+                NodeSet(nodes=bad)
+        NodeSet(nodes=nodes[:-1])  # a prefix is still a layout
 
 
 class TestTokenIndices:

@@ -139,17 +139,15 @@ def _ref_source_elements(text):
     return quantities, dates
 
 
-def _ref_inventory(canon, question, seq=None):
+def _ref_inventory(canon, question, seq):
     sources = [(None, question)]
     for block in canon.blocks:
-        if seq is None or block.block_id in seq.block_ranges:
+        if block.block_id in seq.block_ranges:
             sources.append((block.block_id, block.text))
     if len(sources) == 1:
         raise EmptyInventory(f"{canon.doc_id}: no block has any tokens")
 
     def token_range(block_id, start=None, end=None):
-        if seq is None:
-            return (0, 0)
         if start is None:
             return seq.source_range(block_id)
         return seq.overlap_range(block_id, start, end)
@@ -170,7 +168,7 @@ def _ref_inventory(canon, question, seq=None):
             occurrence = 0
             for sp in spans:
                 lo, hi = token_range(block_id, sp.start, sp.end)
-                if hi == lo and seq is not None:
+                if hi == lo:
                     occurrence += 1
                     continue
                 nid = len(nodes)
@@ -197,14 +195,13 @@ def _assert_same_records(got, want):
 
 
 def _assert_same_inventory(canon, question, seq):
-    for s in (seq, None):
-        try:
-            want = _ref_inventory(canon, question, s)
-        except EmptyInventory:
-            with pytest.raises(EmptyInventory):
-                build_node_inventory(canon, question, s)
-            continue
-        _assert_same_records(build_node_inventory(canon, question, s).nodes, want)
+    try:
+        want = _ref_inventory(canon, question, seq)
+    except EmptyInventory:
+        with pytest.raises(EmptyInventory):
+            build_node_inventory(canon, question, seq)
+        return
+    _assert_same_records(build_node_inventory(canon, question, seq).nodes, want)
 
 
 def test_bundled_corpus():

@@ -1,7 +1,7 @@
 """Encoder front end and head glue: token ranges recorded at ingest,
 whole-matrix pooling, the gathering embedder, Model.encode, token masking and
 node selection, each against a test-only copy of the per-token, per-node,
-one-row code they replace."""
+one-row code they replace; Model.encode also against its gather form."""
 
 import numpy as np
 import pytest
@@ -103,6 +103,24 @@ def _reference_encode(model, instance, rng=None, train=False):
             rows[nid] = out.slice_rows(pos, pos + 1)
     sd_reprs = model.gcns[GraphKind.SEMANTIC](instance.graphs[GraphKind.SEMANTIC],
                                               concat(rows, axis=0), rng, train)
+    return token_embs, sd_reprs, graph_summary(sd_reprs)
+
+
+def _gather_encode(model, instance, rng=None, train=False):
+    """Model.encode as it was before the kind runs: each GCN gathers its
+    members' rows, and one gather puts the outputs back in node order."""
+    token_embs = model.embedder.embed(instance.seq, instance.qid)
+    init = init_node_representations(instance.nodes, token_embs)
+    outs, order = [], []
+    for kind in (GraphKind.QUANTITY, GraphKind.DATE, GraphKind.TEXT):
+        graph = instance.graphs[kind]
+        if graph.num_nodes == 0:
+            continue
+        outs.append(model.gcns[kind](graph, init.take_rows(graph.node_ids), rng, train))
+        order.extend(graph.node_ids)
+    sd_init = concat(outs, axis=0).take_rows(np.argsort(order))
+    sd_reprs = model.gcns[GraphKind.SEMANTIC](instance.graphs[GraphKind.SEMANTIC],
+                                              sd_init, rng, train)
     return token_embs, sd_reprs, graph_summary(sd_reprs)
 
 
@@ -265,6 +283,31 @@ class TestEncode:
             for name in grads[0]:
                 np.testing.assert_allclose(grads[0][name], grads[1][name],
                                            rtol=1e-12, atol=1e-15, err_msg=name)
+
+    def test_matches_the_gather_encode_by_bytes_in_train_mode(self, bundled, widened,
+                                                             truncated):
+        # Outputs and every parameter gradient, with dropout drawn from the
+        # same seeded rng, so the GCN call order is checked too.
+        model = Model(ModelConfig(dim=8, seed=5, gcn_dropout=0.6))
+        params, covered = model.params(), set()
+        for i, inst in enumerate(bundled + widened + truncated):
+            w = np.random.default_rng(i).normal(size=(len(inst.nodes), 8))
+            outs, grads = [], []
+            for encode in (model.encode, lambda *args: _gather_encode(model, *args)):
+                for p in params.values():
+                    p.zero_grad()
+                out = encode(inst, np.random.default_rng(100 + i), True)
+                token_embs, sd_reprs, h_sd = out
+                loss = (sd_reprs * Tensor(w)).sum() + (h_sd * h_sd).sum() \
+                    + (token_embs * token_embs).sum()
+                loss.backward()
+                outs.append([_bytes(t) for t in out])
+                grads.append({name: p.grad.tobytes() for name, p in params.items()
+                              if p.grad is not None})
+            assert outs[0] == outs[1], inst.qid
+            assert grads[0] == grads[1], inst.qid
+            covered |= grads[0].keys()
+        assert {name for name in params if name.startswith(("gcn.", "embedder."))} <= covered
 
 
 class TestHeadGlue:

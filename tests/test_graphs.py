@@ -1,9 +1,11 @@
 """Comparison, text-relation, and dependency graph construction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from docreason.document import ingest_document, transform_multipage
+from docreason.document import ingest_document, tokenize, transform_multipage
 from docreason.elements import NodeKind, NodeSet, build_node_inventory
 from docreason.errors import IndexMismatch
 from docreason.graphs import (
@@ -32,7 +34,7 @@ def _inventory(texts, question="What changed?"):
         ],
     }
     canon = transform_multipage(ingest_document(record))
-    return build_node_inventory(canon, question)
+    return build_node_inventory(canon, question, tokenize(canon, question))
 
 
 def _brute_comparison(keys):
@@ -251,23 +253,28 @@ class TestArrayBuildersMatchLoops:
         assert min(q for q, _ in sizes) >= 60 and min(d for _, d in sizes) >= 25
 
     def test_interleaved_kinds(self):
-        # Hand-built inventories may interleave kinds, so a subgraph's members
-        # are no run of positions and its block is gathered instead of sliced.
+        # An inventory is laid out in kind runs, so a subgraph's members are
+        # always one run of ids; a NodeSet whose kinds interleave is refused.
         nodes = _inventory(["Paid 5 then 9 in 2019.", "Then 2 in 2020 and 7."]).nodes
         order = [0, 3, 1, 7, 4, 2, 8, 5, 6]
         assert sorted(order) == list(range(len(nodes)))
-        moved = NodeSet(nodes=[nodes[i] for i in order])
-        _assert_matches_loops(moved, build_all_graphs(moved))
+        moved = [replace(nodes[i], node_id=pos) for pos, i in enumerate(order)]
+        with pytest.raises(IndexMismatch, match="kinds"):
+            NodeSet(nodes=moved)
+        with pytest.raises(IndexMismatch, match="ids"):
+            NodeSet(nodes=[nodes[i] for i in order])
 
     def test_subgraph_members_out_of_inventory_order(self):
-        # members that fill a run of positions in another order are gathered
         nodes = _inventory(["Paid 5 then 9 then 7 then 2."])
         qc = build_quantity_graph(nodes)
         order = [0, 2, 1, 3]
         ids = [qc.node_ids[i] for i in order]
         shuffled = SemanticGraph(GraphKind.QUANTITY, ids, qc.adjacency[np.ix_(order, order)])
-        sd = build_semantic_graph(nodes, shuffled, build_date_graph(nodes), build_text_graph(nodes))
-        assert sd.adjacency.tobytes() == build_all_graphs(nodes)[GraphKind.SEMANTIC].adjacency.tobytes()
+        with pytest.raises(IndexMismatch):
+            build_semantic_graph(nodes, shuffled, build_date_graph(nodes), build_text_graph(nodes))
+        past_end = SemanticGraph(GraphKind.QUANTITY, [i + 1 for i in qc.node_ids], qc.adjacency)
+        with pytest.raises(IndexMismatch):
+            build_semantic_graph(nodes, past_end, build_date_graph(nodes), build_text_graph(nodes))
 
     def test_a_node_listed_twice_in_a_subgraph_is_rejected(self):
         nodes = _inventory(["Paid 5 then 9."])

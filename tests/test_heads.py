@@ -11,6 +11,7 @@ from docreason.heads import (
     ANSWER_TYPES,
     SCALES,
     NodeSelection,
+    UpdatedTokens,
     bio_spans,
     classify_answer_type,
     classify_nodes,
@@ -138,7 +139,46 @@ class TestTokenUpdate:
         assert not u.valid_mask.any()
 
 
+def _loop_span(s_row, e_row, valid, max_span_len):
+    """The double loop predict_span replaced: the first strict maximum of
+    s_row[s] + e_row[e] over valid s <= e < s + max_span_len."""
+    best, best_score = None, -np.inf
+    for s in np.nonzero(valid)[0]:
+        for e in range(s, min(s + max_span_len, len(e_row))):
+            if not valid[e]:
+                continue
+            score = s_row[s] + e_row[e]
+            if score > best_score:
+                best, best_score = (int(s), int(e)), score
+    return best
+
+
+class _Logits:
+    """An FFN stand-in that returns fixed logits, one per token."""
+
+    def __init__(self, logits):
+        self.logits = logits
+
+    def __call__(self, x, rng=None, train=False):
+        return Tensor(self.logits[:, None])
+
+
 class TestSpanHead:
+    def test_banded_argmax_matches_the_loop_on_ties(self):
+        rng = np.random.default_rng(17)
+        for _ in range(600):
+            n = int(rng.integers(1, 40))
+            valid = rng.random(n) < rng.uniform(0.2, 1.0)
+            valid[rng.integers(n)] = True
+            u = UpdatedTokens(matrix=Tensor(np.zeros((n, 2))), valid_mask=valid)
+            # few distinct integer logits, so scores tie often
+            starts, ends = rng.integers(0, 3, size=(2, n)).astype(float)
+            max_span_len = int(rng.integers(1, n + 4))
+            start_lp, end_lp, span = predict_span(u, _Logits(starts), _Logits(ends), max_span_len)
+            want = _loop_span(start_lp.data[0], end_lp.data[0], valid, max_span_len)
+            assert span == want, (n, max_span_len)
+            assert all(type(i) is int for i in span)
+
     def test_decoded_span_is_valid(self):
         seq, nodes, embs, reprs = _instance()
         sel = _selection([0.9] * len(nodes))
