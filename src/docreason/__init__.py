@@ -8,8 +8,7 @@ or executable expression trees, with scale-aware scoring.
 
 from .autodiff import Tensor, finite_difference
 from .document import (BoundingBox, Block, CanonicalDocument, Document, Page,
-                       Token, TokenSequence, ingest_document, tokenize,
-                       transform_multipage)
+                       TokenSequence, ingest_document, tokenize, transform_multipage)
 from .elements import (DateSpan, ElementNode, NodeKind, NodeSet, QuantitySpan,
                        build_node_inventory, extract_dates, extract_quantities)
 from .graphs import (GraphKind, SemanticGraph, build_all_graphs, build_date_graph,
@@ -28,8 +27,8 @@ __all__ = [
     "Adam", "Answer", "AnswerType", "Block", "BoundingBox", "CanonicalDocument",
     "DateSpan", "Document", "ElementNode", "EvalReport", "GraphKind", "Instance",
     "Model", "ModelConfig", "NodeKind", "NodeSelection", "NodeSet", "Page",
-    "QuantitySpan", "Scale", "SemanticGraph", "Supervision", "Tensor", "Token",
-    "TokenSequence", "TreeNode", "build_all_graphs", "build_date_graph",
+    "QuantitySpan", "Scale", "SemanticGraph", "Supervision", "Tensor", "TokenSequence",
+    "TreeNode", "build_all_graphs", "build_date_graph",
     "build_instance", "build_node_inventory", "build_quantity_graph",
     "build_semantic_graph", "build_text_graph", "compute_loss", "decode_tree",
     "evaluate", "evidence_metrics", "exact_match", "execute_tree",

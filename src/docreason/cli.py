@@ -23,7 +23,7 @@ from .graphs import GraphKind
 from .heads import AnswerType
 from .model import Model
 from .nn import FileEmbedder, load_checkpoint, save_checkpoint
-from .pipeline import load_corpus, load_records
+from .pipeline import check_corpus, load_corpus, load_records
 from .training import predict_corpus, score_dump, train
 from .vocab import VOCAB_SIZE
 
@@ -78,7 +78,15 @@ def _load_into_model(config: RunConfig) -> Model:
 
 
 def cmd_validate(config: RunConfig) -> int:
-    instances = load_corpus(config.corpus, config.max_len)
+    instances, bad = [], 0
+    for inst in check_corpus(config.corpus, config.max_len):
+        if isinstance(inst, DocReasonError):
+            print(f"error: {inst}", file=sys.stderr)
+            bad += 1
+        else:
+            instances.append(inst)
+    if bad:
+        return EXIT_INVALID
     type_counts = Counter(i.gold.answer_type.value for i in instances if i.gold)
     kind_counts = Counter(node.kind.value for inst in instances for node in inst.nodes)
     print(f"records: {len(instances)}")

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import json
 import logging
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import compress
-from operator import attrgetter, ne
-from typing import NamedTuple
 
 import numpy as np
 
@@ -77,19 +75,6 @@ class CanonicalDocument:
     page_offsets: list[float]
 
 
-class Token(NamedTuple):
-    """One token; a named tuple, which builds several times faster than a
-    frozen dataclass and tokenize makes one per token of every record."""
-
-    text: str
-    block_id: int | None  # None means the token comes from the question
-    start: int  # char span within the source text
-    end: int
-    box: BoundingBox | None
-
-
-_START, _END = attrgetter("start"), attrgetter("end")
-
 # The index arrays an instance keeps hold positions below its token and node
 # counts; 32 bits halve what they take while the instance stays loaded.
 INDEX_DTYPE = np.int32
@@ -97,68 +82,55 @@ INDEX_DTYPE = np.int32
 
 @dataclass
 class TokenSequence:
-    """The model input: question tokens, then block tokens.
+    """The model input, question tokens then block tokens, as columns.
 
-    Built once per instance, it also holds the integer arrays an embedding
-    gathers by: `texts` are the distinct token texts in order of first use
-    and `text_ids` each token's index into them; `slots` is each token's
-    embedding-table slot (vocab.token_slot); `source_ids` is each token's
-    source, 0 for the question and k for the k-th block in the sequence,
-    and `source_boxes` holds one row of box coordinates per source (zeros
-    for the question, which has no box). The index arrays are INDEX_DTYPE.
+    Token i has the text texts[text_ids[i]] (`texts` are the distinct texts
+    in order of first use), the embedding-table slot slots[i]
+    (vocab.token_slot), the char span starts[i]:ends[i] in its source, and
+    the source source_ids[i]: 0 for the question, k for the k-th block.
+    Per source, block_ids holds its block id (None for the question) and
+    source_boxes its box (zeros for the question). Char spans increase
+    within a source. The index arrays are INDEX_DTYPE; starts and ends are
+    32-bit arrays, which bisect reads as they are.
     """
 
-    tokens: list[Token]
-    question_len: int
+    texts: list[str]
+    text_ids: np.ndarray
+    slots: np.ndarray
+    starts: array
+    ends: array
+    source_ids: np.ndarray
+    block_ids: list[int | None]
+    source_boxes: np.ndarray
+    question_len: int = field(init=False)
     block_ranges: dict[int, tuple[int, int]] = field(init=False)
-    texts: list[str] = field(init=False, repr=False, compare=False)
-    text_ids: np.ndarray = field(init=False, repr=False, compare=False)
-    slots: np.ndarray = field(init=False, repr=False, compare=False)
-    source_ids: np.ndarray = field(init=False, repr=False, compare=False)
-    source_boxes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = len(self.tokens)
-        texts = [t.text for t in self.tokens]
-        self.texts = list(dict.fromkeys(texts))
-        index = dict(zip(self.texts, range(len(self.texts))))
-        self.text_ids = np.fromiter(map(index.__getitem__, texts), INDEX_DTYPE, n)
-        slots = np.fromiter(map(token_slot, self.texts), INDEX_DTYPE, len(self.texts))
-        self.slots = slots[self.text_ids]
-        # one range per run of tokens with one block id, cut where the id changes
-        ids = [t.block_id for t in self.tokens]
-        cuts = [0, *compress(range(1, n), map(ne, ids, ids[1:])), n]
-        self.block_ranges = {ids[lo]: (lo, hi) for lo, hi in zip(cuts, cuts[1:])
-                             if lo < hi and ids[lo] is not None}
-        lengths = [self.question_len] + [hi - lo for lo, hi in self.block_ranges.values()]
-        self.source_ids = np.repeat(np.arange(len(lengths), dtype=INDEX_DTYPE), lengths)
-        self.source_boxes = np.array([[0, 0, 0, 0]] + [self.tokens[lo].box.as_list()
-                                                       for lo, _ in self.block_ranges.values()])
+        bounds = np.searchsorted(self.source_ids, np.arange(len(self.block_ids) + 1)).tolist()
+        self.question_len = bounds[1]
+        self.block_ranges = dict(zip(self.block_ids[1:], zip(bounds[1:], bounds[2:])))
 
     def __len__(self) -> int:
-        return len(self.tokens)
-
-    def question_range(self) -> tuple[int, int]:
-        return (0, self.question_len)
+        return len(self.text_ids)
 
     def source_range(self, block_id: int | None) -> tuple[int, int]:
         """Token positions of the question (block_id None) or of one block."""
-        return self.question_range() if block_id is None else self.block_ranges[block_id]
+        return (0, self.question_len) if block_id is None else self.block_ranges[block_id]
 
     def overlap_range(self, block_id: int | None, start: int, end: int) -> tuple[int, int]:
         """(lo, hi): the tokens of one source whose char span overlaps
         [start, end). Tokens of a source have increasing, non-overlapping char
         spans, so those tokens are contiguous and two bisections find them."""
         lo, hi = self.source_range(block_id)
-        first = bisect_right(self.tokens, start, lo, hi, key=_END)
-        return first, max(first, bisect_left(self.tokens, end, lo, hi, key=_START))
+        first = bisect_right(self.ends, start, lo, hi)
+        return first, max(first, bisect_left(self.starts, end, lo, hi))
 
     def inside_range(self, block_id: int | None, start: int, end: int) -> tuple[int, int]:
         """(lo, hi): the tokens of one source whose char span lies inside
         [start, end), found by two bisections as in overlap_range."""
         lo, hi = self.source_range(block_id)
-        first = bisect_left(self.tokens, start, lo, hi, key=_START)
-        return first, max(first, bisect_right(self.tokens, end, lo, hi, key=_END))
+        first = bisect_left(self.starts, start, lo, hi)
+        return first, max(first, bisect_right(self.ends, end, lo, hi))
 
 
 def read_json(path: str, lines: bool = False):
@@ -289,21 +261,33 @@ def tokenize(canon: CanonicalDocument, question: str, max_len: int = 256) -> Tok
 
     The question is never truncated (QuestionTooLong if it alone exceeds
     max_len); document tokens are dropped from the tail once the budget is
-    spent. Each token keeps a char span into its source text, and block
-    tokens inherit their block's canonical box. Block tokens with equal
-    texts share one string, so a loaded instance holds each text once.
+    spent. Each token keeps a char span into its source text, and each block
+    source keeps its block's canonical box.
     """
-    q_tokens = [Token(t, None, s, e, None) for t, s, e in tokenize_text(question)]
-    if len(q_tokens) > max_len:
+    pieces = tokenize_text(question)
+    if len(pieces) > max_len:
         raise QuestionTooLong(
-            f"{canon.doc_id}: question tokenizes to {len(q_tokens)} tokens (max {max_len})")
-    tokens = list(q_tokens)
-    texts = {t.text: t.text for t in q_tokens}
+            f"{canon.doc_id}: question tokenizes to {len(pieces)} tokens (max {max_len})")
+    sources, block_ids, boxes = [pieces], [None], [[0, 0, 0, 0]]
+    budget = max_len - len(pieces)
     for block in canon.blocks:
-        if len(tokens) >= max_len:
+        if budget <= 0:
             break
-        for t, s, e in tokenize_text(block.text):
-            tokens.append(Token(texts.setdefault(t, t), block.block_id, s, e, block.box))
-            if len(tokens) >= max_len:
-                break
-    return TokenSequence(tokens=tokens, question_len=len(q_tokens))
+        pieces = tokenize_text(block.text)[:budget]
+        budget -= len(pieces)
+        sources.append(pieces)
+        block_ids.append(block.block_id)
+        boxes.append(block.box.as_list())
+    index: dict[str, int] = {}
+    text_ids, starts, ends = [], array("i"), array("i")
+    for pieces in sources:
+        for text, start, end in pieces:
+            text_ids.append(index.setdefault(text, len(index)))
+            starts.append(start)
+            ends.append(end)
+    text_ids = np.array(text_ids, dtype=INDEX_DTYPE)
+    slots = np.fromiter(map(token_slot, index), INDEX_DTYPE, len(index))[text_ids]
+    return TokenSequence(
+        texts=list(index), text_ids=text_ids, slots=slots, starts=starts, ends=ends,
+        source_ids=np.repeat(np.arange(len(sources), dtype=INDEX_DTYPE), list(map(len, sources))),
+        block_ids=block_ids, source_boxes=np.array(boxes))

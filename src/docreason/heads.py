@@ -40,6 +40,8 @@ class Scale(str, Enum):
 
 
 SCALES = list(Scale)
+# a token's BIO label: its row in tag_tokens' distribution
+BIO_B, BIO_I, BIO_O = range(3)
 
 
 @dataclass
@@ -146,38 +148,23 @@ def predict_span(u: UpdatedTokens, start_ffn: FFN2, end_ffn: FFN2,
 
 
 def tag_tokens(u: UpdatedTokens, ffn: FFN2, rng: np.random.Generator | None = None,
-               train: bool = False) -> tuple[Tensor, list[str]]:
-    """3-way B/I/O distribution per token; masked tokens are forced to O."""
+               train: bool = False) -> tuple[Tensor, np.ndarray]:
+    """3-way B/I/O distribution per token and each token's label, its first
+    most likely one; masked tokens are forced to O."""
     log_probs = ffn(u.matrix, rng, train).log_softmax()
-    labels = []
-    order = ["B", "I", "O"]
-    for i in range(len(u.valid_mask)):
-        if not u.valid_mask[i]:
-            labels.append("O")
-        else:
-            labels.append(order[int(np.argmax(log_probs.data[i]))])
-    return log_probs, labels
+    return log_probs, np.where(u.valid_mask, log_probs.data.argmax(axis=1), BIO_O)
 
 
-def bio_spans(labels: list[str]) -> list[tuple[int, int]]:
+def bio_spans(labels: np.ndarray) -> list[tuple[int, int]]:
     """Decode (start, end) inclusive ranges. Lenient: an I without a
     preceding B opens a span."""
-    spans = []
-    start = None
-    for i, lab in enumerate(labels):
-        if lab == "B":
-            if start is not None:
-                spans.append((start, i - 1))
+    spans, start = [], None
+    for i, lab in enumerate([*labels.tolist(), BIO_O]):  # the O after the end closes a span
+        if start is not None and lab != BIO_I:
+            spans.append((start, i - 1))
+            start = None
+        if lab == BIO_B or (lab == BIO_I and start is None):
             start = i
-        elif lab == "I":
-            if start is None:
-                start = i
-        else:
-            if start is not None:
-                spans.append((start, i - 1))
-                start = None
-    if start is not None:
-        spans.append((start, len(labels) - 1))
     return spans
 
 

@@ -60,7 +60,7 @@ class ModelOutput:
     end_lp: Tensor | None = None
     span: tuple[int, int] | None = None
     token_lp: Tensor | None = None
-    labels: list[str] | None = None
+    labels: np.ndarray | None = None  # heads.BIO_B/BIO_I/BIO_O per token
     tree: TreeNode | None = None
     tree_score: float | None = None
 

@@ -16,14 +16,17 @@ from __future__ import annotations
 
 import logging
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .document import (CanonicalDocument, TokenSequence, ingest_document, read_json, tokenize,
                        transform_multipage)
 from .elements import NodeKind, NodeSet, build_node_inventory
-from .errors import DivisionByZero, SchemaError, ValidationError
+from .errors import DivisionByZero, DocReasonError, SchemaError, ValidationError
 from .graphs import GraphKind, SemanticGraph, build_all_graphs
-from .heads import AnswerType, Scale
+from .heads import BIO_B, BIO_I, BIO_O, AnswerType, Scale
 from .tree import Answer, TreeNode, execute_tree, parse_tree, serialize_tree, tree_leaves
 
 logger = logging.getLogger(__name__)
@@ -38,7 +41,7 @@ class Supervision:
     gold_nodes: set[int]
     gold_tree: TreeNode | None = None
     span: tuple[int, int] | None = None  # inclusive token indices
-    bio_labels: list[str] | None = None
+    bio_labels: np.ndarray | None = None  # heads.BIO_B/BIO_I/BIO_O per token
 
     @property
     def answer_type(self) -> AnswerType:
@@ -104,7 +107,10 @@ def build_instance(record: dict, max_len: int = 256, with_gold: bool = True) -> 
     inst = Instance(qid=doc.doc_id, question=question, canon=canon, seq=seq,
                     nodes=nodes, graphs=graphs, source_texts=source_texts)
     if with_gold and isinstance(record.get("answer"), dict):
-        inst.gold = build_supervision(inst, record["answer"])
+        try:
+            inst.gold = build_supervision(inst, record["answer"])
+        except DocReasonError as exc:  # each supervision error names its question once
+            raise type(exc)(f"{inst.qid}: {exc}") from None
     return inst
 
 
@@ -124,7 +130,7 @@ def _find_span_tokens(inst: Instance, text: str,
         if first < stop:
             source = inst.nodes.question_node() if bid is None else inst.nodes.block_node(bid)
             return source.node_id, (first, stop - 1)
-    raise ValidationError(f"{inst.qid}: answer text {text!r} not found in evidence blocks")
+    raise ValidationError(f"answer text {text!r} not found in evidence blocks")
 
 
 def _substitute_expression(expr: str, node_ids: list[int]) -> str:
@@ -140,14 +146,14 @@ def build_supervision(inst: Instance, answer: dict) -> Supervision:
     try:
         atype = AnswerType(answer.get("type"))
     except ValueError:
-        raise SchemaError(f"{inst.qid}: unknown answer type {answer.get('type')!r}") from None
+        raise SchemaError(f"unknown answer type {answer.get('type')!r}") from None
     try:
         scale = Scale(answer.get("scale", "None"))
     except ValueError:
-        raise SchemaError(f"{inst.qid}: unknown scale {answer.get('scale')!r}") from None
+        raise SchemaError(f"unknown scale {answer.get('scale')!r}") from None
     refs = answer.get("evidence_node_refs", [])
     if not isinstance(refs, list):
-        raise SchemaError(f"{inst.qid}: evidence_node_refs must be a list")
+        raise SchemaError("evidence_node_refs must be a list")
     ref_ids = [resolve_ref(inst.nodes, r) for r in refs]
     gold_nodes = set(ref_ids)
     # The owning Question/Block of every leaf ref is evidence too.
@@ -163,35 +169,35 @@ def build_supervision(inst: Instance, answer: dict) -> Supervision:
     if atype == AnswerType.ARITHMETIC:
         expr = answer.get("expression")
         if not isinstance(expr, str):
-            raise SchemaError(f"{inst.qid}: Arithmetic answer needs an expression")
+            raise SchemaError("Arithmetic answer needs an expression")
         tree = parse_tree(_substitute_expression(expr, ref_ids))
         for leaf in tree_leaves(tree):
             if leaf.kind != "node":
                 continue
             if not 0 <= leaf.value < len(inst.nodes):
-                raise ValidationError(f"{inst.qid}: expression leaf n#{leaf.value} is not a node")
+                raise ValidationError(f"expression leaf n#{leaf.value} is not a node")
             node = inst.nodes.get(leaf.value)
             if node.kind not in (NodeKind.QUANTITY, NodeKind.DATE):
                 raise ValidationError(
-                    f"{inst.qid}: expression leaf n#{leaf.value} is a {node.kind.value} node")
+                    f"expression leaf n#{leaf.value} is a {node.kind.value} node")
         sup.gold_tree = tree
         if isinstance(value, (int, float)):
             try:
                 got = execute_tree(tree, inst.nodes)
             except DivisionByZero:
-                raise ValidationError(f"{inst.qid}: expression {expr} divides by zero") from None
+                raise ValidationError(f"expression {expr} divides by zero") from None
             if abs(got - float(value)) > 1e-6 * max(1.0, abs(float(value))):
                 logger.warning("%s: expression %s executes to %r, gold value is %r",
                                inst.qid, serialize_tree(tree), got, value)
     elif atype == AnswerType.SPAN:
         if not isinstance(value, str):
-            raise SchemaError(f"{inst.qid}: Span answer value must be a string")
+            raise SchemaError("Span answer value must be a string")
         source, sup.span = _find_span_tokens(inst, value, _block_ids(inst, gold_nodes))
         gold_nodes.add(source)  # the source an answer is found in is evidence
     elif atype == AnswerType.SPANS:
         if (not isinstance(value, list) or len(value) < 2
                 or not all(isinstance(text, str) for text in value)):
-            raise SchemaError(f"{inst.qid}: Spans answer value must be a list of >= 2 strings")
+            raise SchemaError("Spans answer value must be a list of >= 2 strings")
         block_ids = _block_ids(inst, gold_nodes)
         found = [_find_span_tokens(inst, text, block_ids) for text in value]
         gold_nodes.update(source for source, _ in found)
@@ -200,7 +206,7 @@ def build_supervision(inst: Instance, answer: dict) -> Supervision:
         element_ids = [n for n in gold_nodes
                        if inst.nodes.get(n).kind in (NodeKind.QUANTITY, NodeKind.DATE)]
         if not element_ids:
-            raise ValidationError(f"{inst.qid}: Counting answer needs Quantity/Date evidence refs")
+            raise ValidationError("Counting answer needs Quantity/Date evidence refs")
         if isinstance(value, (int, float)) and value != len(element_ids):
             logger.warning("%s: count %r differs from %d counted evidence nodes",
                            inst.qid, value, len(element_ids))
@@ -208,12 +214,11 @@ def build_supervision(inst: Instance, answer: dict) -> Supervision:
     return sup
 
 
-def _bio_from_ranges(length: int, ranges: list[tuple[int, int]]) -> list[str]:
-    labels = ["O"] * length
+def _bio_from_ranges(length: int, ranges: list[tuple[int, int]]) -> np.ndarray:
+    labels = np.full(length, BIO_O)
     for s, e in ranges:
-        labels[s] = "B"
-        for i in range(s + 1, e + 1):
-            labels[i] = "I"
+        labels[s] = BIO_B
+        labels[s + 1:e + 1] = BIO_I
     return labels
 
 
@@ -223,7 +228,7 @@ def _block_ids(inst: Instance, node_ids: set[int]) -> list[int]:
             if inst.nodes.get(n).kind == NodeKind.BLOCK]
 
 
-def _bio_from_nodes(inst: Instance, node_ids: list[int]) -> list[str]:
+def _bio_from_nodes(inst: Instance, node_ids: list[int]) -> np.ndarray:
     ranges = []
     for nid in sorted(node_ids):
         lo, hi = inst.nodes.get(nid).token_range
@@ -231,13 +236,31 @@ def _bio_from_nodes(inst: Instance, node_ids: list[int]) -> list[str]:
     return _bio_from_ranges(len(inst.seq), ranges)
 
 
+def check_corpus(path: str, max_len: int = 256,
+                 with_gold: bool = True) -> Iterator[Instance | DocReasonError]:
+    """Per record of the corpus, its instance or the SchemaError or
+    ValidationError that building it raised, naming the path and the
+    record's index. doc_id keys the prediction dump and the graph files, so
+    a doc_id seen in an earlier record is a ValidationError."""
+    seen = set()
+    for index, record in enumerate(load_records(path)):
+        try:
+            inst = build_instance(record, max_len, with_gold=with_gold)
+            if inst.qid in seen:
+                raise ValidationError(f"duplicate doc_id {inst.qid!r}")
+        except (SchemaError, ValidationError) as exc:
+            yield type(exc)(f"{path} record {index}: {exc}")
+            continue
+        seen.add(inst.qid)
+        yield inst
+
+
 def load_corpus(path: str, max_len: int = 256, with_gold: bool = True) -> list[Instance]:
-    """One instance per record; doc_id keys the prediction dump and the
-    graph files, so a repeated doc_id raises ValidationError."""
-    instances: dict[str, Instance] = {}
-    for record in load_records(path):
-        inst = build_instance(record, max_len, with_gold=with_gold)
-        if inst.qid in instances:
-            raise ValidationError(f"{path}: duplicate doc_id {inst.qid!r}")
-        instances[inst.qid] = inst
-    return list(instances.values())
+    """One instance per record; raises the error of the first bad record
+    (see check_corpus)."""
+    instances = []
+    for inst in check_corpus(path, max_len, with_gold):
+        if isinstance(inst, DocReasonError):
+            raise inst
+        instances.append(inst)
+    return instances

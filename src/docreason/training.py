@@ -40,7 +40,6 @@ def nll_rows(log_probs: Tensor, labels: np.ndarray,
     return -(log_probs * Tensor(pick)).sum() / denom
 
 
-_BIO_INDEX = {"B": 0, "I": 1, "O": 2}
 LOSS_TERMS = ("node", "type", "scale", "start", "end", "token", "tree")
 # why a question has no answer; the first also scores a question that a
 # prediction dump has no row for
@@ -62,8 +61,7 @@ def compute_loss(model: Model, inst: Instance, out: ModelOutput,
         terms["start"] = nll_rows(out.start_lp, np.array([s]))
         terms["end"] = nll_rows(out.end_lp, np.array([e]))
     elif sup.answer_type in (AnswerType.SPANS, AnswerType.COUNTING):
-        labels = np.array([_BIO_INDEX[lab] for lab in sup.bio_labels])
-        terms["token"] = nll_rows(out.token_lp, labels,
+        terms["token"] = nll_rows(out.token_lp, sup.bio_labels,
                                   out.updated.valid_mask.astype(np.float64))
     else:
         vocab = selection_vocab(out.sel, inst.nodes, model.constants)

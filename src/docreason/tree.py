@@ -400,17 +400,15 @@ class Answer:
 def span_to_text(seq: TokenSequence, start: int, end: int,
                  source_texts: dict[int | None, str]) -> str:
     """Reconstruct the surface string for tokens start..end inclusive by
-    splicing char spans per source; distinct sources joined by a space."""
+    splicing char spans per source; distinct sources joined by a space.
+    Char spans increase within a source, so a run i..j of one source is
+    the text from starts[i] to ends[j]."""
     pieces = []
     i = start
     while i <= end:
-        src = seq.tokens[i].block_id
-        j = i
-        while j + 1 <= end and seq.tokens[j + 1].block_id == src:
-            j += 1
-        lo = min(seq.tokens[k].start for k in range(i, j + 1))
-        hi = max(seq.tokens[k].end for k in range(i, j + 1))
-        pieces.append(source_texts[src][lo:hi])
+        block = seq.block_ids[seq.source_ids[i]]
+        j = min(end, seq.source_range(block)[1] - 1)
+        pieces.append(source_texts[block][seq.starts[i]:seq.ends[j]])
         i = j + 1
     return " ".join(pieces)
 
@@ -418,7 +416,7 @@ def span_to_text(seq: TokenSequence, start: int, end: int,
 def assemble_answer(atype: AnswerType, scale: Scale, seq: TokenSequence,
                     source_texts: dict[int | None, str],
                     span: tuple[int, int] | None = None,
-                    tags: list[str] | None = None,
+                    tags: np.ndarray | None = None,
                     tree: TreeNode | None = None,
                     nodes: NodeSet | None = None) -> Answer:
     """Combine head outputs into the final typed answer. An Arithmetic

@@ -184,6 +184,27 @@ class TestValidateAndGraphs:
                                     "pages": [], "blocks": []}]))
         assert main(["validate", "--corpus", str(bad)]) == 2
 
+    def test_validate_lists_every_bad_record(self, corpus, tmp_path, capsys):
+        with open(corpus, encoding="utf-8") as f:
+            records = json.load(f)
+        missing_block = json.loads(json.dumps(records[1]))
+        missing_block["answer"]["evidence_node_refs"] = [{"kind": "block", "block_id": 99}]
+        bad = [records[0], dict(records[0], question=""), missing_block, records[2],
+               records[0]]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        assert main(["validate", "--corpus", str(path)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(": ")[1] for line in lines] == \
+            [f"{path} record {i}" for i in (1, 2, 4)]
+        assert all(line.startswith("error: ") for line in lines)
+        assert f"{records[1]['doc_id']}: evidence ref names missing block 99" in lines[1]
+        assert "duplicate doc_id" in lines[2]
+        # the other commands stop at the first bad record
+        assert main(_train_args(str(path), tmp_path)) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and f"{path} record 1: " in lines[0]
+
     def test_missing_corpus_flag(self):
         assert main(["validate"]) == 2
 

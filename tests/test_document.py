@@ -177,13 +177,14 @@ class TestTokenize:
         canon = transform_multipage(ingest_document(_record(texts=("alpha beta", "gamma"))))
         seq = tokenize(canon, "what is alpha?")
         assert seq.question_len > 0
-        assert all(t.block_id is None for t in seq.tokens[: seq.question_len])
-        assert seq.tokens[seq.question_len].block_id == 0
+        block_ids = [seq.block_ids[k] for k in seq.source_ids]
+        assert block_ids[:seq.question_len] == [None] * seq.question_len
+        assert block_ids[seq.question_len] == 0
 
     def test_block_ranges_cover_sequence(self):
         canon = transform_multipage(ingest_document(_record(texts=("alpha beta", "gamma delta"))))
         seq = tokenize(canon, "which?")
-        lo, hi = seq.question_range()
+        lo, hi = seq.source_range(None)
         assert (lo, hi) == (0, seq.question_len)
         covered = set(range(hi))
         for s, e in seq.block_ranges.values():
@@ -205,14 +206,12 @@ class TestTokenize:
     def test_tokens_inherit_block_box(self):
         canon = transform_multipage(ingest_document(_record()))
         seq = tokenize(canon, "q?")
-        for tok in seq.tokens[seq.question_len:]:
-            assert tok.box == canon.blocks[0].box
+        for k in seq.source_ids[seq.question_len:]:
+            assert seq.source_boxes[k].tolist() == canon.blocks[0].box.as_list()
 
     def test_char_spans_recover_block_text(self):
         text = "Cash of $1,204.5 was held."
         canon = transform_multipage(ingest_document(_record(texts=(text,))))
         seq = tokenize(canon, "how much cash?")
         s, e = seq.block_ranges[0]
-        lo = min(t.start for t in seq.tokens[s:e])
-        hi = max(t.end for t in seq.tokens[s:e])
-        assert text[lo:hi].strip() == text.strip()
+        assert text[seq.starts[s]:seq.ends[e - 1]].strip() == text.strip()

@@ -220,7 +220,7 @@ class TestTokenIndices:
         seq = tokenize(canon, "What was revenue?")
         nodes = build_node_inventory(canon, "What was revenue?", seq)
         q = nodes.question_node()
-        assert list(range(*q.token_range)) == list(range(*seq.question_range()))
+        assert list(range(*q.token_range)) == list(range(*seq.source_range(None)))
         b = nodes.block_node(0)
         assert list(range(*b.token_range)) == list(range(*seq.block_ranges[0]))
 
@@ -233,7 +233,7 @@ class TestTokenIndices:
                 continue
             idx = list(range(*n.token_range))
             assert idx, n
-            joined = "".join(seq.tokens[i].text for i in idx)
+            joined = "".join(seq.texts[seq.text_ids[i]] for i in idx)
             assert n.text.replace(",", "") in joined.replace(",", "") or joined
 
     def test_element_indices_stay_inside_their_source(self):
@@ -248,7 +248,7 @@ class TestTokenIndices:
             for n in nodes:
                 idx = list(range(*n.token_range))
                 if n.block_id is None:
-                    lo, hi = seq.question_range()
+                    lo, hi = seq.source_range(None)
                 else:
                     lo, hi = seq.block_ranges[n.block_id]
                 assert all(lo <= i < hi for i in idx)

@@ -6,8 +6,11 @@ on widened records and on generated texts.
 
 The reference reads month names through elements._month_num: the code it
 copies lowercased them, which raised KeyError on a month spelled with ſ.
+It also skips a day or month form that names no calendar date, as the
+extraction does, by asking datetime.date for the day.
 """
 
+import datetime
 import re
 from dataclasses import dataclass, fields
 
@@ -86,6 +89,14 @@ class _Node:
     token_range: tuple[int, int] = (0, 0)
 
 
+def _is_calendar_date(y, mo, d):
+    try:
+        datetime.date(y, mo, d)
+    except ValueError:
+        return False
+    return True
+
+
 def _ref_dates(text):
     out = []
     for m in _REF_DATE_RE.finditer(text):
@@ -93,14 +104,16 @@ def _ref_dates(text):
             continue
         if m.group("dmy"):
             y, mo, d = int(m.group("dmy_y")), _month_num(m.group("dmy_m")), int(m.group("dmy_d"))
-            if not (1 <= d <= 31):
+            if not _is_calendar_date(y, mo, d):
                 continue
         elif m.group("mdy"):
             y, mo, d = int(m.group("mdy_y")), _month_num(m.group("mdy_m")), int(m.group("mdy_d"))
-            if not (1 <= d <= 31):
+            if not _is_calendar_date(y, mo, d):
                 continue
         elif m.group("my"):
             y, mo, d = int(m.group("my_y")), _month_num(m.group("my_m")), 0
+            if not _is_calendar_date(y, mo, 1):
+                continue
         elif m.group("fy"):
             raw = m.group("fy_y")
             y = int(raw) + 2000 if len(raw) == 2 else int(raw)
@@ -230,6 +243,17 @@ def test_fragment_pairs():
             _assert_same_records(extract_quantities(text), _ref_quantities(text))
             for got, want in zip(_source_elements(text), _ref_source_elements(text)):
                 _assert_same_records(got, want)
+
+
+def test_impossible_calendar_dates():
+    """Day and month forms that name no calendar date are skipped by both;
+    the leap day of a leap year is kept."""
+    for text, kept in (("31 ſeptember 2019", 0), ("29 February 2019", 0),
+                       ("Paid on February 29, 2019.", 0), ("August 0000", 0),
+                       ("29 February 2020", 1), ("30 ſeptember 2019", 1)):
+        want = _ref_dates(text)
+        assert len(want) == kept, text
+        _assert_same_records(extract_dates(text), want)
 
 
 @PROPERTY

@@ -1,7 +1,10 @@
-"""Encoder front end and head glue: token ranges recorded at ingest,
-whole-matrix pooling, the gathering embedder, Model.encode, token masking and
-node selection, each against a test-only copy of the per-token, per-node,
-one-row code they replace; Model.encode also against its gather form."""
+"""Encoder front end and head glue: the token columns and token ranges
+recorded at ingest, whole-matrix pooling, the gathering embedder,
+Model.encode, token masking and node selection, each against a test-only
+copy of the per-token, per-node, one-row code they replace; Model.encode
+also against its gather form."""
+
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -17,7 +20,8 @@ from docreason.model import Model, ModelConfig
 from docreason.nn import (FFN2, _hash_vector, _position_encoding, graph_summary,
                           init_node_representations)
 from docreason.pipeline import build_instance, load_corpus
-from docreason.vocab import token_slot
+from docreason.tree import span_to_text
+from docreason.vocab import token_slot, tokenize_text
 
 CORPUS = "data/synthetic-50.json"
 
@@ -27,36 +31,92 @@ _ROW_LABELS = ["segment sales", "operating costs", "net interest", "capital spen
 # -- test-only reference: the per-token / per-node / one-row code ----------
 
 
-def _scan_range(seq, block_id, start, end) -> list[int]:
-    lo, hi = seq.question_range() if block_id is None else seq.block_ranges[block_id]
-    return [i for i in range(lo, hi)
-            if seq.tokens[i].start < end and start < seq.tokens[i].end]
+class _Token(NamedTuple):
+    """One token as the sequence once kept it: a record per token."""
+
+    text: str
+    block_id: int | None  # None: the question
+    start: int  # char span in the source text
+    end: int
+    box: list[int] | None
 
 
-def _scan_indices(node, seq) -> list[int]:
-    lo, hi = seq.question_range() if node.block_id is None else seq.block_ranges[node.block_id]
+def _reference_tokens(canon, question, max_len) -> list[_Token]:
+    """The per-token records, rebuilt from tokenize_text per source."""
+    tokens = [_Token(t, None, s, e, None) for t, s, e in tokenize_text(question)]
+    for block in canon.blocks:
+        if len(tokens) >= max_len:
+            break
+        for t, s, e in tokenize_text(block.text):
+            tokens.append(_Token(t, block.block_id, s, e, block.box.as_list()))
+            if len(tokens) >= max_len:
+                break
+    return tokens
+
+
+def _instance_tokens(inst) -> list[_Token]:
+    # a sequence cut at max_len holds max_len tokens, so its own length
+    # rebuilds the same prefix
+    return _reference_tokens(inst.canon, inst.question, len(inst.seq))
+
+
+def _reference_ranges(tokens) -> dict[int | None, tuple[int, int]]:
+    """Token positions per source (None: the question), one run each."""
+    ranges = {None: (0, 0)}
+    for i, tok in enumerate(tokens):
+        lo, _ = ranges.get(tok.block_id, (i, i))
+        ranges[tok.block_id] = (lo, i + 1)
+    return ranges
+
+
+def _scan_range(tokens, block_id, start, end) -> list[int]:
+    return [i for i, tok in enumerate(tokens)
+            if tok.block_id == block_id and tok.start < end and start < tok.end]
+
+
+def _scan_inside(tokens, block_id, start, end) -> list[int]:
+    return [i for i, tok in enumerate(tokens)
+            if tok.block_id == block_id and start <= tok.start and tok.end <= end]
+
+
+def _scan_indices(node, tokens) -> list[int]:
     if node.kind in (NodeKind.QUESTION, NodeKind.BLOCK):
-        return list(range(lo, hi))
-    return _scan_range(seq, node.block_id, node.start, node.end)
+        return [i for i, tok in enumerate(tokens) if tok.block_id == node.block_id]
+    return _scan_range(tokens, node.block_id, node.start, node.end)
 
 
-def _reference_embed(embedder, seq) -> Tensor:
-    n = len(seq)
+def _reference_span_text(tokens, start, end, source_texts) -> str:
+    pieces = []
+    i = start
+    while i <= end:
+        src = tokens[i].block_id
+        j = i
+        while j + 1 <= end and tokens[j + 1].block_id == src:
+            j += 1
+        lo = min(tokens[k].start for k in range(i, j + 1))
+        hi = max(tokens[k].end for k in range(i, j + 1))
+        pieces.append(source_texts[src][lo:hi])
+        i = j + 1
+    return " ".join(pieces)
+
+
+def _reference_embed(embedder, tokens) -> Tensor:
+    n = len(tokens)
     base = np.empty((n, embedder.dim))
     slots = np.empty(n, dtype=np.int64)
-    for i, tok in enumerate(seq.tokens):
+    for i, tok in enumerate(tokens):
         base[i] = _hash_vector(tok.text, embedder.dim, embedder.seed)
-        box = np.zeros(4) if tok.box is None else np.array(tok.box.as_list()) / 1000.0
+        box = np.zeros(4) if tok.box is None else np.array(tok.box) / 1000.0
         base[i] += box @ embedder._box_proj
         slots[i] = token_slot(tok.text)
     base += _position_encoding(n, embedder.dim)
     return embedder.table.take_rows(slots) + Tensor(base)
 
 
-def _reference_pool(nodes, token_embs, seq) -> Tensor:
+def _reference_pool(nodes, token_embs, tokens) -> Tensor:
     rows = []
     for node in nodes.nodes:
-        idx = _scan_indices(node, seq)
+        idx = _scan_indices(node, tokens)
         if not idx:
             raise EmptySpan(f"node {node.node_id} covers no tokens")
         rows.append(token_embs.take_rows(np.asarray(idx)).mean(axis=0, keepdims=True))
@@ -71,7 +131,7 @@ def _reference_mask(token_embs, sel, nodes, sd_reprs, seq):
         if node.node_id not in selected:
             continue
         if node.kind == NodeKind.QUESTION:
-            lo, hi = seq.question_range()
+            lo, hi = seq.source_range(None)
         elif node.kind == NodeKind.BLOCK:
             lo, hi = seq.block_ranges[node.block_id]
         else:
@@ -90,8 +150,9 @@ def _reference_selection(probs, max_nodes) -> list[int]:
 
 
 def _reference_encode(model, instance, rng=None, train=False):
-    token_embs = _reference_embed(model.embedder, instance.seq)
-    init = _reference_pool(instance.nodes, token_embs, instance.seq)
+    tokens = _instance_tokens(instance)
+    token_embs = _reference_embed(model.embedder, tokens)
+    init = _reference_pool(instance.nodes, token_embs, tokens)
     rows = [init.slice_rows(i, i + 1) for i in range(len(instance.nodes))]
     for kind in (GraphKind.QUANTITY, GraphKind.DATE, GraphKind.TEXT):
         graph = instance.graphs[kind]
@@ -181,62 +242,88 @@ def _bytes(t: Tensor) -> bytes:
 # -- tests -----------------------------------------------------------------
 
 
+def _assert_matches_reference(seq, tokens, source_texts, rng):
+    """The columns, source ranges, bisections and span texts of a sequence
+    against the per-token records."""
+    assert len(seq) == len(tokens)
+    assert [seq.texts[i] for i in seq.text_ids] == [t.text for t in tokens]
+    assert len(set(seq.texts)) == len(seq.texts)
+    assert seq.slots.tolist() == [token_slot(t.text) for t in tokens]
+    assert (list(seq.starts), list(seq.ends)) == ([t.start for t in tokens],
+                                                  [t.end for t in tokens])
+    assert [seq.block_ids[k] for k in seq.source_ids] == [t.block_id for t in tokens]
+    assert seq.source_boxes[seq.source_ids].tolist() == [t.box or [0, 0, 0, 0] for t in tokens]
+    for name in ("text_ids", "slots", "source_ids"):
+        assert getattr(seq, name).dtype.kind == "i", name
+    ranges = _reference_ranges(tokens)
+    assert seq.source_range(None) == ranges.pop(None)
+    assert seq.block_ranges == ranges
+    for block_id in [None, *seq.block_ranges]:
+        length = len(source_texts[block_id])
+        for _ in range(20):
+            start = int(rng.integers(0, length + 2))
+            end = start + int(rng.integers(0, 12))
+            assert list(range(*seq.overlap_range(block_id, start, end))) == \
+                _scan_range(tokens, block_id, start, end)
+            assert list(range(*seq.inside_range(block_id, start, end))) == \
+                _scan_inside(tokens, block_id, start, end)
+    for _ in range(20):
+        start = int(rng.integers(0, len(seq)))
+        end = int(rng.integers(start, min(len(seq), start + 40)))
+        assert span_to_text(seq, start, end, source_texts) == \
+            _reference_span_text(tokens, start, end, source_texts)
+
+
 class TestTokenRanges:
     def test_bisected_range_equals_linear_scan(self):
+        """Untruncated and cut between two tokens of one block."""
         rng = np.random.default_rng(0)
-        for r, record in enumerate(synthetic.generate_corpus(12, seed=5)):
+        for record in synthetic.generate_corpus(12, seed=5):
             canon = transform_multipage(ingest_document(record))
-            untruncated = tokenize(canon, record["question"], max_len=4096)
-            full = len(untruncated)
-            # Every third record is cut inside its document tokens.
-            max_len = full if r % 3 else int(rng.integers(untruncated.question_len + 1, full))
-            seq = tokenize(canon, record["question"], max_len=max_len)
             texts = {None: record["question"], **{b.block_id: b.text for b in canon.blocks}}
-            for block_id in [None, *seq.block_ranges]:
-                length = len(texts[block_id])
-                for _ in range(60):
-                    start = int(rng.integers(0, length + 2))
-                    end = start + int(rng.integers(0, 12))
-                    lo, hi = seq.overlap_range(block_id, start, end)
-                    assert list(range(lo, hi)) == _scan_range(seq, block_id, start, end)
-            assert len(seq) < full or r % 3
+            full = _reference_tokens(canon, record["question"], 4096)
+            inside = [i for i in range(1, len(full))
+                      if full[i - 1].block_id == full[i].block_id is not None]
+            for max_len in (len(full), *rng.choice(inside, 2, replace=False).tolist()):
+                seq = tokenize(canon, record["question"], max_len=max_len)
+                tokens = _reference_tokens(canon, record["question"], max_len)
+                assert len(tokens) == max_len
+                _assert_matches_reference(seq, tokens, texts, rng)
 
     def test_node_token_indices_and_inventory_match_the_scan(self, bundled, widened, truncated):
         for inst in bundled + widened + truncated:
+            tokens = _instance_tokens(inst)
             for node in inst.nodes:
-                assert list(range(*node.token_range)) == _scan_indices(node, inst.seq)
+                assert list(range(*node.token_range)) == _scan_indices(node, tokens)
         record = synthetic.generate_corpus(3, seed=9)[2]
         canon = transform_multipage(ingest_document(record))
         seq = tokenize(canon, record["question"], max_len=40)
         inventory = build_node_inventory(canon, record["question"], seq)
+        tokens = _reference_tokens(canon, record["question"], 40)
         for node in inventory:
-            assert _scan_indices(node, seq)
+            assert _scan_indices(node, tokens)
 
-    def test_index_arrays_describe_the_tokens(self, bundled, truncated):
-        for inst in bundled + truncated:
-            seq = inst.seq
-            assert [seq.texts[i] for i in seq.text_ids] == [t.text for t in seq.tokens]
-            assert len(set(seq.texts)) == len(seq.texts)
-            assert seq.slots.tolist() == [token_slot(t.text) for t in seq.tokens]
-            boxes = [[0, 0, 0, 0] if t.box is None else t.box.as_list() for t in seq.tokens]
-            assert seq.source_boxes[seq.source_ids].tolist() == boxes
-            for name in ("text_ids", "slots", "source_ids"):
-                assert getattr(seq, name).dtype.kind == "i", name
+    def test_index_arrays_describe_the_tokens(self, bundled, widened, truncated):
+        rng = np.random.default_rng(4)
+        for inst in bundled + widened + truncated:
+            _assert_matches_reference(inst.seq, _instance_tokens(inst), inst.source_texts, rng)
 
 
 class TestPooling:
     def test_matches_per_node_reference_by_bytes(self, bundled, widened, truncated):
-        counts = {len(_scan_indices(n, widened[0].seq)) for n in widened[0].nodes}
+        wide = _instance_tokens(widened[0])
+        counts = {len(_scan_indices(n, wide)) for n in widened[0].nodes}
         assert len(counts) >= 4
         rng = np.random.default_rng(1)
         for inst in bundled + widened + truncated:
+            tokens = _instance_tokens(inst)
             x = rng.normal(size=(len(inst.seq), 6))
             for quantity in inst.nodes.by_kind(NodeKind.QUANTITY)[:1]:
-                x[_scan_indices(quantity, inst.seq)] = -0.0
+                x[_scan_indices(quantity, tokens)] = -0.0
             x[0, :3] = -0.0
             embs = Tensor(x)
             got = init_node_representations(inst.nodes, embs)
-            assert _bytes(got) == _bytes(_reference_pool(inst.nodes, embs, inst.seq)), inst.qid
+            assert _bytes(got) == _bytes(_reference_pool(inst.nodes, embs, tokens)), inst.qid
 
     def test_gradient_matches_finite_differences(self, bundled):
         inst = bundled[0]

@@ -9,6 +9,9 @@ from docreason.elements import NodeKind, build_node_inventory
 from docreason.errors import GoldOverCap, NoValidTokens, ValidationError
 from docreason.heads import (
     ANSWER_TYPES,
+    BIO_B,
+    BIO_I,
+    BIO_O,
     SCALES,
     NodeSelection,
     UpdatedTokens,
@@ -113,7 +116,7 @@ class TestTokenUpdate:
         sel = _selection([0.0] * len(nodes))
         sel.selected.append(q.node_id)
         u = mask_and_update_tokens(embs, sel, nodes, reprs, seq)
-        lo, hi = seq.question_range()
+        lo, hi = seq.source_range(None)
         np.testing.assert_array_equal(u.valid_mask[lo:hi], True)
         np.testing.assert_allclose(u.matrix.data[lo:hi, :8], embs.data[lo:hi])
         np.testing.assert_allclose(
@@ -197,7 +200,7 @@ class TestSpanHead:
         sel.selected.append(q.node_id)
         u = mask_and_update_tokens(embs, sel, nodes, reprs, seq)
         start_lp, _, (s, e) = predict_span(u, _ffn(16, 1, 1), _ffn(16, 1, 2))
-        lo, hi = seq.question_range()
+        lo, hi = seq.source_range(None)
         assert lo <= s <= e < hi
         probs = np.exp(start_lp.data[0])
         assert probs[~u.valid_mask].max() < 1e-12
@@ -229,18 +232,37 @@ class TestBIO:
         assert len(labels) == len(seq)
         for i, lab in enumerate(labels):
             if not u.valid_mask[i]:
-                assert lab == "O"
+                assert lab == BIO_O
+
+    def test_labels_match_the_per_token_loop(self):
+        """Against the loop tag_tokens replaced: O where masked, else the
+        first most likely label, also when labels tie."""
+        seq, nodes, embs, reprs = _instance()
+        sel = _selection([0.0] * len(nodes))
+        sel.selected.append(nodes.block_node(0).node_id)
+        u = mask_and_update_tokens(embs, sel, nodes, reprs, seq)
+        tied = _ffn(16, 3)
+        for p in tied.params().values():
+            p.data[...] = 0.0
+        tied.l2.b.data[:] = (0.0, 1.0, 1.0)  # I and O tie above B
+        for ffn in (_ffn(16, 3), _ffn(16, 3, 5), tied):
+            log_probs, labels = tag_tokens(u, ffn)
+            want = [int(np.argmax(row)) if valid else BIO_O
+                    for row, valid in zip(log_probs.data, u.valid_mask)]
+            assert labels.tolist() == want
+        assert set(labels.tolist()) == {BIO_I, BIO_O}
 
     def test_decode_fixtures(self):
+        B, I, O = BIO_B, BIO_I, BIO_O
         cases = {
-            ("B", "I", "O"): [(0, 1)],
-            ("O", "B", "B", "I"): [(1, 1), (2, 3)],
-            ("I", "I", "O", "I"): [(0, 1), (3, 3)],
-            ("O", "O"): [],
-            ("B",): [(0, 0)],
+            (B, I, O): [(0, 1)],
+            (O, B, B, I): [(1, 1), (2, 3)],
+            (I, I, O, I): [(0, 1), (3, 3)],
+            (O, O): [],
+            (B,): [(0, 0)],
         }
         for labels, want in cases.items():
-            assert bio_spans(list(labels)) == want, labels
+            assert bio_spans(np.array(labels)) == want, labels
 
 
 class TestSummaryHeads:

@@ -168,7 +168,7 @@ class TestToyEmbedder:
         seq_b = tokenize(canon, "How much was paid?")
         emb = ToyEmbedder(np.random.default_rng(0), dim=8, seed=0)
         a, b = emb.embed(seq_a).data, emb.embed(seq_b).data
-        q_len = seq_a.question_range()[1]
+        q_len = seq_a.source_range(None)[1]
         np.testing.assert_array_equal(a[:q_len], b[:q_len])
         assert np.abs(a[q_len:] - b[q_len:]).max() > 1e-6
 

@@ -9,7 +9,7 @@ import pytest
 from docreason.elements import NodeKind
 from docreason.errors import SchemaError, ValidationError
 from docreason.graphs import GraphKind
-from docreason.heads import AnswerType, Scale
+from docreason.heads import BIO_B, BIO_I, BIO_O, AnswerType, Scale
 from docreason.pipeline import (
     _find_span_tokens,
     build_instance,
@@ -84,6 +84,32 @@ class TestEvidenceRefs:
         assert inst.nodes.get(d).block_id is None
         assert inst.nodes.get(d).date_key == (2018, 0, 0)
 
+    def test_supervision_errors_name_the_question_once(self):
+        refs = [{"kind": "quantity", "block_id": 0, "index": 0}]
+        bad_answers = [
+            {"type": "Bogus"},
+            {"type": "Span", "scale": "Bogus"},
+            {"type": "Span", "evidence_node_refs": {}},
+            {"type": "Span", "evidence_node_refs": ["quantity"]},
+            {"type": "Span", "evidence_node_refs": [{"kind": "paragraph"}]},
+            {"type": "Span", "evidence_node_refs": [{"kind": "block", "block_id": 7}]},
+            {"type": "Span", "evidence_node_refs": [{"kind": "date", "block_id": 0,
+                                                     "index": 3}]},
+            {"type": "Span", "value": "no such text", "evidence_node_refs": refs},
+            {"type": "Arithmetic", "value": 1.0, "evidence_node_refs": refs},
+            {"type": "Arithmetic", "expression": "(- e#0 e#7)", "evidence_node_refs": refs},
+            {"type": "Arithmetic", "expression": "(- e#0", "evidence_node_refs": refs},
+            {"type": "Arithmetic", "expression": "(/ e#0 c#0)", "value": 1.0,
+             "evidence_node_refs": refs},
+            {"type": "Spans", "value": "one", "evidence_node_refs": refs},
+            {"type": "Counting", "evidence_node_refs": [{"kind": "block", "block_id": 0}]},
+        ]
+        for answer in bad_answers:
+            with pytest.raises((SchemaError, ValidationError)) as exc:
+                build_instance(_record(answer))
+            message = str(exc.value)
+            assert message.startswith("q1: ") and message.count("q1") == 1, message
+
     def test_bad_refs_raise(self):
         inst = build_instance(_record())
         with pytest.raises(SchemaError):
@@ -155,7 +181,7 @@ class TestOtherSupervision:
                   "evidence_node_refs": [{"kind": "block", "block_id": 0}]}
         inst = build_instance(_record(answer))
         s, e = inst.gold.span
-        text = "".join(t.text for t in inst.seq.tokens[s:e + 1])
+        text = "".join(inst.seq.texts[i] for i in inst.seq.text_ids[s:e + 1])
         assert text.replace("##", "") == "1,731"
 
     def test_span_not_in_evidence_raises(self):
@@ -178,7 +204,8 @@ class TestOtherSupervision:
         inst, sources = gold("Span", "1,401")
         assert sources == {1} | question
         s, e = inst.gold.span
-        assert inst.seq.tokens[s].block_id == inst.seq.tokens[e].block_id == 1
+        assert inst.seq.block_ids[inst.seq.source_ids[s]] == 1
+        assert inst.seq.block_ids[inst.seq.source_ids[e]] == 1
         assert gold("Spans", ["1,731", "1,401"])[1] == {0, 1} | question
         # a string in no block is found in the question, whose node is gold
         inst, sources = gold("Span", "change in revenue")
@@ -196,8 +223,8 @@ class TestOtherSupervision:
                     continue
                 lo, hi = inst.seq.source_range(bid)
                 covered = [i for i in range(lo, hi)
-                           if inst.seq.tokens[i].start >= at
-                           and inst.seq.tokens[i].end <= at + len(needle)]
+                           if inst.seq.starts[i] >= at
+                           and inst.seq.ends[i] <= at + len(needle)]
                 if covered:
                     return bid, (covered[0], covered[-1])
             return None
@@ -238,7 +265,10 @@ class TestOtherSupervision:
         inst = build_instance(_record(answer))
         labels = inst.gold.bio_labels
         assert len(labels) == len(inst.seq)
-        assert labels.count("B") == 2
+        starts = np.flatnonzero(labels == BIO_B)
+        assert len(starts) == 2  # "1", ",", "731" and "1", ",", "401"
+        assert np.flatnonzero(labels == BIO_I).tolist() == [s + k for s in starts for k in (1, 2)]
+        assert (labels == BIO_O).sum() == len(labels) - 6
 
     def test_counting_bio_comes_from_evidence_nodes(self):
         answer = {"type": "Counting", "value": 2, "scale": "None",
@@ -246,7 +276,7 @@ class TestOtherSupervision:
                       {"kind": "quantity", "block_id": 0, "index": 0},
                       {"kind": "quantity", "block_id": 1, "index": 0}]}
         inst = build_instance(_record(answer))
-        assert inst.gold.bio_labels.count("B") == 2
+        assert (inst.gold.bio_labels == BIO_B).sum() == 2
 
     def test_counting_value_other_than_the_count_warns(self, caplog):
         for value in (3, 2.5, float("nan"), float("inf")):

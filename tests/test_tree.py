@@ -16,7 +16,7 @@ from docreason.errors import (
     ValidationError,
 )
 from docreason import tree as tree_module
-from docreason.heads import AnswerType, NodeSelection, Scale
+from docreason.heads import BIO_B, BIO_O, AnswerType, NodeSelection, Scale
 from docreason.tree import (
     OPS,
     Answer,
@@ -505,19 +505,16 @@ class TestAssembly:
 
     def test_span_across_sources_joins_with_space(self):
         seq, nodes, texts = _instance()
-        q_hi = seq.question_range()[1]
+        q_hi = seq.source_range(None)[1]
         text = span_to_text(seq, q_hi - 1, q_hi, texts)
         assert " " in text
 
     def test_counting_counts_duplicate_spans(self):
         seq, nodes, texts = _instance(texts=("Paid 7 then 7 again.",))
         lo, _ = seq.block_ranges[0]
-        first = next(i for i in range(lo, len(seq)) if seq.tokens[i].text == "7")
-        second = next(i for i in range(first + 1, len(seq))
-                      if seq.tokens[i].text == "7")
-        tags = ["O"] * len(seq)
-        tags[first] = "B"
-        tags[second] = "B"
+        first, second = [i for i in range(lo, len(seq)) if seq.texts[seq.text_ids[i]] == "7"]
+        tags = np.full(len(seq), BIO_O)
+        tags[[first, second]] = BIO_B
         ans = assemble_answer(AnswerType.COUNTING, Scale.NONE, seq, texts, tags=tags)
         assert ans.value == 2.0
         assert ans.raw_value == 2.0
@@ -525,10 +522,9 @@ class TestAssembly:
     def test_spans_answer_dedupes_but_keeps_order(self):
         seq, nodes, texts = _instance(texts=("Paid 7 then 7 again.",))
         lo, _ = seq.block_ranges[0]
-        hits = [i for i in range(lo, len(seq)) if seq.tokens[i].text == "7"]
-        tags = ["O"] * len(seq)
-        for i in hits:
-            tags[i] = "B"
+        hits = [i for i in range(lo, len(seq)) if seq.texts[seq.text_ids[i]] == "7"]
+        tags = np.full(len(seq), BIO_O)
+        tags[hits] = BIO_B
         ans = assemble_answer(AnswerType.SPANS, Scale.NONE, seq, texts, tags=tags)
         assert ans.value == ["7"]
 
@@ -571,4 +567,4 @@ class TestAssembly:
             assemble_answer(AnswerType.ARITHMETIC, Scale.NONE, seq, texts)
         with pytest.raises(InconsistentComponents):
             assemble_answer(AnswerType.SPANS, Scale.NONE, seq, texts,
-                            tags=["O"] * len(seq))
+                            tags=np.full(len(seq), BIO_O))
