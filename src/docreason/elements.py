@@ -173,13 +173,18 @@ _KIND_RANK = {kind: rank for rank, kind in enumerate(NodeKind)}
 class NodeSet:
     """The inventory, laid out as node id = position with the kinds in runs
     [question | blocks | quantities | dates], which __post_init__ checks once
-    and records as one slice per kind in `runs`. Integer arrays over it are
-    built once: `token_ranges` (N, 2) holds each node's token_range, and
-    `node_of` / `token_of` list every (node, token) pair of those ranges in
-    node order. They are INDEX_DTYPE arrays, as the sequence's are."""
+    and records as one slice per kind in `runs`, and as two joined runs:
+    `sources` (Question + Block, the nodes that own their token ranges) and
+    `leaves` (Quantity + Date, each mined from its source `parent_id`).
+    Integer arrays over it are built once: `token_ranges` (N, 2) holds each
+    node's token_range, and `node_of` / `token_of` list every (node, token)
+    pair of those ranges in node order. They are INDEX_DTYPE arrays, as the
+    sequence's are."""
 
     nodes: list[ElementNode] = field(default_factory=list)
     runs: dict[NodeKind, slice] = field(init=False, repr=False, compare=False)
+    sources: slice = field(init=False, repr=False, compare=False)
+    leaves: slice = field(init=False, repr=False, compare=False)
     token_ranges: np.ndarray = field(init=False, repr=False, compare=False)
     node_of: np.ndarray = field(init=False, repr=False, compare=False)
     token_of: np.ndarray = field(init=False, repr=False, compare=False)
@@ -193,6 +198,7 @@ class NodeSet:
             raise IndexMismatch("node kinds are not grouped in NodeKind order")
         ends = [bisect_left(ranks, r) for r in range(len(NodeKind) + 1)]
         self.runs = {kind: slice(lo, hi) for kind, lo, hi in zip(NodeKind, ends, ends[1:])}
+        self.sources, self.leaves = slice(0, ends[2]), slice(ends[2], n)
         bounds = chain.from_iterable([m.token_range for m in self.nodes])
         self.token_ranges = np.fromiter(bounds, INDEX_DTYPE, 2 * n).reshape(n, 2)
         counts = self.token_ranges[:, 1] - self.token_ranges[:, 0]
@@ -259,30 +265,25 @@ def build_node_inventory(canon: CanonicalDocument, question: str,
     if len(sources) == 1:
         raise EmptyInventory(f"{canon.doc_id}: no block has any tokens")
 
-    nodes: list[ElementNode] = []
-    parent_of: dict[int | None, int] = {}
-    nodes.append(ElementNode(0, NodeKind.QUESTION, None, None, 0, len(question), question,
-                             token_range=seq.source_range(None)))
-    parent_of[None] = 0
+    # Source i is node i: the question, then the blocks.
+    nodes = [ElementNode(0, NodeKind.QUESTION, None, None, 0, len(question), question,
+                         token_range=seq.source_range(None))]
     for block_id, text in sources[1:]:
-        nid = len(nodes)
-        nodes.append(ElementNode(nid, NodeKind.BLOCK, block_id, None, 0, len(text), text,
+        nodes.append(ElementNode(len(nodes), NodeKind.BLOCK, block_id, None, 0, len(text), text,
                                  token_range=seq.source_range(block_id)))
-        parent_of[block_id] = nid
 
-    extracted = [(block_id, parent_of[block_id], *_source_elements(text))
-                 for block_id, text in sources]
-    for kind in (NodeKind.QUANTITY, NodeKind.DATE):
-        for block_id, parent, quantities, dates in extracted:
-            spans = quantities if kind == NodeKind.QUANTITY else dates
+    # zip(*) turns the per-source (quantities, dates) pairs into the quantity
+    # spans of every source, then the date spans: the two leaf runs in order.
+    for spans_per_source in zip(*[_source_elements(text) for _, text in sources]):
+        for parent, ((block_id, _), spans) in enumerate(zip(sources, spans_per_source)):
             for occurrence, sp in enumerate(spans):
                 lo, hi = seq.overlap_range(block_id, sp.start, sp.end)
                 if hi == lo:
                     continue  # truncated away; its occurrence stays counted
-                if kind == NodeKind.QUANTITY:
-                    value, is_percent, date_key = sp.value, sp.is_percent, None
+                if isinstance(sp, QuantitySpan):
+                    kind, value, is_percent, date_key = NodeKind.QUANTITY, sp.value, sp.is_percent, None
                 else:
-                    value, is_percent, date_key = None, False, sp.key()
+                    kind, value, is_percent, date_key = NodeKind.DATE, None, False, sp.key()
                 nodes.append(ElementNode(len(nodes), kind, block_id, parent, sp.start, sp.end,
                                          sp.text, value, is_percent, date_key, occurrence,
                                          (lo, hi)))

@@ -8,12 +8,12 @@ Four graphs per instance:
 * semantic dependency: union of the three plus a containment edge from
   every Quantity/Date node to the Question/Block node it was mined from.
 
-Adjacency matrices are dense bool arrays indexed by graph-local position;
-node_ids maps positions back to inventory node ids. The inventory lays its
-kinds out in runs (see NodeSet), so each subgraph's members are one run of
-ids. A comparison graph is one broadcast `>=` over its members' keys; the
+The inventory lays its kinds out in runs (see NodeSet), so a graph is its
+run of node ids and a dense bool adjacency over the run's positions:
+position i is node id run.start + i. A comparison graph is one broadcast
+`>=` over its run's keys, and the text graph is the `sources` run. The
 semantic graph ORs each subgraph's adjacency into its run's block, then
-writes all containment edges from the leaves' parent ids in one indexed
+writes every containment edge from the `leaves` run in one indexed
 assignment.
 """
 
@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .elements import ElementNode, NodeKind, NodeSet
+from .elements import NodeKind, NodeSet
 from .errors import IndexMismatch
 
 
@@ -38,82 +38,78 @@ class GraphKind(str, Enum):
 @dataclass
 class SemanticGraph:
     kind: GraphKind
-    node_ids: list[int]
+    run: slice  # the member node ids, one run of the inventory
     adjacency: np.ndarray  # (n, n) bool, A[i, j] True for edge i -> j
 
     def __post_init__(self):
-        n = len(self.node_ids)
+        n = self.num_nodes
         if self.adjacency.shape != (n, n):
             raise IndexMismatch(
                 f"{self.kind.value}: adjacency {self.adjacency.shape} vs {n} nodes")
 
     @property
     def num_nodes(self) -> int:
-        return len(self.node_ids)
+        return self.run.stop - self.run.start
 
     @property
-    def run(self) -> slice:
-        """The node ids as a slice of the inventory: the members of every
-        graph built over a NodeSet are one run of its ids."""
-        lo = self.node_ids[0] if self.node_ids else 0
-        return slice(lo, lo + len(self.node_ids))
+    def node_ids(self) -> list[int]:
+        return list(range(self.run.start, self.run.stop))
 
     def edges(self) -> list[tuple[int, int]]:
-        """Directed edges as (src, dst) inventory node ids, sorted."""
-        src, dst = np.nonzero(self.adjacency)
-        ids = np.asarray(self.node_ids, dtype=np.int64)
-        pairs = np.stack([ids[src], ids[dst]], axis=1)
-        return [tuple(e) for e in pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].tolist()]
+        """Directed edges as (src, dst) inventory node ids, sorted: argwhere
+        walks the adjacency in row-major order, and ids rise with position."""
+        return [tuple(e) for e in (np.argwhere(self.adjacency) + self.run.start).tolist()]
 
     def to_dict(self) -> dict:
         return {
             "kind": self.kind.value,
-            "node_ids": list(self.node_ids),
+            "node_ids": self.node_ids,
             "edges": [list(e) for e in self.edges()],
         }
 
 
-def _comparison_graph(kind: GraphKind, members: list[ElementNode],
-                      keys: np.ndarray) -> SemanticGraph:
+def _comparison_graph(kind: GraphKind, run: slice, keys: list) -> SemanticGraph:
     """Edge i -> j for every i != j with keys[i] >= keys[j], in one broadcast."""
+    keys = np.array(keys)
     adj = keys[:, None] >= keys[None, :]
     np.fill_diagonal(adj, False)
-    return SemanticGraph(kind, [m.node_id for m in members], adj)
+    return SemanticGraph(kind, run, adj)
 
 
 def build_quantity_graph(nodes: NodeSet) -> SemanticGraph:
-    members = nodes.by_kind(NodeKind.QUANTITY)
-    return _comparison_graph(GraphKind.QUANTITY, members, np.array([m.value for m in members]))
+    run = nodes.runs[NodeKind.QUANTITY]
+    return _comparison_graph(GraphKind.QUANTITY, run, [m.value for m in nodes.nodes[run]])
 
 
 def build_date_graph(nodes: NodeSet) -> SemanticGraph:
-    members = nodes.by_kind(NodeKind.DATE)
+    run = nodes.runs[NodeKind.DATE]
+    keys = [m.date_key for m in nodes.nodes[run]]
     # Ranks among the distinct (year, month, day) keys keep their tuple order.
-    rank = {key: r for r, key in enumerate(sorted({m.date_key for m in members}))}
-    return _comparison_graph(GraphKind.DATE, members, np.array([rank[m.date_key] for m in members]))
+    rank = {key: r for r, key in enumerate(sorted(set(keys)))}
+    return _comparison_graph(GraphKind.DATE, run, [rank[key] for key in keys])
 
 
 def build_text_graph(nodes: NodeSet) -> SemanticGraph:
-    members = nodes.by_kind(NodeKind.QUESTION) + nodes.by_kind(NodeKind.BLOCK)
-    return SemanticGraph(GraphKind.TEXT, [m.node_id for m in members], ~np.eye(len(members), dtype=bool))
+    n = nodes.sources.stop - nodes.sources.start
+    return SemanticGraph(GraphKind.TEXT, nodes.sources, ~np.eye(n, dtype=bool))
 
 
 def build_semantic_graph(nodes: NodeSet, quantity: SemanticGraph, date: SemanticGraph,
                          text: SemanticGraph) -> SemanticGraph:
     """Union of the three graphs over the full inventory, plus a containment
-    edge from each leaf element to its parent node. Each subgraph's members
-    must be one run of inventory ids, else IndexMismatch, and its adjacency
-    is ORed into that run's block."""
+    edge from each leaf element to its parent node. Each subgraph's run must
+    lie within the inventory ids, else IndexMismatch, and its adjacency is
+    ORed into that run's block."""
     n = len(nodes)
     adj = np.zeros((n, n), dtype=bool)
     for sub in (quantity, date, text):
-        if list(range(n)[sub.run]) != sub.node_ids:
-            raise IndexMismatch(
-                f"{sub.kind.value}: members are not one run of the inventory ids 0..{n - 1}")
+        if not 0 <= sub.run.start <= sub.run.stop <= n:
+            raise IndexMismatch(f"{sub.kind.value}: run {sub.run.start}..{sub.run.stop} "
+                                f"lies outside the inventory ids 0..{n - 1}")
         adj[sub.run, sub.run] |= sub.adjacency.astype(bool, copy=False)
-    leaves = [m for m in nodes.nodes if m.parent_id is not None]
-    adj[[m.node_id for m in leaves], [m.parent_id for m in leaves]] = True
-    return SemanticGraph(GraphKind.SEMANTIC, list(range(n)), adj)
+    parents = [m.parent_id for m in nodes.nodes[nodes.leaves]]
+    adj[nodes.leaves][np.arange(len(parents)), parents] = True
+    return SemanticGraph(GraphKind.SEMANTIC, slice(0, n), adj)
 
 
 def build_all_graphs(nodes: NodeSet) -> dict[GraphKind, SemanticGraph]:

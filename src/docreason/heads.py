@@ -16,7 +16,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import Tensor, add_masked, concat
 from .document import TokenSequence
-from .elements import NodeKind, NodeSet
+from .elements import NodeSet
 from .errors import GoldOverCap, NoValidTokens, ValidationError
 from .nn import FFN2
 
@@ -97,20 +97,17 @@ def inject_gold_nodes(sel: NodeSelection, gold_nodes: set[int], max_nodes: int =
                          log_probs=sel.log_probs)
 
 
-_OWNER_KINDS = (NodeKind.QUESTION, NodeKind.BLOCK)  # the nodes that own their tokens
-
-
 def mask_and_update_tokens(token_embs: Tensor, sel: NodeSelection, nodes: NodeSet,
                            sd_reprs: Tensor, seq: TokenSequence) -> UpdatedTokens:
     """Tokens covered by a selected Question/Block node become
     concat(h_token, h_owner); everything else is an exactly-zero row."""
     owner_row = np.zeros(len(seq), dtype=np.int64)
     valid = np.zeros(len(seq), dtype=bool)
+    sources = range(len(nodes))[nodes.sources]
     for i in sel.selected:
-        node = nodes.nodes[i]
-        if node.kind in _OWNER_KINDS:
-            lo, hi = node.token_range
-            owner_row[lo:hi] = node.node_id
+        if i in sources:
+            lo, hi = nodes.nodes[i].token_range
+            owner_row[lo:hi] = i
             valid[lo:hi] = True
     mask_col = Tensor(valid.astype(np.float64)[:, None])
     owners = sd_reprs.take_rows(owner_row) * mask_col

@@ -62,7 +62,6 @@ class ModelOutput:
     token_lp: Tensor | None = None
     labels: np.ndarray | None = None  # heads.BIO_B/BIO_I/BIO_O per token
     tree: TreeNode | None = None
-    tree_score: float | None = None
 
 
 class Model:
@@ -162,7 +161,7 @@ class Model:
         if heads & {AnswerType.SPANS, AnswerType.COUNTING}:
             out.token_lp, out.labels = tag_tokens(out.updated, self.token_ffn, rng, train)
         if AnswerType.ARITHMETIC in heads and not train:
-            out.tree, out.tree_score = decode_tree(
+            out.tree, _ = decode_tree(
                 h_sd, sd_reprs, sel, instance.nodes, self.decoder,
                 self.config.beam, self.config.max_tree_depth, self.constants)
         return out

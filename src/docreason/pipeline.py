@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import logging
 import re
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -82,14 +84,14 @@ def resolve_ref(nodes: NodeSet, ref: dict) -> int:
         try:
             return nodes.block_node(block_id).node_id
         except KeyError:
-            raise ValidationError(f"evidence ref names missing block {block_id}") from None
+            raise ValidationError(f"evidence ref names missing block {block_id!r}") from None
     index = ref.get("index", 0)
     for node in nodes.by_kind(kind):
         if node.block_id == block_id and node.occurrence == index:
             return node.node_id
     raise ValidationError(
-        f"no {kind.value} node with occurrence {index} in "
-        f"{'question' if block_id is None else f'block {block_id}'}")
+        f"no {kind.value} node with occurrence {index!r} in "
+        f"{'question' if block_id is None else f'block {block_id!r}'}")
 
 
 def build_instance(record: dict, max_len: int = 256, with_gold: bool = True) -> Instance:
@@ -119,14 +121,21 @@ def _find_span_tokens(inst: Instance, text: str,
     """Locate a gold answer string inside one of the evidence blocks (every
     block, then the question, when none is given). Returns the node id of
     the Question/Block it was found in and the inclusive range of that
-    source's tokens lying inside the match."""
+    source's tokens lying inside the match. The match is made in lowercase
+    and mapped back to char offsets of the source text."""
     needle, seq = text.strip().lower(), inst.seq
     candidates: list[int | None] = list(block_ids) or [*seq.block_ranges, None]
     for bid in candidates:
-        at = inst.source_texts[bid].lower().find(needle)
+        source_text = inst.source_texts[bid]
+        lowered = source_text.lower()
+        at = lowered.find(needle)
         if at < 0:
             continue
-        first, stop = seq.inside_range(bid, at, at + len(needle))
+        lo, hi = at, at + len(needle)
+        if len(lowered) > len(source_text):  # a letter such as İ lowercases to two
+            bounds = list(accumulate((len(c.lower()) for c in source_text), initial=0))
+            lo, hi = bisect_right(bounds, lo) - 1, bisect_left(bounds, hi)
+        first, stop = seq.inside_range(bid, lo, hi)
         if first < stop:
             source = inst.nodes.question_node() if bid is None else inst.nodes.block_node(bid)
             return source.node_id, (first, stop - 1)
@@ -161,6 +170,7 @@ def build_supervision(inst: Instance, answer: dict) -> Supervision:
         parent = inst.nodes.get(nid).parent_id
         if parent is not None:
             gold_nodes.add(parent)
+    leaves = range(len(inst.nodes))[inst.nodes.leaves]
     value = answer.get("value")
     sup = Supervision(answer=Answer(atype, value, scale,
                                     raw_value=float(value) if isinstance(value, (int, float)) else None),
@@ -172,14 +182,12 @@ def build_supervision(inst: Instance, answer: dict) -> Supervision:
             raise SchemaError("Arithmetic answer needs an expression")
         tree = parse_tree(_substitute_expression(expr, ref_ids))
         for leaf in tree_leaves(tree):
-            if leaf.kind != "node":
+            if leaf.kind != "node" or leaf.value in leaves:
                 continue
             if not 0 <= leaf.value < len(inst.nodes):
                 raise ValidationError(f"expression leaf n#{leaf.value} is not a node")
-            node = inst.nodes.get(leaf.value)
-            if node.kind not in (NodeKind.QUANTITY, NodeKind.DATE):
-                raise ValidationError(
-                    f"expression leaf n#{leaf.value} is a {node.kind.value} node")
+            raise ValidationError(f"expression leaf n#{leaf.value} is a "
+                                  f"{inst.nodes.get(leaf.value).kind.value} node")
         sup.gold_tree = tree
         if isinstance(value, (int, float)):
             try:
@@ -203,8 +211,7 @@ def build_supervision(inst: Instance, answer: dict) -> Supervision:
         gold_nodes.update(source for source, _ in found)
         sup.bio_labels = _bio_from_ranges(len(inst.seq), [span for _, span in found])
     else:  # Counting
-        element_ids = [n for n in gold_nodes
-                       if inst.nodes.get(n).kind in (NodeKind.QUANTITY, NodeKind.DATE)]
+        element_ids = [n for n in gold_nodes if n in leaves]
         if not element_ids:
             raise ValidationError("Counting answer needs Quantity/Date evidence refs")
         if isinstance(value, (int, float)) and value != len(element_ids):

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import RowSparse, Tensor
-from .elements import NodeKind
 from .errors import (DivisionByZero, GoldOverCap, InconsistentComponents, NoLeafCandidates,
                      NonFiniteLoss, NonFiniteResult, NoValidTokens, SchemaError, ValidationError)
 from .heads import ANSWER_TYPES, SCALES, AnswerType, Scale
@@ -311,10 +310,10 @@ def score_prediction(inst: Instance, answer: Answer | None,
         "error": classify_error(answer, sup.answer, failure),
         "evidence": None,
     }
-    element_kinds = (NodeKind.QUANTITY, NodeKind.DATE)
-    gold_elems = {n for n in sup.gold_nodes if inst.nodes.get(n).kind in element_kinds}
+    leaves = range(len(inst.nodes))[inst.nodes.leaves]
+    gold_elems = {n for n in sup.gold_nodes if n in leaves}
     if sup.answer_type == AnswerType.ARITHMETIC and gold_elems:
-        pred_elems = {n for n in selected if inst.nodes.get(n).kind in element_kinds}
+        pred_elems = {n for n in selected if n in leaves}
         row["evidence"] = evidence_metrics(pred_elems, gold_elems)
     return row
 

@@ -177,9 +177,8 @@ class TreeVocab:
 
 def selection_vocab(sel: NodeSelection, nodes: NodeSet,
                     constants: list[int] | None = None) -> TreeVocab:
-    leaf_ids = [nid for nid in sel.selected
-                if nodes.get(nid).kind in (NodeKind.QUANTITY, NodeKind.DATE)]
-    return TreeVocab(leaf_ids, constants)
+    leaves = range(len(nodes))[nodes.leaves]
+    return TreeVocab([nid for nid in sel.selected if nid in leaves], constants)
 
 
 def _outer_sum(rows: Tensor, cols: Tensor) -> Tensor:
@@ -268,7 +267,6 @@ class TreeDecoder:
 
 @dataclass
 class _Frame:
-    op_token: int
     op_emb: Tensor
     goal: Tensor  # the goal the operator was predicted under
     ctx: Tensor
@@ -291,7 +289,7 @@ def _apply_token(decoder: TreeDecoder, state: _State, token: int, logp: float,
     tokens = state.tokens + (token,)
     if kind == "op":
         op_emb = cand_embs.slice_rows(token, token + 1)
-        frames = state.frames + (_Frame(token, op_emb, state.goal, ctx),)
+        frames = state.frames + (_Frame(op_emb, state.goal, ctx),)
         goal = decoder.left_goal(state.goal, op_emb, ctx)
         return _State(goal, frames, tokens, state.logp + logp, order)
     emb = cand_embs.slice_rows(token, token + 1)

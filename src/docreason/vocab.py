@@ -179,9 +179,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def id_of(self, token: str) -> int | None:
-        return self.token_to_id.get(token)
-
     def split_word(self, word: str) -> list[tuple[str, int, int]]:
         """Split a lowercased alphabetic word into (piece, start, end) triples.
 

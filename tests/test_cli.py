@@ -205,6 +205,20 @@ class TestValidateAndGraphs:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and f"{path} record 1: " in lines[0]
 
+    def test_a_ref_value_holding_a_line_break_stays_on_one_line(self, corpus, tmp_path,
+                                                                capsys):
+        with open(corpus, encoding="utf-8") as f:
+            record = json.load(f)[1]
+        for ref in ({"kind": "block", "block_id": "\x0c"},
+                    {"kind": "quantity", "block_id": "\n", "index": 0},
+                    {"kind": "quantity", "block_id": 1, "index": "\r\n"}):
+            record["answer"]["evidence_node_refs"] = [ref]
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps([record]))
+            assert main(["validate", "--corpus", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1, err
+
     def test_missing_corpus_flag(self):
         assert main(["validate"]) == 2
 

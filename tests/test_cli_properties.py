@@ -1,9 +1,10 @@
 """Properties: `validate` on a corpus or config with one value of the wrong
 JSON type, and `train` on a record whose evidence refs are rewritten, exit
-0, 2, 3 or 4 with at most one stderr line, never with a traceback. Values
-of the right JSON type that are out of range (an expression constant the
-decoder cannot write) or odd (block text with letters that match ASCII ones
-only under case folding) exit 0 or 2."""
+0, 2, 3 or 4 with at most one stderr line, never with a traceback; `graphs`
+on such a corpus exits 0 or 2. Values of the right JSON type that are out
+of range (an expression constant the decoder cannot write) or odd (block
+text with letters that match ASCII ones only under case folding) exit 0 or
+2."""
 
 import contextlib
 import io
@@ -70,9 +71,8 @@ def _assert_contract(code: int, err: str, codes=(0, 2, 3, 4)):
     assert len(err.splitlines()) <= 1 and "Traceback" not in err, err
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(PATHS), st.data())
-def test_a_record_value_of_another_json_type(where, data):
+def _with_a_value_of_another_type(where, data) -> list[dict]:
+    """RECORDS with the value at `where` replaced by one of another JSON type."""
     index, path = where
     records = json.loads(json.dumps(RECORDS))
     parent = records[index]
@@ -80,7 +80,22 @@ def test_a_record_value_of_another_json_type(where, data):
         parent = parent[key]
     old = parent[path[-1]]
     parent[path[-1]] = data.draw(JSON_VALUES.filter(lambda v: _json_type(v) != _json_type(old)))
+    return records
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PATHS), st.data())
+def test_a_record_value_of_another_json_type(where, data):
+    records = _with_a_value_of_another_type(where, data)
     _assert_contract(*_run("validate", {"corpus.json": records}))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(PATHS), st.data())
+def test_graphs_on_a_record_value_of_another_json_type(where, data):
+    records = _with_a_value_of_another_type(where, data)
+    _assert_contract(*_run("graphs", {"corpus.json": records}, "--out-dir", "{tmp}/graphs"),
+                     codes=(0, 2))
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,12 +1,16 @@
 """Comparison, text-relation, and dependency graph construction."""
 
+import contextlib
+import hashlib
+import io
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from docreason.document import ingest_document, tokenize, transform_multipage
-from docreason.elements import NodeKind, NodeSet, build_node_inventory
+from docreason.cli import main
+from docreason.elements import ElementNode, NodeKind, NodeSet, build_node_inventory
 from docreason.errors import IndexMismatch
 from docreason.graphs import (
     GraphKind,
@@ -131,13 +135,15 @@ class TestSemanticGraph:
         qc = build_quantity_graph(nodes)
         dc = build_date_graph(nodes)
         tr = build_text_graph(nodes)
-        rogue = SemanticGraph(GraphKind.QUANTITY, [99], np.zeros((1, 1)))
+        rogue = SemanticGraph(GraphKind.QUANTITY, slice(99, 100), np.zeros((1, 1)))
         with pytest.raises(IndexMismatch):
             build_semantic_graph(nodes, rogue, dc, tr)
 
     def test_adjacency_shape_must_match_node_ids(self):
         with pytest.raises(IndexMismatch):
-            SemanticGraph(GraphKind.TEXT, [0, 1], np.zeros((3, 3)))
+            SemanticGraph(GraphKind.TEXT, slice(0, 2), np.zeros((3, 3)))
+        with pytest.raises(IndexMismatch):
+            SemanticGraph(GraphKind.TEXT, slice(3, 2), np.zeros((1, 1)))
 
 
 class TestEquivariance:
@@ -264,36 +270,94 @@ class TestArrayBuildersMatchLoops:
         with pytest.raises(IndexMismatch, match="ids"):
             NodeSet(nodes=[nodes[i] for i in order])
 
-    def test_subgraph_members_out_of_inventory_order(self):
+    def test_a_run_outside_the_inventory_is_rejected(self):
         nodes = _inventory(["Paid 5 then 9 then 7 then 2."])
         qc = build_quantity_graph(nodes)
-        order = [0, 2, 1, 3]
-        ids = [qc.node_ids[i] for i in order]
-        shuffled = SemanticGraph(GraphKind.QUANTITY, ids, qc.adjacency[np.ix_(order, order)])
-        with pytest.raises(IndexMismatch):
-            build_semantic_graph(nodes, shuffled, build_date_graph(nodes), build_text_graph(nodes))
-        past_end = SemanticGraph(GraphKind.QUANTITY, [i + 1 for i in qc.node_ids], qc.adjacency)
-        with pytest.raises(IndexMismatch):
-            build_semantic_graph(nodes, past_end, build_date_graph(nodes), build_text_graph(nodes))
+        start, stop = qc.run.start, qc.run.stop
+        assert (start, stop) == (2, 6) and len(nodes) == 6
+        for run in (slice(start + 1, stop + 1), slice(-1, stop - start - 1),
+                    slice(len(nodes), len(nodes) + stop - start)):
+            outside = SemanticGraph(GraphKind.QUANTITY, run, qc.adjacency)
+            with pytest.raises(IndexMismatch, match="outside the inventory"):
+                build_semantic_graph(nodes, outside, build_date_graph(nodes),
+                                     build_text_graph(nodes))
 
-    def test_a_node_listed_twice_in_a_subgraph_is_rejected(self):
-        nodes = _inventory(["Paid 5 then 9."])
-        qc = build_quantity_graph(nodes)
-        twice = SemanticGraph(GraphKind.QUANTITY, qc.node_ids[:1] * 2, np.zeros((2, 2), bool))
-        with pytest.raises(IndexMismatch):
-            build_semantic_graph(nodes, twice, build_date_graph(nodes), build_text_graph(nodes))
-
-    def test_edges_sort_by_node_id_not_position(self):
+    def test_edges_at_a_nonzero_run_start_match_the_loop(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
-            adj = (rng.random((6, 6)) < 0.5).astype(float)
-            node_ids = rng.permutation(20)[:6].tolist()
-            g = SemanticGraph(GraphKind.TEXT, node_ids, adj)
-            assert g.edges() == _loop_edges(node_ids, adj)
-            assert g.to_dict()["edges"] == [list(e) for e in _loop_edges(node_ids, adj)]
+            n, start = int(rng.integers(0, 7)), int(rng.integers(1, 20))
+            adj = rng.random((n, n)) < 0.5
+            node_ids = list(range(start, start + n))
+            for weights in (adj, adj * rng.random((n, n))):
+                g = SemanticGraph(GraphKind.QUANTITY, slice(start, start + n), weights)
+                assert g.node_ids == node_ids and g.num_nodes == n
+                assert g.edges() == _loop_edges(node_ids, weights)
+                assert g.to_dict()["edges"] == [list(e) for e in _loop_edges(node_ids, weights)]
 
     def test_normalize_matches_eye_formula_on_weighted_input(self):
         rng = np.random.default_rng(3)
         for n in (0, 1, 2, 7, 40):
             adj = rng.random((n, n)) * (rng.random((n, n)) < 0.4)
             assert normalize_adjacency(adj).tobytes() == _eye_normalize(adj).tobytes()
+
+
+def _random_inventory(rng):
+    """A random well-formed inventory in the acceptance gate's style: one
+    Question, 0-15 Blocks, 0-15 Quantities and 0-15 Dates, each leaf
+    parented onto a random source."""
+    nodes = [ElementNode(0, NodeKind.QUESTION, None, None, 0, 8, "question")]
+    for b in range(int(rng.integers(0, 16))):
+        nodes.append(ElementNode(len(nodes), NodeKind.BLOCK, b, None, 0, 8, f"block {b}"))
+    parents = list(nodes)
+    for kind in (NodeKind.QUANTITY, NodeKind.DATE):
+        for _ in range(int(rng.integers(0, 16))):
+            parent = parents[int(rng.integers(len(parents)))]
+            nodes.append(ElementNode(len(nodes), kind, parent.block_id, parent.node_id, 0, 4, "x",
+                                     value=1.0, date_key=(2000, 1, 1)))
+    return NodeSet(nodes=nodes)
+
+
+def _assert_sources_then_leaves(nodes):
+    n = len(nodes)
+    assert nodes.sources.start == 0 and nodes.sources.stop == nodes.leaves.start
+    assert nodes.leaves.stop == n
+    sources = range(n)[nodes.sources]
+    for node in nodes.nodes[nodes.sources]:
+        assert node.kind in (NodeKind.QUESTION, NodeKind.BLOCK) and node.parent_id is None
+    for node in nodes.nodes[nodes.leaves]:
+        assert node.kind in (NodeKind.QUANTITY, NodeKind.DATE) and node.parent_id in sources
+    assert nodes.sources.stop == nodes.runs[NodeKind.BLOCK].stop
+
+
+class TestSourceAndLeafRuns:
+    def test_bundled_and_widened_records(self):
+        rng = np.random.default_rng(7)
+        records = load_records(CORPUS)
+        for record in records:
+            _assert_sources_then_leaves(build_instance(record).nodes)
+        for record in records[:4]:
+            _assert_sources_then_leaves(build_instance(_widen(record, rng), max_len=1024).nodes)
+
+    def test_random_inventories(self):
+        rng = np.random.default_rng(20240814)
+        for _ in range(200):
+            nodes = _random_inventory(rng)
+            _assert_sources_then_leaves(nodes)
+            sd = build_all_graphs(nodes)[GraphKind.SEMANTIC]
+            containment = {(m.node_id, m.parent_id) for m in nodes if m.parent_id is not None}
+            assert containment <= set(sd.edges())
+
+
+class TestGraphsDump:
+    def test_the_dump_of_the_bundled_corpus_is_pinned(self, tmp_path):
+        # sha256 over the sorted file names, each followed by NUL and the
+        # file's bytes, of `docreason graphs` on the bundled corpus. A change
+        # to a build_*_graph function, edges() or to_dict that moves one byte
+        # of the dump fails here.
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["graphs", "--corpus", CORPUS, "--out-dir", str(tmp_path)]) == 0
+        digest = hashlib.sha256()
+        for name in sorted(path.name for path in tmp_path.iterdir()):
+            digest.update(name.encode() + b"\0" + (tmp_path / name).read_bytes())
+        assert digest.hexdigest() == \
+            "9dfd58aefe15a1c6be18d3cd67f60cdb7c9911c6a4f150443eb16ad0f9185afa"

@@ -45,7 +45,7 @@ def _fixture(texts=("Paid 7 in cash.",), question="How much was paid?"):
 
 
 def _graph(adj):
-    return SemanticGraph(GraphKind.TEXT, list(range(adj.shape[0])), adj)
+    return SemanticGraph(GraphKind.TEXT, slice(0, adj.shape[0]), adj)
 
 
 class TestNormalizeAdjacency:
@@ -179,7 +179,7 @@ class TestToyEmbedder:
     def test_out_of_vocabulary_slot_is_the_blake2b_formula(self):
         texts = ["zq-17", "zq-17", "Überschuss", "1,234.5", "", "x" * 300]
         for text in texts:
-            assert default_vocab().id_of(text) is None, text
+            assert default_vocab().token_to_id.get(text) is None, text
             digest = hashlib.blake2b(text.encode(), digest_size=8).digest()
             assert token_slot(text) == int.from_bytes(digest, "big") % VOCAB_SIZE, text
         assert token_slot.cache_info().hits >= 1  # the repeated text

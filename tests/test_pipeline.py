@@ -251,6 +251,24 @@ class TestOtherSupervision:
                     checked += 1
         assert checked > 40
 
+    def test_a_letter_whose_lowercase_is_longer_does_not_shift_the_span(self):
+        # "İ".lower() is two characters, so each İ in front of the answer
+        # moves its match in text.lower() one character further on.
+        record = load_records("data/synthetic-50.json")[1]
+        assert record["answer"]["type"] == "Span"
+
+        def gold_tokens(prefix):
+            edited = json.loads(json.dumps(record))
+            edited["blocks"][1]["text"] = prefix + edited["blocks"][1]["text"]
+            inst = build_instance(edited)
+            s, e = inst.gold.span
+            return [inst.seq.texts[i] for i in inst.seq.text_ids[s:e + 1]]
+
+        want = gold_tokens("")
+        assert " ".join(want) == record["answer"]["value"]
+        for prefix in ("İ ", "İİ İ ", "Xİ-İ: "):
+            assert gold_tokens(prefix) == want, prefix
+
     def test_spans_needs_at_least_two_values(self):
         for value in (["1,731"], ["1,731", None], ["1,731", ["1,401"]]):
             answer = {"type": "Spans", "value": value, "scale": "None",
