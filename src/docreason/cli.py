@@ -35,6 +35,16 @@ EXIT_MISMATCH = 4
 
 _DIM_PROBE = "gcn.semantic.layer0.w"
 
+# the characters str.splitlines ends a line at, each mapped to its escape
+_LINE_BREAKS = str.maketrans({c: repr(c)[1:-1]
+                              for c in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"})
+
+
+def _error_line(message) -> str:
+    """`error: {message}` as one line of stderr: a line break in the message,
+    e.g. from a doc_id, is written as its escape."""
+    return f"error: {str(message).translate(_LINE_BREAKS)}\n"
+
 
 def _write_atomic(path: str, text: str):
     tmp = path + ".tmp"
@@ -81,7 +91,7 @@ def cmd_validate(config: RunConfig) -> int:
     instances, bad = [], 0
     for inst in check_corpus(config.corpus, config.max_len):
         if isinstance(inst, DocReasonError):
-            print(f"error: {inst}", file=sys.stderr)
+            sys.stderr.write(_error_line(inst))
             bad += 1
         else:
             instances.append(inst)
@@ -169,7 +179,7 @@ class _Parser(argparse.ArgumentParser):
     other invalid input does; subcommand parsers inherit this class."""
 
     def error(self, message: str):
-        self.exit(EXIT_INVALID, f"error: {message}\n")
+        self.exit(EXIT_INVALID, _error_line(message))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -197,16 +207,16 @@ def main(argv: list[str] | None = None) -> int:
             raise SchemaError(f"{args.command} needs --corpus")
         return _COMMANDS[args.command](config)
     except (SchemaError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        sys.stderr.write(_error_line(exc))
         return EXIT_INVALID
     except NonFiniteLoss as exc:
-        print(f"error: training diverged: {exc}", file=sys.stderr)
+        sys.stderr.write(_error_line(f"training diverged: {exc}"))
         return EXIT_DIVERGED
     except CheckpointMismatch as exc:
-        print(f"error: checkpoint mismatch: {exc}", file=sys.stderr)
+        sys.stderr.write(_error_line(f"checkpoint mismatch: {exc}"))
         return EXIT_MISMATCH
     except DocReasonError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        sys.stderr.write(_error_line(exc))
         return 1
 
 

@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .autodiff import Tensor, add_masked, concat
+from .autodiff import Tensor, concat
 from .document import TokenSequence
 from .elements import NodeSet
 from .errors import GoldOverCap, NoValidTokens, ValidationError
@@ -53,8 +53,9 @@ class NodeSelection:
 
 @dataclass
 class UpdatedTokens:
-    matrix: Tensor  # (len, 2*dim)
+    matrix: Tensor  # (valid, 2*dim): the rows of the valid positions, in order
     valid_mask: np.ndarray  # (len,) bool
+    positions: np.ndarray  # (valid,) the valid positions, ascending
 
 
 @dataclass
@@ -99,8 +100,8 @@ def inject_gold_nodes(sel: NodeSelection, gold_nodes: set[int], max_nodes: int =
 
 def mask_and_update_tokens(token_embs: Tensor, sel: NodeSelection, nodes: NodeSet,
                            sd_reprs: Tensor, seq: TokenSequence) -> UpdatedTokens:
-    """Tokens covered by a selected Question/Block node become
-    concat(h_token, h_owner); everything else is an exactly-zero row."""
+    """The tokens covered by a selected Question/Block node are valid; each
+    gets the row concat(h_token, h_owner). No other token has a row."""
     owner_row = np.zeros(len(seq), dtype=np.int64)
     valid = np.zeros(len(seq), dtype=bool)
     sources = range(len(nodes))[nodes.sources]
@@ -109,17 +110,25 @@ def mask_and_update_tokens(token_embs: Tensor, sel: NodeSelection, nodes: NodeSe
             lo, hi = nodes.nodes[i].token_range
             owner_row[lo:hi] = i
             valid[lo:hi] = True
-    mask_col = Tensor(valid.astype(np.float64)[:, None])
-    owners = sd_reprs.take_rows(owner_row) * mask_col
-    matrix = concat([token_embs * mask_col, owners], axis=1)
-    return UpdatedTokens(matrix=matrix, valid_mask=valid)
+    positions = np.flatnonzero(valid)
+    matrix = concat([token_embs.take_rows(positions),
+                     sd_reprs.take_rows(owner_row[positions])], axis=1)
+    return UpdatedTokens(matrix=matrix, valid_mask=valid, positions=positions)
 
 
-def _masked_position_log_probs(u: UpdatedTokens, ffn: FFN2,
-                               rng: np.random.Generator | None,
-                               train: bool) -> Tensor:
-    logits = ffn(u.matrix, rng, train).reshape((1, len(u.valid_mask)))
-    return add_masked(logits, u.valid_mask[None, :]).log_softmax()
+def _per_token(u: UpdatedTokens, ffn: FFN2, fill: float, rng: np.random.Generator | None,
+               train: bool, log_softmax: bool = False) -> Tensor:
+    """`ffn` over the valid rows (log-softmaxed per row if asked), spread to
+    one row per token with `fill` in every entry of the other rows. Dropout
+    draws its mask for every token and keeps the valid rows, so the
+    generator advances as it does for a full-length input."""
+    n, k = len(u.valid_mask), len(u.positions)
+    out = ffn(u.matrix, rng, train, rows=(n, u.positions))
+    if log_softmax:
+        out = out.log_softmax()
+    index = np.full(n, k)  # row k: the fill row
+    index[u.positions] = np.arange(k)
+    return concat([out, Tensor(np.full((1, out.data.shape[1]), fill))]).take_rows(index)
 
 
 def predict_span(u: UpdatedTokens, start_ffn: FFN2, end_ffn: FFN2,
@@ -130,11 +139,13 @@ def predict_span(u: UpdatedTokens, start_ffn: FFN2, end_ffn: FFN2,
     e - s < max_span_len."""
     if not u.valid_mask.any():
         raise NoValidTokens("span prediction over a fully masked sequence")
-    start_lp = _masked_position_log_probs(u, start_ffn, rng, train)
-    end_lp = _masked_position_log_probs(u, end_ffn, rng, train)
+    n = len(u.valid_mask)
+    # -1e9 at invalid positions: each adds exactly 0 to the softmax sum
+    start_lp = _per_token(u, start_ffn, -1e9, rng, train).reshape((1, n)).log_softmax()
+    end_lp = _per_token(u, end_ffn, -1e9, rng, train).reshape((1, n)).log_softmax()
     # scores[s, k] is the score of (s, s + k), -inf at invalid starts and ends
     # and past the end; the first maximum in row-major order has the lowest s, e.
-    valid, n = u.valid_mask, len(u.valid_mask)
+    valid = u.valid_mask
     w = min(max_span_len, n)
     ends = np.full(n + w - 1, -np.inf)
     ends[:n][valid] = end_lp.data[0][valid]
@@ -146,9 +157,10 @@ def predict_span(u: UpdatedTokens, start_ffn: FFN2, end_ffn: FFN2,
 
 def tag_tokens(u: UpdatedTokens, ffn: FFN2, rng: np.random.Generator | None = None,
                train: bool = False) -> tuple[Tensor, np.ndarray]:
-    """3-way B/I/O distribution per token and each token's label, its first
-    most likely one; masked tokens are forced to O."""
-    log_probs = ffn(u.matrix, rng, train).log_softmax()
+    """3-way B/I/O log-probabilities per token (0 at masked tokens, which
+    the loss weights by 0) and each token's label, its first most likely
+    one; masked tokens are forced to O."""
+    log_probs = _per_token(u, ffn, 0.0, rng, train, log_softmax=True)
     return log_probs, np.where(u.valid_mask, log_probs.data.argmax(axis=1), BIO_O)
 
 

@@ -53,14 +53,16 @@ class FFN2:
         self.drop = drop
 
     def __call__(self, x: Tensor, rng: np.random.Generator | None = None,
-                 train: bool = False) -> Tensor:
-        return self.tail(self.l1(x), rng, train)
+                 train: bool = False, rows: tuple[int, np.ndarray] | None = None) -> Tensor:
+        """`rows` = (n, index) says x is the rows `index` of an n-row input;
+        the dropout mask is drawn for all n (see autodiff.dropout)."""
+        return self.tail(self.l1(x), rng, train, rows)
 
     def tail(self, pre: Tensor, rng: np.random.Generator | None = None,
-             train: bool = False) -> Tensor:
+             train: bool = False, rows: tuple[int, np.ndarray] | None = None) -> Tensor:
         """The layers after l1 (GELU -> dropout -> l2), applied to an l1
         output that the caller computed, e.g. in factored form."""
-        h = dropout(pre.gelu(), self.drop, rng, train)
+        h = dropout(pre.gelu(), self.drop, rng, train, rows)
         return self.l2(h)
 
     def params(self) -> dict[str, Tensor]:
@@ -69,8 +71,9 @@ class FFN2:
 
 def normalize_adjacency(adj: np.ndarray) -> np.ndarray:
     """D^-1/2 (max(A, A^T) + I) D^-1/2 of a bool or float adjacency, in one
-    float64 buffer."""
-    a = np.maximum(adj, adj.T, dtype=np.float64)
+    float64 buffer. The maximum is taken in the input's dtype and converted
+    once; a float64 maximum would convert both operands, one transposed."""
+    a = np.maximum(adj, adj.T).astype(np.float64)
     a.flat[::a.shape[0] + 1] += 1.0  # the diagonal: + I
     inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
     a *= inv_sqrt[:, None]
@@ -160,7 +163,8 @@ class ToyEmbedder:
         n = len(seq)
         if n == 0:
             return Tensor(np.zeros((0, self.dim)))
-        hashes = np.array([_hash_vector(t, self.dim, self.seed) for t in seq.texts])
+        hashes = np.concatenate([_hash_vector(t, self.dim, self.seed)
+                                 for t in seq.texts]).reshape(-1, self.dim)
         # one matmul per source: a single (S, 4) @ (4, dim) rounds differently
         box_rows = np.array([f @ self._box_proj for f in seq.source_boxes / COORD_SCALE])
         base = hashes[seq.text_ids] + box_rows[seq.source_ids]

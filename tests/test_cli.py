@@ -219,6 +219,23 @@ class TestValidateAndGraphs:
             err = capsys.readouterr().err
             assert len(err.splitlines()) == 1, err
 
+    def test_a_doc_id_holding_a_line_break_stays_on_one_line(self, tmp_path, capsys):
+        with open(BUNDLED, encoding="utf-8") as f:
+            record = json.load(f)[1]
+        record["answer"]["evidence_node_refs"] = [{"kind": "block", "block_id": 99}]
+        path = tmp_path / "bad.json"
+        escapes = {"-": "-", "\n": "\\n", "\r": "\\r", "\r\n": "\\r\\n", "\x0b": "\\x0b",
+                   "\x0c": "\\x0c", "\x1c": "\\x1c", "\x1d": "\\x1d", "\x1e": "\\x1e",
+                   "\x85": "\\x85", "\u2028": "\\u2028", "\u2029": "\\u2029"}
+        for brk, escape in escapes.items():
+            record["doc_id"] = f"syn{brk}0001"
+            path.write_text(json.dumps([record]))
+            assert main(["validate", "--corpus", str(path)]) == 2
+            # "-": an ordinary message is written as it is
+            assert capsys.readouterr().err == (
+                f"error: {path} record 0: syn{escape}0001: "
+                "evidence ref names missing block 99\n"), repr(brk)
+
     def test_missing_corpus_flag(self):
         assert main(["validate"]) == 2
 

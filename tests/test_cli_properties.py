@@ -1,10 +1,11 @@
 """Properties: `validate` on a corpus or config with one value of the wrong
 JSON type, and `train` on a record whose evidence refs are rewritten, exit
 0, 2, 3 or 4 with at most one stderr line, never with a traceback; `graphs`
-on such a corpus exits 0 or 2. Values of the right JSON type that are out
-of range (an expression constant the decoder cannot write) or odd (block
-text with letters that match ASCII ones only under case folding) exit 0 or
-2."""
+on such a corpus exits 0 or 2. `validate` on records whose doc_ids hold
+line breaks writes one stderr line per bad record. Values of the right
+JSON type that are out of range (an expression constant the decoder cannot
+write) or odd (block text with letters that match ASCII ones only under
+case folding) exit 0 or 2."""
 
 import contextlib
 import io
@@ -154,3 +155,24 @@ def test_validate_on_block_text_with_case_fold_letters(where, fragment, at, repl
     cut = int(at * len(text))
     target["text"] = text[:cut] + fragment + text[cut:]
     _assert_contract(*_run("validate", {"corpus.json": records}), codes=(0, 2))
+
+
+# every character str.splitlines ends a line at
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)) | st.sampled_from(LINE_BREAKS),
+               max_size=6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(TEXT, st.sampled_from(LINE_BREAKS), TEXT, st.booleans()),
+                min_size=len(RECORDS), max_size=len(RECORDS)))
+def test_validate_on_doc_ids_with_line_breaks(drawn):
+    records = json.loads(json.dumps(RECORDS))
+    for i, (record, (head, brk, tail, bad)) in enumerate(zip(records, drawn)):
+        record["doc_id"] = f"{head}{brk}{tail}#{i}"  # "#i": no two are equal
+        if bad:
+            record["answer"]["evidence_node_refs"] = [{"kind": "block", "block_id": 99}]
+    code, err = _run("validate", {"corpus.json": records})
+    bad = sum(d[-1] for d in drawn)
+    assert code == (2 if bad else 0), err
+    assert "Traceback" not in err and len(err.splitlines()) == bad, err

@@ -398,12 +398,15 @@ class TestEncode:
 
 
 class TestHeadGlue:
-    def test_masking_matches_the_node_loop_by_bytes(self, bundled, widened, truncated):
-        rng = np.random.default_rng(8)
+    def test_valid_rows_match_the_node_loop_by_bytes(self, bundled, widened, truncated):
+        # The rows are the node loop's full-length rows at the valid
+        # positions, and the gradients a loss on them sends back equal that
+        # loss's gradients through the full-length matrix.
+        rng, w_rng = np.random.default_rng(8), np.random.default_rng(18)
         for inst in bundled + widened + truncated:
             n, m = len(inst.seq), len(inst.nodes)
-            embs = Tensor(rng.normal(size=(n, 4)))
-            reprs = Tensor(rng.normal(size=(m, 4)))
+            embs = Tensor(rng.normal(size=(n, 4)), requires_grad=True)
+            reprs = Tensor(rng.normal(size=(m, 4)), requires_grad=True)
             choices = [[], list(range(m)), [m - 1],
                        sorted(rng.choice(m, size=min(m, 12), replace=False).tolist()),
                        [int(i) for i in rng.integers(0, m, size=5)]]  # unsorted, repeats
@@ -412,8 +415,21 @@ class TestHeadGlue:
                                     log_probs=Tensor(np.zeros((m, 2))))
                 got = mask_and_update_tokens(embs, sel, inst.nodes, reprs, inst.seq)
                 matrix, valid = _reference_mask(embs, sel, inst.nodes, reprs, inst.seq)
+                positions = np.flatnonzero(valid)
                 assert got.valid_mask.tobytes() == valid.tobytes(), (inst.qid, selected)
-                assert _bytes(got.matrix) == _bytes(matrix), (inst.qid, selected)
+                assert got.positions.tolist() == positions.tolist(), (inst.qid, selected)
+                assert _bytes(got.matrix) == matrix.data[positions].tobytes(), \
+                    (inst.qid, selected)
+                w = w_rng.normal(size=(n, 8))
+                grads = []
+                for loss in ((got.matrix * Tensor(w[positions])).sum(),
+                             (matrix * Tensor(w)).sum()):
+                    embs.zero_grad()
+                    reprs.zero_grad()
+                    loss.backward()
+                    grads.append((embs.grad, reprs.grad))
+                for g, ref in zip(*grads):
+                    assert np.array_equal(g, ref), (inst.qid, selected)
 
     def test_selection_matches_the_sorted_loop(self, bundled, widened, truncated):
         rng = np.random.default_rng(9)

@@ -300,6 +300,24 @@ class TestArrayBuildersMatchLoops:
             adj = rng.random((n, n)) * (rng.random((n, n)) < 0.4)
             assert normalize_adjacency(adj).tobytes() == _eye_normalize(adj).tobytes()
 
+    def test_normalize_matches_eye_formula_on_bool_input_with_self_loops(self):
+        # builder graphs have no self-loops; here a True diagonal entry makes
+        # its diagonal 2, as in the formula, and blocks of a larger bool
+        # array (how builder subgraphs are stored) are taken as they are
+        rng = np.random.default_rng(5)
+        cases = [np.zeros((0, 0), dtype=bool), np.zeros((1, 1), dtype=bool),
+                 np.ones((1, 1), dtype=bool)]
+        for n in (2, 3, 9, 40):
+            adj = rng.random((n, n)) < 0.4
+            np.fill_diagonal(adj, rng.random(n) < 0.5)
+            big = rng.random((n + 5, n + 5)) < 0.3
+            cases += [adj, np.eye(n, dtype=bool), np.ones((n, n), dtype=bool),
+                      big[2:n + 2, 3:n + 3], np.asfortranarray(adj)]
+        for adj in cases:
+            got = normalize_adjacency(adj)
+            assert got.dtype == np.float64 and got.shape == adj.shape
+            assert got.tobytes() == _eye_normalize(adj).tobytes(), adj.shape
+
 
 def _random_inventory(rng):
     """A random well-formed inventory in the acceptance gate's style: one

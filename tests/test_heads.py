@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from docreason.autodiff import Tensor
+from docreason.autodiff import Tensor, add_masked, concat
 from docreason.document import ingest_document, tokenize, transform_multipage
 from docreason.elements import NodeKind, build_node_inventory
 from docreason.errors import GoldOverCap, NoValidTokens, ValidationError
@@ -25,6 +25,7 @@ from docreason.heads import (
     tag_tokens,
 )
 from docreason.nn import FFN2, ToyEmbedder, init_node_representations
+from docreason.training import nll_rows
 
 
 def _ffn(fan_in, fan_out, seed=0):
@@ -118,20 +119,25 @@ class TestTokenUpdate:
         u = mask_and_update_tokens(embs, sel, nodes, reprs, seq)
         lo, hi = seq.source_range(None)
         np.testing.assert_array_equal(u.valid_mask[lo:hi], True)
-        np.testing.assert_allclose(u.matrix.data[lo:hi, :8], embs.data[lo:hi])
+        assert u.positions.tolist() == list(range(lo, hi))
+        np.testing.assert_allclose(u.matrix.data[:, :8], embs.data[lo:hi])
         np.testing.assert_allclose(
-            u.matrix.data[lo:hi, 8:],
+            u.matrix.data[:, 8:],
             np.tile(reprs.data[q.node_id], (hi - lo, 1)))
 
-    def test_uncovered_tokens_are_exactly_zero(self):
+    def test_only_covered_tokens_get_rows(self):
         seq, nodes, embs, reprs = _instance()
         b0 = nodes.block_node(0)
         sel = _selection([0.0] * len(nodes))
         sel.selected.append(b0.node_id)
         u = mask_and_update_tokens(embs, sel, nodes, reprs, seq)
-        uncovered = ~u.valid_mask
-        assert uncovered.any()
-        assert np.all(u.matrix.data[uncovered] == 0.0)
+        lo, hi = seq.block_ranges[0]
+        assert (~u.valid_mask).any()
+        assert np.flatnonzero(u.valid_mask).tolist() == list(range(lo, hi))
+        assert u.positions.tolist() == list(range(lo, hi))
+        assert u.matrix.data.shape == (hi - lo, 16)
+        want = np.hstack([embs.data[lo:hi], np.tile(reprs.data[b0.node_id], (hi - lo, 1))])
+        assert u.matrix.data.tobytes() == want.tobytes()
 
     def test_leaf_nodes_do_not_own_tokens(self):
         seq, nodes, embs, reprs = _instance()
@@ -157,23 +163,28 @@ def _loop_span(s_row, e_row, valid, max_span_len):
 
 
 class _Logits:
-    """An FFN stand-in that returns fixed logits, one per token."""
+    """An FFN stand-in that returns fixed logits, one per token, for the
+    valid rows it is given."""
 
     def __init__(self, logits):
         self.logits = logits
 
-    def __call__(self, x, rng=None, train=False):
-        return Tensor(self.logits[:, None])
+    def __call__(self, x, rng=None, train=False, rows=None):
+        n, positions = rows
+        assert n == len(self.logits) and x.data.shape[0] == len(positions)
+        return Tensor(self.logits[positions, None])
 
 
 class TestSpanHead:
-    def test_banded_argmax_matches_the_loop_on_ties(self):
+    def test_banded_argmax_over_valid_rows_matches_the_loop_on_ties(self):
         rng = np.random.default_rng(17)
         for _ in range(600):
             n = int(rng.integers(1, 40))
             valid = rng.random(n) < rng.uniform(0.2, 1.0)
             valid[rng.integers(n)] = True
-            u = UpdatedTokens(matrix=Tensor(np.zeros((n, 2))), valid_mask=valid)
+            positions = np.flatnonzero(valid)
+            u = UpdatedTokens(matrix=Tensor(np.zeros((len(positions), 2))), valid_mask=valid,
+                              positions=positions)
             # few distinct integer logits, so scores tie often
             starts, ends = rng.integers(0, 3, size=(2, n)).astype(float)
             max_span_len = int(rng.integers(1, n + 4))
@@ -181,6 +192,12 @@ class TestSpanHead:
             want = _loop_span(start_lp.data[0], end_lp.data[0], valid, max_span_len)
             assert span == want, (n, max_span_len)
             assert all(type(i) is int for i in span)
+            for lp, logits in ((start_lp, starts), (end_lp, ends)):
+                assert np.all(np.exp(lp.data[0][~valid]) == 0.0)
+                shifted = logits[valid] - logits[valid].max()
+                np.testing.assert_allclose(lp.data[0][valid],
+                                           shifted - np.log(np.exp(shifted).sum()),
+                                           rtol=0, atol=1e-12)
 
     def test_decoded_span_is_valid(self):
         seq, nodes, embs, reprs = _instance()
@@ -219,6 +236,24 @@ class TestSpanHead:
         u = mask_and_update_tokens(embs, sel, nodes, reprs, seq)
         with pytest.raises(NoValidTokens):
             predict_span(u, _ffn(16, 1, 1), _ffn(16, 1, 2))
+
+    def test_dropout_draws_full_length_masks(self):
+        # the generator ends where two (span) or one (BIO) mask of
+        # (len, 2*dim) over every token leave it
+        seq, nodes, embs, reprs = _instance()
+        sel = _selection([0.0] * len(nodes))
+        sel.selected.append(nodes.block_node(0).node_id)
+        u = mask_and_update_tokens(embs, sel, nodes, reprs, seq)
+        assert 0 < len(u.positions) < len(seq)
+        heads = [FFN2(np.random.default_rng(i), 16, out, "head", drop=0.3)
+                 for i, out in enumerate((1, 1, 3))]
+        for run, draws in ((lambda r: predict_span(u, *heads[:2], rng=r, train=True), 2),
+                           (lambda r: tag_tokens(u, heads[2], r, True), 1)):
+            got, want = np.random.default_rng(5), np.random.default_rng(5)
+            run(got)
+            for _ in range(draws):
+                want.random((len(seq), 16))
+            assert got.bit_generator.state == want.bit_generator.state
 
 
 class TestBIO:
@@ -280,3 +315,82 @@ class TestSummaryHeads:
         out = classify_scale(h_sd, _ffn(8, len(SCALES)))
         assert out.probabilities.shape == (5,)
         np.testing.assert_allclose(out.probabilities.sum(), 1.0, atol=1e-12)
+
+
+def _full_matrix_heads(embs, sel, nodes, reprs, seq, start_ffn, end_ffn, token_ffn,
+                       rng, train):
+    """The span and BIO heads as they ran over every token: a (len, 2*dim)
+    matrix whose rows are exactly zero outside the selected sources, each
+    FFN over all of it, and the span logits of invalid positions pushed
+    down by 1e9 before the softmax."""
+    owner_row = np.zeros(len(seq), dtype=np.int64)
+    valid = np.zeros(len(seq), dtype=bool)
+    sources = range(len(nodes))[nodes.sources]
+    for i in sel.selected:
+        if i in sources:
+            lo, hi = nodes.nodes[i].token_range
+            owner_row[lo:hi] = i
+            valid[lo:hi] = True
+    mask_col = Tensor(valid.astype(np.float64)[:, None])
+    matrix = concat([embs * mask_col, reprs.take_rows(owner_row) * mask_col], axis=1)
+    n = len(seq)
+    start_lp, end_lp = (add_masked(ffn(matrix, rng, train).reshape((1, n)),
+                                   valid[None, :]).log_softmax()
+                        for ffn in (start_ffn, end_ffn))
+    return start_lp, end_lp, token_ffn(matrix, rng, train).log_softmax(), valid
+
+
+def _span_bio_loss(start_lp, end_lp, token_lp, valid, params):
+    """The training loss of a span over the first to the last valid token
+    and of I on every valid token, and its gradient in each of `params`."""
+    positions = np.flatnonzero(valid)
+    loss = nll_rows(start_lp, positions[:1]) + nll_rows(end_lp, positions[-1:]) \
+        + nll_rows(token_lp, np.where(valid, BIO_I, BIO_O), valid.astype(np.float64))
+    for p in params:
+        p.zero_grad()
+    loss.backward()
+    return float(loss.data), [p.grad.copy() for p in params]
+
+
+class TestAgainstTheFullMatrixPath:
+    def test_log_probs_decodes_and_gradients_match(self):
+        texts = [f"Row {k}: paid {3 * k + 1} in cash, then {k + 7} more on 12 May 2019."
+                 for k in range(6)]
+        seq, nodes, embs, reprs = _instance(texts)
+        embs = Tensor(embs.data, requires_grad=True)
+        reprs = Tensor(reprs.data, requires_grad=True)
+        heads = [FFN2(np.random.default_rng(10 + i), 16, out, f"head{i}", drop=0.3)
+                 for i, out in enumerate((1, 1, 3))]
+        params = [embs, reprs] + [p for ffn in heads for p in ffn.params().values()]
+        sources = [nodes.question_node().node_id] + \
+            [nodes.block_node(b).node_id for b in range(len(texts))]
+        leaf = nodes.by_kind(NodeKind.QUANTITY)[0].node_id
+        for selected in ([sources[0]], [sources[2]], sources, [sources[1], sources[4], leaf],
+                         list(range(len(nodes)))):
+            sel = NodeSelection(selected=sorted(selected), probabilities=np.zeros(len(nodes)),
+                                log_probs=Tensor(np.zeros((len(nodes), 2))))
+            for train in (False, True):
+                rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+                u = mask_and_update_tokens(embs, sel, nodes, reprs, seq)
+                start_lp, end_lp, span = predict_span(u, *heads[:2], rng=rng, train=train)
+                token_lp, labels = tag_tokens(u, heads[2], rng, train)
+                ref_start, ref_end, ref_token, valid = _full_matrix_heads(
+                    embs, sel, nodes, reprs, seq, *heads, ref_rng, train)
+                assert u.valid_mask.tobytes() == valid.tobytes()
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+                for lp, ref in ((start_lp, ref_start), (end_lp, ref_end)):
+                    np.testing.assert_allclose(lp.data[0][valid], ref.data[0][valid],
+                                               rtol=0, atol=1e-12)
+                    assert np.all(np.exp(lp.data[0][~valid]) == 0.0)
+                np.testing.assert_allclose(token_lp.data[valid], ref_token.data[valid],
+                                           rtol=0, atol=1e-12)
+                assert np.all(token_lp.data[~valid] == 0.0)
+                assert span == _loop_span(ref_start.data[0], ref_end.data[0], valid, 64)
+                assert labels.tolist() == \
+                    np.where(valid, ref_token.data.argmax(axis=1), BIO_O).tolist()
+                loss, grads = _span_bio_loss(start_lp, end_lp, token_lp, valid, params)
+                ref_loss, ref_grads = _span_bio_loss(ref_start, ref_end, ref_token, valid,
+                                                     params)
+                assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+                for p, g, ref in zip(params, grads, ref_grads):
+                    np.testing.assert_allclose(g, ref, rtol=1e-10, atol=1e-14, err_msg=p.name)
