@@ -40,13 +40,26 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 _F64 = np.dtype(np.float64)
 
 
+def scatter_add(idx: np.ndarray, g: np.ndarray, shape: tuple) -> np.ndarray:
+    """The `shape` array whose row r is the sum of g's rows i with idx[i] == r:
+    np.add.at(np.zeros(shape), idx, g) bit for bit. g holds one (shape[1:])
+    block per entry of idx. One flat np.bincount over idx * d + arange(d)
+    adds each entry's contributions from 0.0 in index order, as add.at
+    does, and several times faster. idx must lie in [0, shape[0])."""
+    d = math.prod(shape[1:])
+    flat = (np.asarray(idx, dtype=np.intp).reshape(-1, 1) * d + np.arange(d)).ravel()
+    return np.bincount(flat, weights=g.ravel(), minlength=math.prod(shape)).reshape(shape)
+
+
 class RowSparse:
     """A gradient that is zero outside some rows: `rows` are sorted unique
     row indices and `values` the (len(rows), ...) block of their entries.
 
     Adding a dense array densifies; adding another RowSparse merges by row
     union, so a row on only one side keeps its value as is where the dense
-    sum would add +0.0 to it (which only differs for a -0.0 entry).
+    sum would add +0.0 to it (which only differs for a -0.0 entry). `+=`
+    gives the same bytes without copying the left side's block when every
+    row of the right side is already one of its rows.
     """
 
     __slots__ = ("rows", "values", "shape")
@@ -60,9 +73,7 @@ class RowSparse:
         """The sum of g's rows into rows idx: each row adds its
         contributions in the same order as np.add.at on a dense table."""
         rows, inverse = np.unique(idx.ravel(), return_inverse=True)
-        values = np.zeros((len(rows),) + shape[1:])
-        np.add.at(values, inverse, g.reshape((idx.size,) + shape[1:]))
-        return cls(rows, values, shape)
+        return cls(rows, scatter_add(inverse, g, (len(rows),) + shape[1:]), shape)
 
     def dense(self) -> np.ndarray:
         out = np.zeros(self.shape)
@@ -72,13 +83,29 @@ class RowSparse:
     def __add__(self, other):
         if not isinstance(other, RowSparse):
             return self.dense() + other
-        rows = np.union1d(self.rows, other.rows)
-        values = np.zeros((len(rows),) + self.shape[1:])
-        values[np.searchsorted(rows, self.rows)] = self.values
-        values[np.searchsorted(rows, other.rows)] += other.values
-        return RowSparse(rows, values, self.shape)
+        out = RowSparse(self.rows, self.values.copy(), self.shape)
+        out += other
+        return out
 
     __radd__ = __add__
+
+    def __iadd__(self, other):
+        """self + other, into self: other's rows that self lacks are first
+        added as zero rows (a new block), then other's values are added to
+        their rows in place."""
+        if not isinstance(other, RowSparse):
+            return self + other
+        pos = np.searchsorted(self.rows, other.rows)
+        fresh = np.searchsorted(self.rows, other.rows, side="right") == pos
+        if fresh.any():
+            rows = np.concatenate((self.rows, other.rows[fresh]))
+            rows.sort()
+            values = np.zeros((len(rows),) + self.shape[1:])
+            values[np.searchsorted(rows, self.rows)] = self.values
+            self.rows, self.values = rows, values
+            pos = np.searchsorted(rows, other.rows)
+        self.values[pos] += other.values
+        return self
 
 
 class Tensor:
@@ -88,8 +115,8 @@ class Tensor:
         data: the float64 ndarray value (row-major).
         raw_grad: the gradient accumulated by backward() as it is stored:
             None, an ndarray shaped like data, or a RowSparse (the gradient
-            into a leaf that only take_rows reads). Only tensors with
-            requires_grad=True get one.
+            into a leaf that only take_rows reads; a later backward() adds
+            into it in place). Only tensors with requires_grad=True get one.
         grad: raw_grad as a dense ndarray (a fresh array on each read of a
             RowSparse) or None.
     """
@@ -231,9 +258,7 @@ class Tensor:
                 return (RowSparse.scatter(idx, g, shape),)
         else:
             def backward(g):
-                acc = np.zeros(shape)
-                np.add.at(acc, idx, g)
-                return (acc,)
+                return (scatter_add(idx, g, shape),)
 
         return Tensor._result(data, (self,), backward)
 
@@ -370,7 +395,9 @@ class Tensor:
             if g is None:
                 continue
             if node._backward is None:
-                if node.requires_grad:
+                if isinstance(node.raw_grad, RowSparse):
+                    node.raw_grad += g  # its own block: in place where the rows allow
+                elif node.requires_grad:
                     node.raw_grad = g if node.raw_grad is None else node.raw_grad + g
                 continue
             # zip would drop a missing gradient silently; zip(strict=True)

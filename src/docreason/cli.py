@@ -46,6 +46,14 @@ def _error_line(message) -> str:
     return f"error: {str(message).translate(_LINE_BREAKS)}\n"
 
 
+class _OneLineFormatter(logging.Formatter):
+    """A log record as one line of stderr, its line breaks escaped as in
+    _error_line (a warning names a doc_id)."""
+
+    def format(self, record: logging.LogRecord) -> str:
+        return super().format(record).translate(_LINE_BREAKS)
+
+
 def _write_atomic(path: str, text: str):
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as f:
@@ -198,7 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
+    handler = logging.StreamHandler()
+    handler.setFormatter(_OneLineFormatter("%(levelname)s %(name)s: %(message)s"))
+    logging.basicConfig(level=logging.WARNING, handlers=[handler])
     args = build_parser().parse_args(argv)
     overrides = {name: getattr(args, name) for name in SETTING_TYPES}
     try:

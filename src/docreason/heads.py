@@ -166,15 +166,13 @@ def tag_tokens(u: UpdatedTokens, ffn: FFN2, rng: np.random.Generator | None = No
 
 def bio_spans(labels: np.ndarray) -> list[tuple[int, int]]:
     """Decode (start, end) inclusive ranges. Lenient: an I without a
-    preceding B opens a span."""
-    spans, start = [], None
-    for i, lab in enumerate([*labels.tolist(), BIO_O]):  # the O after the end closes a span
-        if start is not None and lab != BIO_I:
-            spans.append((start, i - 1))
-            start = None
-        if lab == BIO_B or (lab == BIO_I and start is None):
-            start = i
-    return spans
+    preceding B opens a span. A span starts at a B, or at an I after an O
+    or at position 0, and ends at a B or I that no I follows."""
+    before = np.concatenate(([BIO_O], labels))[:-1]
+    after = np.concatenate((labels, [BIO_O]))[1:]
+    starts = (labels == BIO_B) | ((labels == BIO_I) & (before == BIO_O))
+    ends = ((labels == BIO_B) | (labels == BIO_I)) & (after != BIO_I)
+    return list(zip(np.flatnonzero(starts).tolist(), np.flatnonzero(ends).tolist()))
 
 
 def _summary_head(h_sd: Tensor, ffn: FFN2, rng: np.random.Generator | None,

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .autodiff import Tensor, dropout
+from .autodiff import Tensor, dropout, scatter_add
 from .document import TokenSequence, read_json
 from .elements import NodeSet
 from .errors import CheckpointMismatch, EmptyGraph, EmptySpan, SchemaError, ShapeMismatch
@@ -111,13 +111,50 @@ class GCN:
         return out
 
 
-@lru_cache(maxsize=65536)
 def _hash_vector(text: str, dim: int, seed: int) -> np.ndarray:
     digest = hashlib.blake2b(f"{seed}:{text}".encode(), digest_size=8).digest()
     rng = np.random.default_rng(int.from_bytes(digest, "big"))
-    vec = rng.uniform(-0.05, 0.05, size=dim)
-    vec.setflags(write=False)
-    return vec
+    return rng.uniform(-0.05, 0.05, size=dim)
+
+
+_HASH_ROWS_MAX = 65536
+
+
+class _HashRows:
+    """_hash_vector of every token text seen, for one (dim, seed): `table`
+    holds one row per text and `index` maps each text to its row. Past
+    _HASH_ROWS_MAX rows the table starts over (a single call that needs more
+    gets them all)."""
+
+    def __init__(self, dim: int, seed: int):
+        self.dim, self.seed = dim, seed
+        self.index: dict[str, int] = {}
+        self.table = np.empty((0, dim))
+
+    def rows_of(self, texts: list[str]) -> np.ndarray:
+        """The table row of each of these distinct texts, hashing the new
+        ones into the table first. Read `table` after this call: it may
+        grow."""
+        new = [t for t in texts if t not in self.index]
+        if new:
+            n = len(self.index)
+            if n + len(new) > _HASH_ROWS_MAX:  # full: start over
+                self.index.clear()
+                n, new = 0, texts
+            if n + len(new) > len(self.table):
+                size = max(n + len(new), min(2 * len(self.table), _HASH_ROWS_MAX))
+                self.table = np.concatenate((self.table[:n], np.empty((size - n, self.dim))))
+            for row, text in enumerate(new, n):
+                self.table[row] = _hash_vector(text, self.dim, self.seed)
+                self.index[text] = row
+        return np.array(list(map(self.index.__getitem__, texts)), dtype=np.intp)
+
+
+@lru_cache(maxsize=4)
+def _shared_hash_rows(dim: int, seed: int) -> _HashRows:
+    """One _HashRows per (dim, seed), shared by the embedders that use it, so
+    a model rebuilt for each checkpoint load does not hash again."""
+    return _HashRows(dim, seed)
 
 
 def _position_encoding(length: int, dim: int) -> np.ndarray:
@@ -146,6 +183,7 @@ class ToyEmbedder:
         box_rng = np.random.default_rng(seed + 1)
         self._box_proj = box_rng.uniform(-0.05, 0.05, size=(4, dim))
         self._positions = _position_encoding(0, dim)
+        self._hashes = _shared_hash_rows(dim, seed)
 
     def _position_rows(self, n: int) -> np.ndarray:
         """_position_encoding(n, dim), sliced from a read-only table grown to
@@ -156,18 +194,17 @@ class ToyEmbedder:
         return self._positions[:n]
 
     def embed(self, seq: TokenSequence, qid: str | None = None) -> Tensor:
-        """One row per token; `qid` is not used. The hash vector is looked up
+        """One row per token; `qid` is not used. The hash row is looked up
         once per distinct token text and the box encoding computed once per
         source; rows gather them, and the table rows of the token slots, by
         the sequence's index arrays."""
         n = len(seq)
         if n == 0:
             return Tensor(np.zeros((0, self.dim)))
-        hashes = np.concatenate([_hash_vector(t, self.dim, self.seed)
-                                 for t in seq.texts]).reshape(-1, self.dim)
+        text_rows = self._hashes.rows_of(seq.texts)
         # one matmul per source: a single (S, 4) @ (4, dim) rounds differently
         box_rows = np.array([f @ self._box_proj for f in seq.source_boxes / COORD_SCALE])
-        base = hashes[seq.text_ids] + box_rows[seq.source_ids]
+        base = self._hashes.table[text_rows[seq.text_ids]] + box_rows[seq.source_ids]
         base += self._position_rows(n)
         return self.table.take_rows(seq.slots) + Tensor(base)
 
@@ -230,9 +267,7 @@ def init_node_representations(nodes: NodeSet, token_embs: Tensor) -> Tensor:
     shape = x.shape
 
     def backward(g):
-        acc = np.zeros(shape)
-        np.add.at(acc, token_of, (g * inv_counts[:, None])[node_of])
-        return (acc,)
+        return (scatter_add(token_of, (g * inv_counts[:, None])[node_of], shape),)
 
     return Tensor._result(data, (token_embs,), backward)
 

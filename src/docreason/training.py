@@ -48,8 +48,8 @@ FAILURES = ("invalid_prediction", "execution_error")
 def compute_loss(model: Model, inst: Instance, out: ModelOutput,
                  sup: Supervision) -> tuple[Tensor, dict[str, float]]:
     terms: dict[str, Tensor] = {}
-    node_labels = np.array([1 if n.node_id in sup.gold_nodes else 0
-                            for n in inst.nodes.nodes])
+    node_labels = np.zeros(len(inst.nodes), dtype=int)
+    node_labels[np.fromiter(sup.gold_nodes, np.intp, len(sup.gold_nodes))] = 1
     terms["node"] = nll_rows(out.sel.log_probs, node_labels)
     terms["type"] = nll_rows(out.type_out.log_probs,
                              np.array([ANSWER_TYPES.index(sup.answer_type)]))

@@ -10,6 +10,7 @@ from docreason.autodiff import (
     concat,
     dropout,
     finite_difference,
+    scatter_add,
 )
 from docreason.errors import NonFiniteLoss, ShapeMismatch
 
@@ -244,6 +245,98 @@ class TestRowSparseGradients:
         ((const @ w) * const + const).sum().backward()
         assert const.raw_grad is None
         np.testing.assert_array_equal(w.grad, [[18, 18], [18, 18]])
+
+
+def _add_at(idx, g, shape):
+    """The scatter scatter_add replaced: np.add.at into a zero table."""
+    acc = np.zeros(shape)
+    np.add.at(acc, idx, g)
+    return acc
+
+
+class TestScatterAdd:
+    """scatter_add against np.add.at into a zero table, bit for bit."""
+
+    def test_repeats_a_hot_slot_and_negative_zero(self):
+        rng = np.random.default_rng(21)
+        # slot 3 read ~200 times, as the ',' token of a wide record is
+        idx = rng.permutation(np.concatenate([np.full(200, 3), rng.integers(0, 40, 300)]))
+        g = rng.normal(size=(len(idx), 32)) * 10.0 ** rng.integers(-8, 8, size=(len(idx), 1))
+        g[::7] = -0.0
+        g[idx == 11] = -0.0  # a row whose every contribution is -0.0
+        want = _add_at(idx, g, (40, 32))
+        got = scatter_add(idx, g, (40, 32))
+        assert _same_bits(got, want)
+        assert not np.signbit(got[11]).any()
+
+    def test_empty_index_one_and_three_dimensional_values(self):
+        empty = np.array([], dtype=np.intp)
+        assert _same_bits(scatter_add(empty, np.zeros((0, 5)), (4, 5)), np.zeros((4, 5)))
+        rng = np.random.default_rng(22)
+        idx = rng.integers(0, 6, 25)
+        for tail in ((), (3, 2)):
+            g = rng.normal(size=(25, *tail))
+            g[:4] = -0.0
+            assert _same_bits(scatter_add(idx, g, (6, *tail)), _add_at(idx, g, (6, *tail)))
+        idx2 = rng.integers(0, 6, size=(5, 3))  # a 2-D index: g is idx.shape + row shape
+        g = rng.normal(size=(5, 3, 4))
+        assert _same_bits(scatter_add(idx2, g, (6, 4)), _add_at(idx2, g, (6, 4)))
+
+    def test_random_cases(self):
+        rng = np.random.default_rng(23)
+        for case in range(300):
+            n, m, d = int(rng.integers(1, 50)), int(rng.integers(0, 120)), int(rng.integers(1, 9))
+            idx = rng.integers(0, n, m)
+            g = rng.normal(size=(m, d)) * 10.0 ** rng.integers(-12, 12, size=(m, d))
+            g[rng.random((m, d)) < 0.1] = -0.0
+            assert _same_bits(scatter_add(idx, g, (n, d)), _add_at(idx, g, (n, d))), case
+
+
+def _union_add(a, b):
+    """RowSparse + RowSparse as a union: the left block assigned into zero
+    rows, the right one added."""
+    rows = np.union1d(a.rows, b.rows)
+    values = np.zeros((len(rows),) + a.shape[1:])
+    values[np.searchsorted(rows, a.rows)] = a.values
+    values[np.searchsorted(rows, b.rows)] += b.values
+    return RowSparse(rows, values, a.shape)
+
+
+class TestRowSparseSum:
+    def test_in_place_sum_equals_the_union_chain(self):
+        """`acc += part` and `acc + part` over 80 parts against the union
+        chain: the same rows and bytes, -0.0 included, and most parts add
+        into the block they found."""
+        rng = np.random.default_rng(24)
+        parts = []
+        for k in range(80):
+            # the universe grows early, so later parts mostly fall inside it
+            rows = np.unique(rng.integers(0, 20 + min(k, 10) * 4, int(rng.integers(0, 12))))
+            values = rng.normal(size=(len(rows), 3))
+            values[rng.random(values.shape) < 0.2] = -0.0
+            parts.append(RowSparse(rows, values, (60, 3)))
+        kept = [p.values.tobytes() for p in parts]
+        chain = summed = parts[0]
+        acc = RowSparse(parts[0].rows.copy(), parts[0].values.copy(), (60, 3))
+        in_place = 0
+        for part in parts[1:]:
+            chain = _union_add(chain, part)
+            summed = summed + part
+            block = acc.values
+            acc += part
+            in_place += acc.values is block
+            for got in (acc, summed):
+                np.testing.assert_array_equal(got.rows, chain.rows)
+                assert _same_bits(got.values, chain.values)
+        assert in_place >= 40 and np.signbit(chain.values).any()
+        assert [p.values.tobytes() for p in parts] == kept  # `+` and `+=` leave parts as they were
+
+    def test_a_dense_part_densifies(self):
+        acc = RowSparse(np.array([1]), np.array([[-0.0, 2.0]]), (3, 2))
+        dense = np.ones((3, 2))
+        acc += dense
+        assert type(acc) is np.ndarray
+        assert _same_bits(acc, RowSparse(np.array([1]), np.array([[-0.0, 2.0]]), (3, 2)) + dense)
 
 
 class TestBackwardSemantics:

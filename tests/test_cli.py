@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -235,6 +237,25 @@ class TestValidateAndGraphs:
             assert capsys.readouterr().err == (
                 f"error: {path} record 0: syn{escape}0001: "
                 "evidence ref names missing block 99\n"), repr(brk)
+
+    def test_a_warning_naming_a_doc_id_with_a_line_break_is_one_line(self, tmp_path):
+        """Run as a process, so that the CLI's own logging handler writes the
+        warning (an in-process run logs through pytest's handlers)."""
+        with open(BUNDLED, encoding="utf-8") as f:
+            record = json.load(f)[1]
+        record["doc_id"] = "syn\n0001"
+        record["pages"][0]["extra"] = 1
+        path = tmp_path / "warn.json"
+        path.write_text(json.dumps([record]))
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run([sys.executable, "-m", "docreason.cli", "validate",
+                               "--corpus", str(path)], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ("WARNING docreason.document: syn\\n0001 page 0: "
+                               "ignoring unknown field 'extra'\n")
 
     def test_missing_corpus_flag(self):
         assert main(["validate"]) == 2

@@ -1,11 +1,12 @@
 """Properties: `validate` on a corpus or config with one value of the wrong
 JSON type, and `train` on a record whose evidence refs are rewritten, exit
 0, 2, 3 or 4 with at most one stderr line, never with a traceback; `graphs`
-on such a corpus exits 0 or 2. `validate` on records whose doc_ids hold
-line breaks writes one stderr line per bad record. Values of the right
-JSON type that are out of range (an expression constant the decoder cannot
-write) or odd (block text with letters that match ASCII ones only under
-case folding) exit 0 or 2."""
+and `predict` on such a corpus, and `eval --predictions` on a dump with one
+value replaced or one key dropped, exit 0 or 2. `validate` on records whose
+doc_ids hold line breaks writes one stderr line per bad record. Values of
+the right JSON type that are out of range (an expression constant the
+decoder cannot write) or odd (block text with letters that match ASCII ones
+only under case folding) exit 0 or 2."""
 
 import contextlib
 import io
@@ -13,11 +14,13 @@ import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from docreason.cli import main
 from docreason.config import SETTING_TYPES
+from docreason.pipeline import load_records
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "data", "synthetic-50.json")
 with open(CORPUS, encoding="utf-8") as _f:
@@ -96,6 +99,44 @@ def test_a_record_value_of_another_json_type(where, data):
 def test_graphs_on_a_record_value_of_another_json_type(where, data):
     records = _with_a_value_of_another_type(where, data)
     _assert_contract(*_run("graphs", {"corpus.json": records}, "--out-dir", "{tmp}/graphs"),
+                     codes=(0, 2))
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """(checkpoint path, prediction dump) of a dim-8 model trained one epoch
+    on RECORDS."""
+    out = str(tmp_path_factory.mktemp("trained"))
+    checkpoint = os.path.join(out, "checkpoint.ckpt")
+    for command, extra in (("train", ("--epochs", "1", "--dim", "8")),
+                           ("predict", ("--checkpoint", checkpoint))):
+        code, err = _run(command, {"corpus.json": RECORDS}, "--out-dir", out, *extra)
+        assert code == 0, err
+    return checkpoint, load_records(os.path.join(out, "predictions.jsonl"))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(PATHS), st.data())
+def test_predict_on_a_record_value_of_another_json_type(trained, where, data):
+    records = _with_a_value_of_another_type(where, data)
+    _assert_contract(*_run("predict", {"corpus.json": records}, "--checkpoint", trained[0],
+                           "--out-dir", "{tmp}"), codes=(0, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), JSON_VALUES, st.booleans())
+def test_eval_on_a_mutated_prediction_dump(trained, data, value, drop):
+    dump = json.loads(json.dumps(trained[1]))
+    path = data.draw(st.sampled_from(list(_paths(dump))))
+    parent = dump
+    for key in path[:-1]:
+        parent = parent[key]
+    if drop:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    _assert_contract(*_run("eval", {"corpus.json": RECORDS, "predictions.json": dump},
+                           "--predictions", "{tmp}/predictions.json", "--out-dir", "{tmp}/eval"),
                      codes=(0, 2))
 
 

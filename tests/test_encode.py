@@ -9,7 +9,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from docreason import synthetic
+from docreason import nn, synthetic
 from docreason.autodiff import Tensor, concat, finite_difference
 from docreason.document import ingest_document, tokenize, transform_multipage
 from docreason.elements import NodeKind, build_node_inventory
@@ -17,7 +17,7 @@ from docreason.errors import EmptySpan
 from docreason.graphs import GraphKind
 from docreason.heads import NodeSelection, classify_nodes, mask_and_update_tokens
 from docreason.model import Model, ModelConfig
-from docreason.nn import (FFN2, _hash_vector, _position_encoding, graph_summary,
+from docreason.nn import (FFN2, ToyEmbedder, _hash_vector, _position_encoding, graph_summary,
                           init_node_representations)
 from docreason.pipeline import build_instance, load_corpus
 from docreason.tree import span_to_text
@@ -307,6 +307,48 @@ class TestTokenRanges:
         rng = np.random.default_rng(4)
         for inst in bundled + widened + truncated:
             _assert_matches_reference(inst.seq, _instance_tokens(inst), inst.source_texts, rng)
+
+
+def _concat_embed(embedder, seq) -> Tensor:
+    """ToyEmbedder.embed as it was: the hash vectors of the distinct texts,
+    one _hash_vector call each, concatenated and gathered by text_ids."""
+    hashes = np.concatenate([_hash_vector(t, embedder.dim, embedder.seed)
+                             for t in seq.texts]).reshape(-1, embedder.dim)
+    box_rows = np.array([f @ embedder._box_proj for f in seq.source_boxes / nn.COORD_SCALE])
+    base = hashes[seq.text_ids] + box_rows[seq.source_ids]
+    base += _position_encoding(len(seq), embedder.dim)
+    return embedder.table.take_rows(seq.slots) + Tensor(base)
+
+
+class TestEmbedHashRows:
+    def test_matches_the_per_text_concatenate_across_records_and_embedders(
+            self, bundled, widened, truncated):
+        first = ToyEmbedder(np.random.default_rng(0), 16, 3)
+        second = ToyEmbedder(np.random.default_rng(1), 16, 3)  # shares first's rows
+        other = ToyEmbedder(np.random.default_rng(0), 16, 4)  # a table of its own
+        assert first._hashes is second._hashes is not other._hashes
+        for inst in bundled + widened + truncated + bundled[:5]:
+            for embedder in (first, second, other):
+                got = embedder.embed(inst.seq)
+                assert _bytes(got) == _bytes(_concat_embed(embedder, inst.seq)), inst.qid
+
+    def test_a_full_table_starts_over(self, bundled, widened, monkeypatch):
+        monkeypatch.setattr(nn, "_HASH_ROWS_MAX", 700)
+        embedder = ToyEmbedder(np.random.default_rng(0), 8, 5)
+        hashes = nn._HashRows(8, 5)
+        embedder._hashes = hashes
+        sizes = []
+        for inst in widened + bundled[:10] + widened:
+            got = embedder.embed(inst.seq)
+            assert _bytes(got) == _bytes(_concat_embed(embedder, inst.seq)), inst.qid
+            sizes.append(len(hashes.index))
+            assert sizes[-1] <= 700 and len(hashes.table) <= 700
+        assert any(b < a for a, b in zip(sizes, sizes[1:]))  # it started over
+        # a record with more distinct texts than the bound gets them all
+        monkeypatch.setattr(nn, "_HASH_ROWS_MAX", 10)
+        seq = widened[0].seq
+        assert _bytes(embedder.embed(seq)) == _bytes(_concat_embed(embedder, seq))
+        assert len(hashes.index) == len(seq.texts) > 10
 
 
 class TestPooling:

@@ -256,6 +256,19 @@ class TestSpanHead:
             assert got.bit_generator.state == want.bit_generator.state
 
 
+def _loop_bio_spans(labels):
+    """bio_spans as a walk over the labels, with the O after the end closing
+    a span that is still open."""
+    spans, start = [], None
+    for i, lab in enumerate([*labels.tolist(), BIO_O]):
+        if start is not None and lab != BIO_I:
+            spans.append((start, i - 1))
+            start = None
+        if lab == BIO_B or (lab == BIO_I and start is None):
+            start = i
+    return spans
+
+
 class TestBIO:
     def test_masked_tokens_forced_to_outside(self):
         seq, nodes, embs, reprs = _instance()
@@ -298,6 +311,27 @@ class TestBIO:
         }
         for labels, want in cases.items():
             assert bio_spans(np.array(labels)) == want, labels
+
+    def test_decode_matches_the_label_loop(self):
+        """Against the per-label loop bio_spans replaced: random labels
+        (I without a B, a span open at the end, empty), and the labels of
+        tag_tokens with I and O tied."""
+        rng = np.random.default_rng(8)
+        cases = [np.array([], dtype=np.int64), np.array([BIO_I]), np.array([BIO_O, BIO_I]),
+                 np.array([BIO_B, BIO_I, BIO_I]), np.array([BIO_I, BIO_B, BIO_I])]
+        for _ in range(500):
+            cases.append(rng.integers(0, 3, int(rng.integers(0, 40))))
+        seq, nodes, embs, reprs = _instance()
+        sel = _selection([0.0] * len(nodes))
+        sel.selected.append(nodes.block_node(0).node_id)
+        u = mask_and_update_tokens(embs, sel, nodes, reprs, seq)
+        tied = _ffn(16, 3)
+        for p in tied.params().values():
+            p.data[...] = 0.0
+        tied.l2.b.data[:] = (0.0, 1.0, 1.0)
+        cases.append(tag_tokens(u, tied)[1])
+        for labels in cases:
+            assert bio_spans(labels) == _loop_bio_spans(labels), labels.tolist()
 
 
 class TestSummaryHeads:
