@@ -16,6 +16,7 @@ import sys
 from collections import Counter
 
 from .config import SETTING_TYPES, RunConfig, load_config
+from .document import write_atomic
 from .elements import NodeKind
 from .errors import (CheckpointMismatch, DocReasonError, NonFiniteLoss, SchemaError,
                      ValidationError)
@@ -54,13 +55,6 @@ class _OneLineFormatter(logging.Formatter):
         return super().format(record).translate(_LINE_BREAKS)
 
 
-def _write_atomic(path: str, text: str):
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
-        f.write(text)
-    os.replace(tmp, path)
-
-
 def _build_model(config: RunConfig) -> Model:
     embedder = None if config.embeddings is None else FileEmbedder(config.embeddings, config.dim)
     return Model(config, embedder=embedder)
@@ -97,7 +91,7 @@ def _load_into_model(config: RunConfig) -> Model:
 
 def cmd_validate(config: RunConfig) -> int:
     instances, bad = [], 0
-    for inst in check_corpus(config.corpus, config.max_len):
+    for inst in check_corpus(config.corpus, config.max_len, constants_max=config.constants_max):
         if isinstance(inst, DocReasonError):
             sys.stderr.write(_error_line(inst))
             bad += 1
@@ -125,15 +119,15 @@ def cmd_graphs(config: RunConfig) -> int:
         for kind in GraphKind:
             payload = {"qid": inst.qid, **inst.graphs[kind].to_dict()}
             path = os.path.join(config.out_dir, f"{inst.qid}.{kind.name.lower()}.json")
-            _write_atomic(path, json.dumps(payload, sort_keys=True, indent=2,
-                                           allow_nan=False) + "\n")
+            write_atomic(path, (json.dumps(payload, sort_keys=True, indent=2,
+                                           allow_nan=False) + "\n").encode())
     print(f"wrote {4 * len(instances)} graph files to {config.out_dir}")
     return 0
 
 
 def cmd_train(config: RunConfig) -> int:
     os.makedirs(config.out_dir, exist_ok=True)
-    instances = load_corpus(config.corpus, config.max_len)
+    instances = load_corpus(config.corpus, config.max_len, constants_max=config.constants_max)
     dev = load_corpus(config.dev_corpus, config.max_len) if config.dev_corpus else None
     model = _build_model(config)
     result = train(model, instances, epochs=config.epochs, batch=config.batch,
@@ -144,7 +138,7 @@ def cmd_train(config: RunConfig) -> int:
         tensor.data = result.best_params[name]
     ckpt_path = config.checkpoint or os.path.join(config.out_dir, "checkpoint.ckpt")
     save_checkpoint(ckpt_path, params, model.checkpoint_meta())
-    _write_atomic(os.path.join(config.out_dir, "train_log.csv"), result.log.to_csv())
+    write_atomic(os.path.join(config.out_dir, "train_log.csv"), result.log.to_csv().encode())
     print(f"trained {config.epochs} epochs, best dev EM {result.best_em:.4f}")
     print(f"checkpoint: {ckpt_path}")
     return 0
@@ -156,8 +150,8 @@ def cmd_predict(config: RunConfig) -> int:
     model = _load_into_model(config)
     dump = predict_corpus(model, instances)
     out_path = os.path.join(config.out_dir, "predictions.jsonl")
-    _write_atomic(out_path, "".join(json.dumps(row, sort_keys=True, allow_nan=False) + "\n"
-                                    for row in dump))
+    write_atomic(out_path, "".join(json.dumps(row, sort_keys=True, allow_nan=False) + "\n"
+                                   for row in dump).encode())
     print(f"wrote {len(dump)} predictions to {out_path}")
     return 0
 
@@ -172,8 +166,8 @@ def cmd_eval(config: RunConfig) -> int:
         raise SchemaError("eval needs --checkpoint or --predictions")
     report, _rows = score_dump(instances, dump)
     os.makedirs(config.out_dir, exist_ok=True)
-    _write_atomic(os.path.join(config.out_dir, "report.json"), report.to_json())
-    _write_atomic(os.path.join(config.out_dir, "report.txt"), report.to_text())
+    write_atomic(os.path.join(config.out_dir, "report.json"), report.to_json().encode())
+    write_atomic(os.path.join(config.out_dir, "report.txt"), report.to_text().encode())
     print(report.to_text(), end="")
     return 0
 
@@ -206,12 +200,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    handler = logging.StreamHandler()
+    # warnings go to this call's sys.stderr, through a handler for this call only
+    handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(_OneLineFormatter("%(levelname)s %(name)s: %(message)s"))
-    logging.basicConfig(level=logging.WARNING, handlers=[handler])
-    args = build_parser().parse_args(argv)
-    overrides = {name: getattr(args, name) for name in SETTING_TYPES}
+    package_logger = logging.getLogger("docreason")
+    package_logger.addHandler(handler)
     try:
+        args = build_parser().parse_args(argv)
+        overrides = {name: getattr(args, name) for name in SETTING_TYPES}
         config = load_config(args.config, overrides)
         if not config.corpus:
             raise SchemaError(f"{args.command} needs --corpus")
@@ -228,6 +224,8 @@ def main(argv: list[str] | None = None) -> int:
     except DocReasonError as exc:
         sys.stderr.write(_error_line(exc))
         return 1
+    finally:
+        package_logger.removeHandler(handler)
 
 
 if __name__ == "__main__":

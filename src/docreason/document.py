@@ -4,13 +4,15 @@ Input records describe a visually-rich document as pages plus layout blocks
 with normalized bounding boxes (coordinates in 0..1000 relative to their
 page). This module validates records, flattens multi-page documents onto a
 single canonical canvas, and produces the token sequence the model consumes.
-It also holds `read_json`, the one reader of every JSON input file.
+It also holds `read_json` and `write_atomic`, the one reader of every JSON
+input file and the one writer of every output file.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -148,6 +150,14 @@ def read_json(path: str, lines: bool = False):
         raise SchemaError(f"{path}: cannot read: {exc.strerror}") from None
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise SchemaError(f"{path}: invalid JSON: {exc}") from None
+
+
+def write_atomic(path: str, *chunks) -> None:
+    """Write the bytes-like `chunks` to `path + ".tmp"`, then rename it onto
+    `path`, so no reader sees a partly written file."""
+    with open(path + ".tmp", "wb") as f:
+        f.writelines(chunks)
+    os.replace(path + ".tmp", path)
 
 
 def _require(cond: bool, msg: str):

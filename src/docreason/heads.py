@@ -66,11 +66,10 @@ class HeadOutput:
 
 
 def classify_nodes(sd_reprs: Tensor, ffn: FFN2, max_nodes: int = 12,
-                   rng: np.random.Generator | None = None,
-                   train: bool = False) -> NodeSelection:
+                   rng: np.random.Generator | None = None) -> NodeSelection:
     """Per-node relevance; selected = P > 0.5, capped at the max_nodes
     highest probabilities with ties broken toward lower node ids."""
-    log_probs = ffn(sd_reprs, rng, train).log_softmax()
+    log_probs = ffn(sd_reprs, rng).log_softmax()
     probs = np.exp(log_probs.data[:, 1])
     over = np.flatnonzero(probs > 0.5)
     kept = over[np.argsort(-probs[over], kind="stable")[:max_nodes]]
@@ -117,13 +116,13 @@ def mask_and_update_tokens(token_embs: Tensor, sel: NodeSelection, nodes: NodeSe
 
 
 def _per_token(u: UpdatedTokens, ffn: FFN2, fill: float, rng: np.random.Generator | None,
-               train: bool, log_softmax: bool = False) -> Tensor:
+               log_softmax: bool = False) -> Tensor:
     """`ffn` over the valid rows (log-softmaxed per row if asked), spread to
     one row per token with `fill` in every entry of the other rows. Dropout
     draws its mask for every token and keeps the valid rows, so the
     generator advances as it does for a full-length input."""
     n, k = len(u.valid_mask), len(u.positions)
-    out = ffn(u.matrix, rng, train, rows=(n, u.positions))
+    out = ffn(u.matrix, rng, rows=(n, u.positions))
     if log_softmax:
         out = out.log_softmax()
     index = np.full(n, k)  # row k: the fill row
@@ -131,9 +130,8 @@ def _per_token(u: UpdatedTokens, ffn: FFN2, fill: float, rng: np.random.Generato
     return concat([out, Tensor(np.full((1, out.data.shape[1]), fill))]).take_rows(index)
 
 
-def predict_span(u: UpdatedTokens, start_ffn: FFN2, end_ffn: FFN2,
-                 max_span_len: int = 64, rng: np.random.Generator | None = None,
-                 train: bool = False) -> tuple[Tensor, Tensor, tuple[int, int]]:
+def predict_span(u: UpdatedTokens, start_ffn: FFN2, end_ffn: FFN2, max_span_len: int = 64,
+                 rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor, tuple[int, int]]:
     """Start/end distributions over valid positions plus the decoded pair
     (s, e), inclusive, maximizing P_start * P_end with s <= e and
     e - s < max_span_len."""
@@ -141,8 +139,8 @@ def predict_span(u: UpdatedTokens, start_ffn: FFN2, end_ffn: FFN2,
         raise NoValidTokens("span prediction over a fully masked sequence")
     n = len(u.valid_mask)
     # -1e9 at invalid positions: each adds exactly 0 to the softmax sum
-    start_lp = _per_token(u, start_ffn, -1e9, rng, train).reshape((1, n)).log_softmax()
-    end_lp = _per_token(u, end_ffn, -1e9, rng, train).reshape((1, n)).log_softmax()
+    start_lp = _per_token(u, start_ffn, -1e9, rng).reshape((1, n)).log_softmax()
+    end_lp = _per_token(u, end_ffn, -1e9, rng).reshape((1, n)).log_softmax()
     # scores[s, k] is the score of (s, s + k), -inf at invalid starts and ends
     # and past the end; the first maximum in row-major order has the lowest s, e.
     valid = u.valid_mask
@@ -155,12 +153,12 @@ def predict_span(u: UpdatedTokens, start_ffn: FFN2, end_ffn: FFN2,
     return start_lp, end_lp, (s, s + k)
 
 
-def tag_tokens(u: UpdatedTokens, ffn: FFN2, rng: np.random.Generator | None = None,
-               train: bool = False) -> tuple[Tensor, np.ndarray]:
+def tag_tokens(u: UpdatedTokens, ffn: FFN2,
+               rng: np.random.Generator | None = None) -> tuple[Tensor, np.ndarray]:
     """3-way B/I/O log-probabilities per token (0 at masked tokens, which
     the loss weights by 0) and each token's label, its first most likely
     one; masked tokens are forced to O."""
-    log_probs = _per_token(u, ffn, 0.0, rng, train, log_softmax=True)
+    log_probs = _per_token(u, ffn, 0.0, rng, log_softmax=True)
     return log_probs, np.where(u.valid_mask, log_probs.data.argmax(axis=1), BIO_O)
 
 
@@ -175,18 +173,13 @@ def bio_spans(labels: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(np.flatnonzero(starts).tolist(), np.flatnonzero(ends).tolist()))
 
 
-def _summary_head(h_sd: Tensor, ffn: FFN2, rng: np.random.Generator | None,
-                  train: bool) -> HeadOutput:
-    log_probs = ffn(h_sd.reshape((1, h_sd.data.shape[-1])), rng, train).log_softmax()
+def classify_answer_type(h_sd: Tensor, ffn: FFN2,
+                         rng: np.random.Generator | None = None) -> HeadOutput:
+    """A class of the whole document, from its summary h_sd: the answer type,
+    or, under its other name, the scale."""
+    log_probs = ffn(h_sd.reshape((1, h_sd.data.shape[-1])), rng).log_softmax()
     probs = np.exp(log_probs.data[0])
     return HeadOutput(log_probs=log_probs, probabilities=probs, argmax=int(np.argmax(probs)))
 
 
-def classify_answer_type(h_sd: Tensor, ffn: FFN2, rng: np.random.Generator | None = None,
-                         train: bool = False) -> HeadOutput:
-    return _summary_head(h_sd, ffn, rng, train)
-
-
-def classify_scale(h_sd: Tensor, ffn: FFN2, rng: np.random.Generator | None = None,
-                   train: bool = False) -> HeadOutput:
-    return _summary_head(h_sd, ffn, rng, train)
+classify_scale = classify_answer_type

@@ -86,15 +86,10 @@ class Model:
         self.constants = list(range(1, config.constants_max + 1))
 
     def params(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        out.update(self.embedder.params())
-        for kind in GraphKind:
-            out.update(self.gcns[kind].params())
-        for ffn in (self.node_ffn, self.type_ffn, self.scale_ffn,
-                    self.start_ffn, self.end_ffn, self.token_ffn):
-            out.update(ffn.params())
-        out.update(self.decoder.params())
-        return out
+        parts = (self.embedder, *(self.gcns[kind] for kind in GraphKind), self.node_ffn,
+                 self.type_ffn, self.scale_ffn, self.start_ffn, self.end_ffn, self.token_ffn,
+                 self.decoder)
+        return {name: t for part in parts for name, t in part.params().items()}
 
     def load_params(self, arrays: dict[str, np.ndarray], source: str = "checkpoint"):
         """Copy `arrays` into the parameters; a missing, extra or misshapen
@@ -116,9 +111,9 @@ class Model:
                 "gcn_layers": self.config.gcn_layers,
                 "embedder": getattr(self.embedder, "name", "toy")}
 
-    def encode(self, instance, rng=None, train=False) -> tuple[Tensor, Tensor, Tensor]:
+    def encode(self, instance, rng=None) -> tuple[Tensor, Tensor, Tensor]:
         """Token embeddings through the graph stack; returns
-        (token_embs, sd_reprs, h_sd)."""
+        (token_embs, sd_reprs, h_sd). Dropout draws from `rng` when given."""
         token_embs = self.embedder.embed(instance.seq, instance.qid)
         init = init_node_representations(instance.nodes, token_embs)
         # Each GCN takes its graph's run of rows. They run in this order, which
@@ -128,11 +123,11 @@ class Model:
             graph = instance.graphs[kind]
             if graph.num_nodes:
                 rows = init.slice_rows(graph.run.start, graph.run.stop)
-                outs[kind] = self.gcns[kind](graph, rows, rng, train)
+                outs[kind] = self.gcns[kind](graph, rows, rng)
         sd_init = concat([outs[kind] for kind in (GraphKind.TEXT, GraphKind.QUANTITY,
                                                   GraphKind.DATE) if kind in outs], axis=0)
         sd_reprs = self.gcns[GraphKind.SEMANTIC](instance.graphs[GraphKind.SEMANTIC],
-                                                 sd_init, rng, train)
+                                                 sd_init, rng)
         return token_embs, sd_reprs, graph_summary(sd_reprs)
 
     def forward(self, instance, rng=None, train=False,
@@ -141,12 +136,13 @@ class Model:
         """Run selection + summary heads, then whichever task heads are
         requested (default: the head for the predicted answer type). During
         training pass gold_nodes so supervision targets stay selected."""
-        token_embs, sd_reprs, h_sd = self.encode(instance, rng, train)
-        sel = classify_nodes(sd_reprs, self.node_ffn, self.config.max_nodes, rng, train)
+        rng = rng if train else None  # dropout draws in training only
+        token_embs, sd_reprs, h_sd = self.encode(instance, rng)
+        sel = classify_nodes(sd_reprs, self.node_ffn, self.config.max_nodes, rng)
         if gold_nodes is not None:
             sel = inject_gold_nodes(sel, gold_nodes, self.config.max_nodes, train)
-        type_out = classify_answer_type(h_sd, self.type_ffn, rng, train)
-        scale_out = classify_scale(h_sd, self.scale_ffn, rng, train)
+        type_out = classify_answer_type(h_sd, self.type_ffn, rng)
+        scale_out = classify_scale(h_sd, self.scale_ffn, rng)
         out = ModelOutput(sd_reprs=sd_reprs, h_sd=h_sd, sel=sel,
                           type_out=type_out, scale_out=scale_out)
         if heads is None:
@@ -157,9 +153,9 @@ class Model:
         if AnswerType.SPAN in heads and out.updated.valid_mask.any():
             out.start_lp, out.end_lp, out.span = predict_span(
                 out.updated, self.start_ffn, self.end_ffn,
-                self.config.max_span_len, rng, train)
+                self.config.max_span_len, rng)
         if heads & {AnswerType.SPANS, AnswerType.COUNTING}:
-            out.token_lp, out.labels = tag_tokens(out.updated, self.token_ffn, rng, train)
+            out.token_lp, out.labels = tag_tokens(out.updated, self.token_ffn, rng)
         if AnswerType.ARITHMETIC in heads and not train:
             out.tree, _ = decode_tree(
                 h_sd, sd_reprs, sel, instance.nodes, self.decoder,

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .autodiff import Tensor, dropout, scatter_add
-from .document import TokenSequence, read_json
+from .document import TokenSequence, read_json, write_atomic
 from .elements import NodeSet
 from .errors import CheckpointMismatch, EmptyGraph, EmptySpan, SchemaError, ShapeMismatch
 from .graphs import SemanticGraph
@@ -53,16 +53,16 @@ class FFN2:
         self.drop = drop
 
     def __call__(self, x: Tensor, rng: np.random.Generator | None = None,
-                 train: bool = False, rows: tuple[int, np.ndarray] | None = None) -> Tensor:
+                 rows: tuple[int, np.ndarray] | None = None) -> Tensor:
         """`rows` = (n, index) says x is the rows `index` of an n-row input;
         the dropout mask is drawn for all n (see autodiff.dropout)."""
-        return self.tail(self.l1(x), rng, train, rows)
+        return self.tail(self.l1(x), rng, rows)
 
     def tail(self, pre: Tensor, rng: np.random.Generator | None = None,
-             train: bool = False, rows: tuple[int, np.ndarray] | None = None) -> Tensor:
+             rows: tuple[int, np.ndarray] | None = None) -> Tensor:
         """The layers after l1 (GELU -> dropout -> l2), applied to an l1
         output that the caller computed, e.g. in factored form."""
-        h = dropout(pre.gelu(), self.drop, rng, train, rows)
+        h = dropout(pre.gelu(), self.drop, rng, rows)
         return self.l2(h)
 
     def params(self) -> dict[str, Tensor]:
@@ -90,7 +90,7 @@ class GCN:
         self.drop = drop
 
     def __call__(self, graph: SemanticGraph, h: Tensor,
-                 rng: np.random.Generator | None = None, train: bool = False) -> Tensor:
+                 rng: np.random.Generator | None = None) -> Tensor:
         if h.data.shape[0] != graph.num_nodes:
             raise ShapeMismatch(
                 f"{graph.kind.value}: {h.data.shape[0]} reprs vs {graph.num_nodes} nodes")
@@ -101,14 +101,11 @@ class GCN:
             h = layer(norm @ h)
             if i < len(self.layers) - 1:
                 h = h.relu()
-            h = dropout(h, self.drop, rng, train)
+            h = dropout(h, self.drop, rng)
         return h
 
     def params(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for layer in self.layers:
-            out.update(layer.params())
-        return out
+        return {name: t for layer in self.layers for name, t in layer.params().items()}
 
 
 def _hash_vector(text: str, dim: int, seed: int) -> np.ndarray:
@@ -297,12 +294,7 @@ def save_checkpoint(path: str, params: dict[str, Tensor], meta: dict):
     header = {"dtype": CHECKPOINT_DTYPE, "format_version": CHECKPOINT_VERSION,
               "meta": meta, "params": entries}
     line = json.dumps(header, sort_keys=True, allow_nan=False).encode() + b"\n"
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(line)
-        for arr in arrays.values():
-            f.write(arr)
-    os.replace(tmp, path)
+    write_atomic(path, line, *arrays.values())
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:

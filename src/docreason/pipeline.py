@@ -94,7 +94,10 @@ def resolve_ref(nodes: NodeSet, ref: dict) -> int:
         f"{'question' if block_id is None else f'block {block_id!r}'}")
 
 
-def build_instance(record: dict, max_len: int = 256, with_gold: bool = True) -> Instance:
+def build_instance(record: dict, max_len: int = 256, with_gold: bool = True,
+                   constants_max: int | None = None) -> Instance:
+    """A record compiled for the model. With `constants_max`, a gold expression
+    constant outside 1..constants_max, the decoder's, is a ValidationError."""
     doc = ingest_document(record)
     question = record.get("question")
     if not isinstance(question, str) or not question.strip():
@@ -110,7 +113,7 @@ def build_instance(record: dict, max_len: int = 256, with_gold: bool = True) -> 
                     nodes=nodes, graphs=graphs, source_texts=source_texts)
     if with_gold and isinstance(record.get("answer"), dict):
         try:
-            inst.gold = build_supervision(inst, record["answer"])
+            inst.gold = build_supervision(inst, record["answer"], constants_max)
         except DocReasonError as exc:  # each supervision error names its question once
             raise type(exc)(f"{inst.qid}: {exc}") from None
     return inst
@@ -151,7 +154,8 @@ def _substitute_expression(expr: str, node_ids: list[int]) -> str:
     return re.sub(r"e#(\d+)", repl, expr)
 
 
-def build_supervision(inst: Instance, answer: dict) -> Supervision:
+def build_supervision(inst: Instance, answer: dict,
+                      constants_max: int | None = None) -> Supervision:
     try:
         atype = AnswerType(answer.get("type"))
     except ValueError:
@@ -182,6 +186,9 @@ def build_supervision(inst: Instance, answer: dict) -> Supervision:
             raise SchemaError("Arithmetic answer needs an expression")
         tree = parse_tree(_substitute_expression(expr, ref_ids))
         for leaf in tree_leaves(tree):
+            if leaf.kind == "const" and constants_max and not 1 <= leaf.value <= constants_max:
+                raise ValidationError(f"expression constant c#{leaf.value} is outside the "
+                                      f"decoder's constants 1..{constants_max}")
             if leaf.kind != "node" or leaf.value in leaves:
                 continue
             if not 0 <= leaf.value < len(inst.nodes):
@@ -243,8 +250,8 @@ def _bio_from_nodes(inst: Instance, node_ids: list[int]) -> np.ndarray:
     return _bio_from_ranges(len(inst.seq), ranges)
 
 
-def check_corpus(path: str, max_len: int = 256,
-                 with_gold: bool = True) -> Iterator[Instance | DocReasonError]:
+def check_corpus(path: str, max_len: int = 256, with_gold: bool = True,
+                 constants_max: int | None = None) -> Iterator[Instance | DocReasonError]:
     """Per record of the corpus, its instance or the SchemaError or
     ValidationError that building it raised, naming the path and the
     record's index. doc_id keys the prediction dump and the graph files, so
@@ -252,7 +259,7 @@ def check_corpus(path: str, max_len: int = 256,
     seen = set()
     for index, record in enumerate(load_records(path)):
         try:
-            inst = build_instance(record, max_len, with_gold=with_gold)
+            inst = build_instance(record, max_len, with_gold, constants_max)
             if inst.qid in seen:
                 raise ValidationError(f"duplicate doc_id {inst.qid!r}")
         except (SchemaError, ValidationError) as exc:
@@ -262,11 +269,12 @@ def check_corpus(path: str, max_len: int = 256,
         yield inst
 
 
-def load_corpus(path: str, max_len: int = 256, with_gold: bool = True) -> list[Instance]:
+def load_corpus(path: str, max_len: int = 256, with_gold: bool = True,
+                constants_max: int | None = None) -> list[Instance]:
     """One instance per record; raises the error of the first bad record
     (see check_corpus)."""
     instances = []
-    for inst in check_corpus(path, max_len, with_gold):
+    for inst in check_corpus(path, max_len, with_gold, constants_max):
         if isinstance(inst, DocReasonError):
             raise inst
         instances.append(inst)

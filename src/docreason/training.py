@@ -31,11 +31,10 @@ def nll_rows(log_probs: Tensor, labels: np.ndarray,
     rows = log_probs.data.shape[0]
     pick = np.zeros_like(log_probs.data)
     pick[np.arange(rows), labels] = 1.0
+    denom = float(rows)
     if row_mask is not None:
         pick *= row_mask[:, None]
         denom = float(row_mask.sum())
-    else:
-        denom = float(rows)
     return -(log_probs * Tensor(pick)).sum() / denom
 
 
@@ -68,14 +67,9 @@ def compute_loss(model: Model, inst: Instance, out: ModelOutput,
         steps = teacher_forced_log_probs(out.h_sd, out.sd_reprs, gold_tokens, vocab,
                                          model.decoder, model.config.max_tree_depth)
         step_losses = [nll_rows(lp, np.array([tok])) for lp, tok in zip(steps, gold_tokens)]
-        total = step_losses[0]
-        for piece in step_losses[1:]:
-            total = total + piece
-        terms["tree"] = total / float(len(step_losses))
-    loss = None
-    for t in terms.values():
-        loss = t if loss is None else loss + t
-    return loss, {k: float(v.data) for k, v in terms.items()}
+        terms["tree"] = sum(step_losses[1:], step_losses[0]) / float(len(step_losses))
+    first, *rest = terms.values()
+    return sum(rest, first), {k: float(v.data) for k, v in terms.items()}
 
 
 class Adam:
@@ -208,6 +202,8 @@ def train(model: Model, instances: list[Instance], epochs: int = 50,
     constant the decoder cannot write raises ValidationError before the
     first step."""
     for inst in instances:
+        if inst.gold is None:
+            raise SchemaError(f"{inst.qid}: training needs the record's answer object")
         tree = inst.gold.gold_tree
         for leaf in tree_leaves(tree) if tree is not None else ():
             if leaf.kind == "const" and leaf.value not in model.constants:
@@ -299,6 +295,8 @@ def predict_instance(model: Model, inst: Instance) -> tuple[Answer | None, str |
 def score_prediction(inst: Instance, answer: Answer | None,
                      failure: str | None, selected: list[int]) -> dict:
     sup = inst.gold
+    if sup is None:
+        raise SchemaError(f"{inst.qid}: scoring needs the record's answer object")
     em = exact_match(answer, sup.answer) if answer is not None else 0
     f1 = numeracy_f1(answer, sup.answer) if answer is not None else 0.0
     row = {
@@ -356,8 +354,8 @@ def score_dump(instances: list[Instance], dump: list[dict]):
     """Score a prediction dump against gold; row order follows the corpus and
     rows are matched by qid. A row without a string qid, a repeated qid or
     one that is not in the corpus, a failure that predict_corpus does not
-    write, or a selected node that is not a node of its instance raises
-    SchemaError."""
+    write, a value it cannot write, or a selected node that is not a node
+    of its instance raises SchemaError."""
     qids = {inst.qid for inst in instances}
     by_qid: dict[str, dict] = {}
     for i, row in enumerate(dump):
@@ -369,6 +367,11 @@ def score_dump(instances: list[Instance], dump: list[dict]):
             raise SchemaError(f"prediction {row['qid']}: qid of row {i} is not in the corpus")
         if row.get("failure", FAILURES[0]) not in FAILURES:
             raise SchemaError(f"prediction {row['qid']}: unknown failure {row['failure']!r}")
+        value = row.get("value")  # true is not a number here: its type is not int
+        if not (value is None or isinstance(value, (str, float)) or type(value) is int
+                or isinstance(value, list) and all(isinstance(v, str) for v in value)):
+            raise SchemaError(f"prediction {row['qid']}: value {value!r} is not a number, "
+                              "a string, a list of strings or null")
         by_qid[row["qid"]] = row
     rows = []
     for inst in instances:

@@ -219,20 +219,19 @@ class TreeDecoder:
         return concat(parts, axis=0)
 
     def context(self, goals: Tensor, sd_reprs: Tensor,
-                rng: np.random.Generator | None = None, train: bool = False) -> Tensor:
+                rng: np.random.Generator | None = None) -> Tensor:
         """(S, d) attention contexts over the graph nodes, one per goal row."""
         d, n = self.dim, sd_reprs.data.shape[0]
         w = self.attn.l1.w
         pre = _outer_sum(goals @ w.slice_rows(0, d),
                          sd_reprs @ w.slice_rows(d, 2 * d) + self.attn.l1.b)
-        scores = self.attn.tail(pre, rng, train)
+        scores = self.attn.tail(pre, rng)
         weights = scores.reshape((goals.data.shape[0], n)).softmax()
         return weights @ sd_reprs
 
     def step_log_probs(self, goals: Tensor, sd_reprs: Tensor, cand_embs: Tensor,
                        allow_ops: bool | np.ndarray, num_ops: int,
-                       rng: np.random.Generator | None = None,
-                       train: bool = False) -> tuple[Tensor, Tensor]:
+                       rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor]:
         """Masked log-distributions over the vocabulary for S goals at once,
         (S, V), plus their contexts, (S, d). `allow_ops` is one bool or one
         per goal row.
@@ -241,11 +240,11 @@ class TreeDecoder:
         g @ W_g + c @ W_c + e @ W_e, so the node and candidate products are
         taken once per call rather than once per goal on tiled rows."""
         d, s, n_cand = self.dim, goals.data.shape[0], cand_embs.data.shape[0]
-        ctx = self.context(goals, sd_reprs, rng, train)
+        ctx = self.context(goals, sd_reprs, rng)
         w = self.score.l1.w
         pre = _outer_sum(goals @ w.slice_rows(0, d) + ctx @ w.slice_rows(d, 2 * d),
                          cand_embs @ w.slice_rows(2 * d, 3 * d) + self.score.l1.b)
-        logits = self.score.tail(pre, rng, train).reshape((s, n_cand))
+        logits = self.score.tail(pre, rng).reshape((s, n_cand))
         keep = np.ones((s, n_cand), dtype=bool)
         keep[~np.broadcast_to(allow_ops, (s,)), :num_ops] = False
         if not keep.all():
@@ -366,8 +365,7 @@ def decode_tree(h_sd: Tensor, sd_reprs: Tensor, sel: NodeSelection, nodes: NodeS
 
 def teacher_forced_log_probs(h_sd: Tensor, sd_reprs: Tensor, gold_tokens: list[int],
                              vocab: TreeVocab, decoder: TreeDecoder, max_depth: int = 4,
-                             rng: np.random.Generator | None = None,
-                             train: bool = False) -> list[Tensor]:
+                             rng: np.random.Generator | None = None) -> list[Tensor]:
     """Per-step masked log-distributions along the gold pre-order sequence,
     for the tree loss. Uses the same transitions as decoding."""
     cand_embs = decoder.candidate_embeddings(vocab, sd_reprs)
@@ -378,7 +376,7 @@ def teacher_forced_log_probs(h_sd: Tensor, sd_reprs: Tensor, gold_tokens: list[i
             raise ValidationError("gold token sequence continues past a complete tree")
         allow_ops = len(state.frames) < max_depth
         lp, ctx = decoder.step_log_probs(state.goal, sd_reprs, cand_embs,
-                                         allow_ops, vocab.num_ops, rng, train)
+                                         allow_ops, vocab.num_ops, rng)
         out.append(lp)
         state = _apply_token(decoder, state, token, 0.0, vocab, cand_embs, ctx, 0)
     if state.goal is not None:

@@ -375,21 +375,21 @@ class TestBackwardSemantics:
 class TestDropout:
     def test_inference_is_identity(self):
         x = Tensor(np.arange(12, dtype=float).reshape(3, 4))
-        out = dropout(x, 0.5, np.random.default_rng(0), train=False)
+        out = dropout(x, 0.5, None)
         assert out is x
 
     def test_inverted_scaling_preserves_mean(self):
         rng = np.random.default_rng(14)
         x = Tensor(np.ones((200, 50)))
-        out = dropout(x, 0.3, rng, train=True)
+        out = dropout(x, 0.3, rng)
         assert abs(out.data.mean() - 1.0) < 0.02
         kept = out.data[out.data > 0]
         np.testing.assert_allclose(kept, 1.0 / 0.7, atol=1e-12)
 
     def test_seeded_mask_is_reproducible(self):
         x = Tensor(np.ones((6, 6)))
-        a = dropout(x, 0.5, np.random.default_rng(5), train=True)
-        b = dropout(x, 0.5, np.random.default_rng(5), train=True)
+        a = dropout(x, 0.5, np.random.default_rng(5))
+        b = dropout(x, 0.5, np.random.default_rng(5))
         np.testing.assert_array_equal(a.data, b.data)
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -239,8 +240,7 @@ class TestValidateAndGraphs:
                 "evidence ref names missing block 99\n"), repr(brk)
 
     def test_a_warning_naming_a_doc_id_with_a_line_break_is_one_line(self, tmp_path):
-        """Run as a process, so that the CLI's own logging handler writes the
-        warning (an in-process run logs through pytest's handlers)."""
+        """Run as a process, through `python -m docreason.cli`."""
         with open(BUNDLED, encoding="utf-8") as f:
             record = json.load(f)[1]
         record["doc_id"] = "syn\n0001"
@@ -256,6 +256,23 @@ class TestValidateAndGraphs:
         assert done.returncode == 0, done.stderr
         assert done.stderr == ("WARNING docreason.document: syn\\n0001 page 0: "
                                "ignoring unknown field 'extra'\n")
+
+    def test_each_in_process_run_writes_its_own_warning(self, tmp_path, capsys):
+        """The log handler is bound to the stderr of each main call: a second
+        call in one process still writes its warning, and no call leaves a
+        handler behind."""
+        with open(BUNDLED, encoding="utf-8") as f:
+            record = json.load(f)[1]
+        record["pages"][0]["extra"] = 1
+        path = tmp_path / "warn.json"
+        path.write_text(json.dumps([record]))
+        handlers = list(logging.getLogger("docreason").handlers)
+        for _ in range(2):
+            assert main(["validate", "--corpus", str(path)]) == 0
+            assert capsys.readouterr().err == (
+                f"WARNING docreason.document: {record['doc_id']} page 0: "
+                "ignoring unknown field 'extra'\n")
+        assert logging.getLogger("docreason").handlers == handlers
 
     def test_missing_corpus_flag(self):
         assert main(["validate"]) == 2

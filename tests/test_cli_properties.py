@@ -6,7 +6,9 @@ value replaced or one key dropped, exit 0 or 2. `validate` on records whose
 doc_ids hold line breaks writes one stderr line per bad record. Values of
 the right JSON type that are out of range (an expression constant the
 decoder cannot write) or odd (block text with letters that match ASCII ones
-only under case folding) exit 0 or 2."""
+only under case folding) exit 0 or 2, and so does `validate`, `graphs` or
+`train` on a record with any number, string or list replaced by an
+out-of-range number, an odd string or an empty list."""
 
 import contextlib
 import io
@@ -75,13 +77,17 @@ def _assert_contract(code: int, err: str, codes=(0, 2, 3, 4)):
     assert len(err.splitlines()) <= 1 and "Traceback" not in err, err
 
 
+def _at(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
 def _with_a_value_of_another_type(where, data) -> list[dict]:
     """RECORDS with the value at `where` replaced by one of another JSON type."""
     index, path = where
     records = json.loads(json.dumps(RECORDS))
-    parent = records[index]
-    for key in path[:-1]:
-        parent = parent[key]
+    parent = _at(records[index], path[:-1])
     old = parent[path[-1]]
     parent[path[-1]] = data.draw(JSON_VALUES.filter(lambda v: _json_type(v) != _json_type(old)))
     return records
@@ -128,9 +134,7 @@ def test_predict_on_a_record_value_of_another_json_type(trained, where, data):
 def test_eval_on_a_mutated_prediction_dump(trained, data, value, drop):
     dump = json.loads(json.dumps(trained[1]))
     path = data.draw(st.sampled_from(list(_paths(dump))))
-    parent = dump
-    for key in path[:-1]:
-        parent = parent[key]
+    parent = _at(dump, path[:-1])
     if drop:
         del parent[path[-1]]
     else:
@@ -178,6 +182,26 @@ def test_train_with_an_expression_constant_of_any_size(constant, constants_max):
     answer["expression"] = f"(* {answer['expression']} (/ c#{constant} c#{constant}))"
     _assert_contract(*_run("train", {"corpus.json": [record]}, "--out-dir", "{tmp}",
                            "--epochs", "1", "--dim", "8", "--constants-max", str(constants_max)),
+                     codes=(0, 2))
+
+
+# per JSON type, values of that type that are out of range or odd
+SAME_TYPE_VALUES = {"number": [-1, 0, 10**9, 1e300, 2**63],
+                    "string": ["", " ", "((", "c#0", "e#9"], "array": [[]]}
+SAME_TYPE_PATHS = [(i, path) for i, path in PATHS
+                   if _json_type(_at(RECORDS[i], path)) in SAME_TYPE_VALUES]
+COMMAND_ARGS = {"validate": (), "graphs": ("--out-dir", "{tmp}/graphs"),
+                "train": ("--out-dir", "{tmp}", "--epochs", "1", "--dim", "8")}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(SAME_TYPE_PATHS), st.data(), st.sampled_from(sorted(COMMAND_ARGS)))
+def test_a_record_value_of_the_same_json_type_out_of_range_or_odd(where, data, command):
+    index, path = where
+    records = json.loads(json.dumps(RECORDS))
+    parent = _at(records[index], path[:-1])
+    parent[path[-1]] = data.draw(st.sampled_from(SAME_TYPE_VALUES[_json_type(parent[path[-1]])]))
+    _assert_contract(*_run(command, {"corpus.json": records}, *COMMAND_ARGS[command]),
                      codes=(0, 2))
 
 

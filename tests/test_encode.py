@@ -149,7 +149,7 @@ def _reference_selection(probs, max_nodes) -> list[int]:
     return sorted(over[:max_nodes])
 
 
-def _reference_encode(model, instance, rng=None, train=False):
+def _reference_encode(model, instance, rng=None):
     tokens = _instance_tokens(instance)
     token_embs = _reference_embed(model.embedder, tokens)
     init = _reference_pool(instance.nodes, token_embs, tokens)
@@ -159,15 +159,15 @@ def _reference_encode(model, instance, rng=None, train=False):
         if graph.num_nodes == 0:
             continue
         member_rows = concat([rows[nid] for nid in graph.node_ids], axis=0)
-        out = model.gcns[kind](graph, member_rows, rng, train)
+        out = model.gcns[kind](graph, member_rows, rng)
         for pos, nid in enumerate(graph.node_ids):
             rows[nid] = out.slice_rows(pos, pos + 1)
     sd_reprs = model.gcns[GraphKind.SEMANTIC](instance.graphs[GraphKind.SEMANTIC],
-                                              concat(rows, axis=0), rng, train)
+                                              concat(rows, axis=0), rng)
     return token_embs, sd_reprs, graph_summary(sd_reprs)
 
 
-def _gather_encode(model, instance, rng=None, train=False):
+def _gather_encode(model, instance, rng=None):
     """Model.encode as it was before the kind runs: each GCN gathers its
     members' rows, and one gather puts the outputs back in node order."""
     token_embs = model.embedder.embed(instance.seq, instance.qid)
@@ -177,11 +177,11 @@ def _gather_encode(model, instance, rng=None, train=False):
         graph = instance.graphs[kind]
         if graph.num_nodes == 0:
             continue
-        outs.append(model.gcns[kind](graph, init.take_rows(graph.node_ids), rng, train))
+        outs.append(model.gcns[kind](graph, init.take_rows(graph.node_ids), rng))
         order.extend(graph.node_ids)
     sd_init = concat(outs, axis=0).take_rows(np.argsort(order))
     sd_reprs = model.gcns[GraphKind.SEMANTIC](instance.graphs[GraphKind.SEMANTIC],
-                                              sd_init, rng, train)
+                                              sd_init, rng)
     return token_embs, sd_reprs, graph_summary(sd_reprs)
 
 
@@ -389,8 +389,8 @@ class TestEncode:
     def test_matches_one_row_reference_by_bytes(self, bundled, widened, truncated, train):
         model = Model(ModelConfig(dim=16, seed=4))
         for i, inst in enumerate(bundled + widened + truncated):
-            got = model.encode(inst, np.random.default_rng(i), train)
-            want = _reference_encode(model, inst, np.random.default_rng(i), train)
+            got = model.encode(inst, np.random.default_rng(i) if train else None)
+            want = _reference_encode(model, inst, np.random.default_rng(i) if train else None)
             for a, b in zip(got, want):
                 assert _bytes(a) == _bytes(b), inst.qid
 
@@ -425,7 +425,7 @@ class TestEncode:
             for encode in (model.encode, lambda *args: _gather_encode(model, *args)):
                 for p in params.values():
                     p.zero_grad()
-                out = encode(inst, np.random.default_rng(100 + i), True)
+                out = encode(inst, np.random.default_rng(100 + i))
                 token_embs, sd_reprs, h_sd = out
                 loss = (sd_reprs * Tensor(w)).sum() + (h_sd * h_sd).sum() \
                     + (token_embs * token_embs).sum()

@@ -169,7 +169,7 @@ class _Logits:
     def __init__(self, logits):
         self.logits = logits
 
-    def __call__(self, x, rng=None, train=False, rows=None):
+    def __call__(self, x, rng=None, rows=None):
         n, positions = rows
         assert n == len(self.logits) and x.data.shape[0] == len(positions)
         return Tensor(self.logits[positions, None])
@@ -247,8 +247,8 @@ class TestSpanHead:
         assert 0 < len(u.positions) < len(seq)
         heads = [FFN2(np.random.default_rng(i), 16, out, "head", drop=0.3)
                  for i, out in enumerate((1, 1, 3))]
-        for run, draws in ((lambda r: predict_span(u, *heads[:2], rng=r, train=True), 2),
-                           (lambda r: tag_tokens(u, heads[2], r, True), 1)):
+        for run, draws in ((lambda r: predict_span(u, *heads[:2], rng=r), 2),
+                           (lambda r: tag_tokens(u, heads[2], r), 1)):
             got, want = np.random.default_rng(5), np.random.default_rng(5)
             run(got)
             for _ in range(draws):
@@ -352,7 +352,7 @@ class TestSummaryHeads:
 
 
 def _full_matrix_heads(embs, sel, nodes, reprs, seq, start_ffn, end_ffn, token_ffn,
-                       rng, train):
+                       rng):
     """The span and BIO heads as they ran over every token: a (len, 2*dim)
     matrix whose rows are exactly zero outside the selected sources, each
     FFN over all of it, and the span logits of invalid positions pushed
@@ -368,10 +368,10 @@ def _full_matrix_heads(embs, sel, nodes, reprs, seq, start_ffn, end_ffn, token_f
     mask_col = Tensor(valid.astype(np.float64)[:, None])
     matrix = concat([embs * mask_col, reprs.take_rows(owner_row) * mask_col], axis=1)
     n = len(seq)
-    start_lp, end_lp = (add_masked(ffn(matrix, rng, train).reshape((1, n)),
+    start_lp, end_lp = (add_masked(ffn(matrix, rng).reshape((1, n)),
                                    valid[None, :]).log_softmax()
                         for ffn in (start_ffn, end_ffn))
-    return start_lp, end_lp, token_ffn(matrix, rng, train).log_softmax(), valid
+    return start_lp, end_lp, token_ffn(matrix, rng).log_softmax(), valid
 
 
 def _span_bio_loss(start_lp, end_lp, token_lp, valid, params):
@@ -406,10 +406,10 @@ class TestAgainstTheFullMatrixPath:
             for train in (False, True):
                 rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
                 u = mask_and_update_tokens(embs, sel, nodes, reprs, seq)
-                start_lp, end_lp, span = predict_span(u, *heads[:2], rng=rng, train=train)
-                token_lp, labels = tag_tokens(u, heads[2], rng, train)
+                start_lp, end_lp, span = predict_span(u, *heads[:2], rng=rng if train else None)
+                token_lp, labels = tag_tokens(u, heads[2], rng if train else None)
                 ref_start, ref_end, ref_token, valid = _full_matrix_heads(
-                    embs, sel, nodes, reprs, seq, *heads, ref_rng, train)
+                    embs, sel, nodes, reprs, seq, *heads, ref_rng if train else None)
                 assert u.valid_mask.tobytes() == valid.tobytes()
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
                 for lp, ref in ((start_lp, ref_start), (end_lp, ref_end)):

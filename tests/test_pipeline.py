@@ -153,6 +153,18 @@ class TestArithmeticSupervision:
             build_instance(_record(answer))
         assert any("executes to" in r.message for r in caplog.records)
 
+    def test_a_constant_outside_the_decoders_is_rejected_before_the_value_check(self, caplog):
+        # value 999 would warn; the constant is checked first, so only the error shows
+        answer = dict(self._answer(), value=999.0, expression="(* (- e#0 e#1) (/ c#50 c#50))")
+        for constants_max in (10, 49):
+            with caplog.at_level(logging.WARNING, logger="docreason.pipeline"), \
+                    pytest.raises(ValidationError, match=r"^q1: expression constant c#50 is "
+                                  rf"outside the decoder's constants 1\.\.{constants_max}$"):
+                build_instance(_record(answer), constants_max=constants_max)
+            assert not caplog.records
+        for constants_max in (50, None):
+            assert build_instance(_record(answer), constants_max=constants_max).gold.gold_tree
+
     def test_unresolved_expression_leaf_raises(self):
         answer = dict(self._answer(), expression="(- e#0 e#7)")
         with pytest.raises(ValidationError):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from docreason.autodiff import RowSparse, Tensor
-from docreason.errors import NonFiniteLoss, ValidationError
+from docreason.errors import NonFiniteLoss, SchemaError, ValidationError
 from docreason.elements import NodeKind
 from docreason.heads import ANSWER_TYPES, SCALES, AnswerType, Scale
 from docreason.metrics import build_report
@@ -108,6 +108,20 @@ class TestLossTerms:
             assert abs(float(loss.data) - sum(terms.values())) < 1e-9
             seen.add(sup.answer_type)
         assert seen == set(AnswerType)
+
+    def test_training_forward_without_a_generator_drops_nothing(self):
+        # the default config drops units at 0.6 / 0.1, but only from a generator
+        model = Model(ModelConfig())
+        for inst in _by_type(_instances()).values():
+            sup = inst.gold
+            out = model.forward(inst, rng=None, train=True,
+                                gold_nodes=sup.gold_nodes, heads={sup.answer_type})
+            loss, _ = compute_loss(model, inst, out, sup)
+            assert np.isfinite(float(loss.data))
+            ref = model.forward(inst, heads=set())
+            for got, want in ((out.sd_reprs, ref.sd_reprs), (out.sel.log_probs, ref.sel.log_probs),
+                              (out.type_out.log_probs, ref.type_out.log_probs)):
+                assert got.data.tobytes() == want.data.tobytes()
 
     def test_loss_is_differentiable_end_to_end(self):
         model = _model(dim=8)
@@ -335,6 +349,15 @@ class TestTrainingLoop:
                 train(model, instances, epochs=1, batch=1, grad_accum=1)
             assert all(np.array_equal(p.data, before[k]) for k, p in model.params().items())
 
+    def test_a_record_without_an_answer_cannot_be_trained_on_or_scored(self):
+        instances = _instances(n=3)
+        instances[1].gold = None
+        qid = instances[1].qid
+        with pytest.raises(SchemaError, match=rf"^{qid}: training needs the record's answer"):
+            train(_model(dim=8), instances, epochs=1, batch=1, grad_accum=1)
+        with pytest.raises(SchemaError, match=rf"^{qid}: scoring needs the record's answer"):
+            score_dump(instances, [])
+
     def test_target_metrics_stop_early(self):
         instances = _instances(n=3)
         result = train(_model(dim=8), instances, epochs=50, batch=1, grad_accum=1,
@@ -430,6 +453,18 @@ class TestPredictionAndScoring:
         assert report.n == 3
         assert report.em == 0.0
         assert all(r["error"] == "invalid_prediction" for r in rows)
+
+    def test_a_dump_value_predict_cannot_write_is_a_schema_error(self):
+        instances = _instances(n=2)
+        qid = instances[0].qid
+        for value in ({}, True, False, [1, {}], [None], ["a", 2], {"a": "b"}):
+            dump = [{"qid": qid, "answer_type": "Span", "scale": "None", "value": value}]
+            with pytest.raises(SchemaError, match=rf"^prediction {qid}: value .* is not a number"):
+                score_dump(instances, dump)
+        for value in (0, -3, 2.5, "", "x", [], ["a", "b"], None):
+            dump = [{"qid": qid, "answer_type": "Span", "scale": "None", "value": value}]
+            report, _ = score_dump(instances, dump)
+            assert report.n == 2
 
     def test_evidence_only_scored_for_arithmetic(self):
         model = _model(dim=8)

@@ -125,16 +125,16 @@ def _expand_everything_decode(h_sd, sd_reprs, sel, nodes, decoder, beam, max_dep
 
 
 def _tiled_step_log_probs(decoder, goal, sd_reprs, cand_embs, allow_ops, num_ops,
-                          rng=None, train=False):
+                          rng=None):
     """The scorer before factoring: one goal row, tiled and concatenated onto
     every node row for attention and onto every candidate row for scoring."""
     n, n_cand = sd_reprs.data.shape[0], cand_embs.data.shape[0]
     tiled = goal + Tensor(np.zeros((n, decoder.dim)))
-    scores = decoder.attn(concat([tiled, sd_reprs], axis=1), rng, train)
+    scores = decoder.attn(concat([tiled, sd_reprs], axis=1), rng)
     ctx = scores.reshape((1, n)).softmax() @ sd_reprs
     tiled_g = goal + Tensor(np.zeros((n_cand, decoder.dim)))
     tiled_c = ctx + Tensor(np.zeros((n_cand, decoder.dim)))
-    logits = decoder.score(concat([tiled_g, tiled_c, cand_embs], axis=1), rng, train)
+    logits = decoder.score(concat([tiled_g, tiled_c, cand_embs], axis=1), rng)
     logits = logits.reshape((1, n_cand))
     if not allow_ops:
         keep = np.ones((1, n_cand), dtype=bool)
@@ -479,7 +479,7 @@ class TestScoring:
             for out, score in ((got, decoder.step_log_probs),
                                (want, lambda *a, **k: _tiled_step_log_probs(decoder, *a, **k))):
                 rng = np.random.default_rng(seed)
-                lp, ctx = score(goal, sd, cand, seed % 2 == 0, vocab.num_ops, rng=rng, train=True)
+                lp, ctx = score(goal, sd, cand, seed % 2 == 0, vocab.num_ops, rng=rng)
                 ((lp * Tensor(np.linspace(-1.0, 1.0, len(vocab)))).sum() + ctx.sum()).backward()
                 out["lp"], out["draw"] = lp.data, rng.random()
                 for name, p in decoder.params().items():
