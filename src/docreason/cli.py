@@ -26,15 +26,10 @@ from .model import Model
 from .nn import FileEmbedder, load_checkpoint, save_checkpoint
 from .pipeline import check_corpus, load_corpus, load_records
 from .training import predict_corpus, score_dump, train
-from .vocab import VOCAB_SIZE
-
-logger = logging.getLogger(__name__)
 
 EXIT_INVALID = 2
 EXIT_DIVERGED = 3
 EXIT_MISMATCH = 4
-
-_DIM_PROBE = "gcn.semantic.layer0.w"
 
 # the characters str.splitlines ends a line at, each mapped to its escape
 _LINE_BREAKS = str.maketrans({c: repr(c)[1:-1]
@@ -61,31 +56,12 @@ def _build_model(config: RunConfig) -> Model:
 
 
 def _load_into_model(config: RunConfig) -> Model:
-    """Restore a model from a checkpoint, adopting its architecture
-    (dim, gcn layers) so callers don't have to repeat training flags."""
-    path = config.checkpoint
-    arrays, meta = load_checkpoint(path)
-    for key, want in (("dim", int), ("vocab_size", int), ("gcn_layers", int), ("embedder", str)):
-        value = meta.get(key)
-        if type(value) is not want or (want is int and value < 1):
-            raise CheckpointMismatch(f"{path}: checkpoint meta {key!r} is {value!r}, "
-                                     f"not a {'positive int' if want is int else 'string'}")
-    if meta["vocab_size"] != VOCAB_SIZE:
-        raise CheckpointMismatch(
-            f"{path}: built for vocab={meta['vocab_size']}, this build has {VOCAB_SIZE}")
-    embedder = "toy" if config.embeddings is None else FileEmbedder.name
-    if meta["embedder"] != embedder:
-        raise CheckpointMismatch(
-            f"{path}: trained with embedder={meta['embedder']!r}, run configured {embedder!r}")
-    # every model has this (dim, dim) weight: check dim before building
-    probe = arrays.get(_DIM_PROBE)
-    if probe is None or probe.shape != (meta["dim"], meta["dim"]):
-        raise CheckpointMismatch(
-            f"{path}: checkpoint meta 'dim' is {meta['dim']} but {_DIM_PROBE} has shape "
-            f"{None if probe is None else probe.shape}")
-    config = dataclasses.replace(config, dim=meta["dim"], gcn_layers=meta["gcn_layers"])
-    model = _build_model(config)
-    model.load_params(arrays, path)
+    """Restore a model from a checkpoint, adopting the architecture (dim,
+    gcn layers) its arrays record so callers don't repeat training flags."""
+    arrays, _meta = load_checkpoint(config.checkpoint)
+    dim, gcn_layers = Model.architecture(arrays, config.checkpoint)
+    model = _build_model(dataclasses.replace(config, dim=dim, gcn_layers=gcn_layers))
+    model.load_params(arrays, config.checkpoint)
     return model
 
 
@@ -205,6 +181,8 @@ def main(argv: list[str] | None = None) -> int:
     handler.setFormatter(_OneLineFormatter("%(levelname)s %(name)s: %(message)s"))
     package_logger = logging.getLogger("docreason")
     package_logger.addHandler(handler)
+    # and to no other handler: a root handler of the calling program would repeat them
+    propagate, package_logger.propagate = package_logger.propagate, False
     try:
         args = build_parser().parse_args(argv)
         overrides = {name: getattr(args, name) for name in SETTING_TYPES}
@@ -226,6 +204,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     finally:
         package_logger.removeHandler(handler)
+        package_logger.propagate = propagate
 
 
 if __name__ == "__main__":

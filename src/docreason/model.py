@@ -9,6 +9,7 @@ graph, whose GCN yields the final node representations used by every head.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,9 @@ from .heads import (ANSWER_TYPES, AnswerType, HeadOutput, NodeSelection,
 from .nn import FFN2, GCN, ToyEmbedder, graph_summary, init_node_representations
 from .tree import TreeDecoder, TreeNode, decode_tree
 from .vocab import VOCAB_SIZE
+
+# the weight of semantic GCN layer {i}: its shape and count record the architecture
+_LAYER_W = "gcn.semantic.layer{}.w"
 
 
 def setting(default, help_text: str):
@@ -97,14 +101,31 @@ class Model:
         params = self.params()
         missing = sorted(set(params) - set(arrays))
         extra = sorted(set(arrays) - set(params))
-        if missing or extra:
+        if missing or extra:  # reprlib names the first few, each cut short
             raise CheckpointMismatch(
-                f"{source}: parameter names differ: missing={missing} extra={extra}")
+                f"{source}: parameter names differ: {len(missing)} missing "
+                f"{reprlib.repr(missing)}, {len(extra)} extra {reprlib.repr(extra)}")
         for name, tensor in params.items():
             if arrays[name].shape != tensor.data.shape:
                 raise CheckpointMismatch(f"{source}: {name} has shape {arrays[name].shape}, "
                                          f"the model needs {tensor.data.shape}")
             tensor.data = arrays[name].astype(np.float64)
+
+    @staticmethod
+    def architecture(arrays: dict[str, np.ndarray], source: str = "checkpoint") -> tuple[int, int]:
+        """(dim, gcn_layers) as the arrays record them: dim is the side of the
+        square gcn.semantic.layer0.w, and gcn_layers counts the consecutive
+        (dim, dim) semantic layer weights, so every semantic layer a model
+        built to them has its weight in `arrays`. Anything else raises CheckpointMismatch
+        naming `source`, before a model is built."""
+        shape = getattr(arrays.get(_LAYER_W.format(0)), "shape", None)
+        if shape is None or len(shape) != 2 or shape[0] != shape[1] or not shape[0]:
+            raise CheckpointMismatch(f"{source}: {_LAYER_W.format(0)} has shape {shape}, "
+                                     "not a non-empty square")
+        layers = 1
+        while getattr(arrays.get(_LAYER_W.format(layers)), "shape", None) == shape:
+            layers += 1
+        return shape[0], layers
 
     def checkpoint_meta(self) -> dict:
         return {"dim": self.config.dim, "vocab_size": VOCAB_SIZE,

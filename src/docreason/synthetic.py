@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import numpy as np
 
+from .document import write_atomic
 from .elements import _source_elements
 from .heads import Scale
 from .pipeline import build_instance
@@ -227,7 +228,5 @@ def generate_corpus(n: int = 50, seed: int = 2024, max_len: int = 256) -> list[d
 
 
 def write_corpus(path: str, n: int = 50, seed: int = 2024):
-    records = generate_corpus(n, seed)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(records, f, indent=2, sort_keys=True)
-        f.write("\n")
+    text = json.dumps(generate_corpus(n, seed), indent=2, sort_keys=True) + "\n"
+    write_atomic(path, text.encode())

@@ -198,12 +198,14 @@ def train(model: Model, instances: list[Instance], epochs: int = 50,
           target_type_acc: float | None = None) -> TrainResult:
     """Deterministic training loop. Gradients accumulate over batch *
     grad_accum instances per optimizer step; dev EM decides the best
-    checkpoint (train set doubles as dev when none given). A gold expression
-    constant the decoder cannot write raises ValidationError before the
-    first step."""
-    for inst in instances:
+    checkpoint (train set doubles as dev when none given). Before the first
+    step, a training or dev instance without a gold answer raises
+    SchemaError, and a gold expression constant the decoder cannot write
+    raises ValidationError."""
+    for inst in (*instances, *(dev or ())):
         if inst.gold is None:
             raise SchemaError(f"{inst.qid}: training needs the record's answer object")
+    for inst in instances:
         tree = inst.gold.gold_tree
         for leaf in tree_leaves(tree) if tree is not None else ():
             if leaf.kind == "const" and leaf.value not in model.constants:

@@ -120,16 +120,6 @@ _SUFFIX_PIECES = [
 ]
 
 
-def _seed_words() -> list[str]:
-    seen = set()
-    out = []
-    for w in _SEED_WORDS.split():
-        if w not in seen:
-            seen.add(w)
-            out.append(w)
-    return out
-
-
 def build_vocab() -> list[str]:
     """Return the fixed VOCAB_SIZE-entry token list."""
     entries: list[str] = []
@@ -149,7 +139,7 @@ def build_vocab() -> list[str]:
         add("##" + ch)
     for ch in string.punctuation:
         add(ch)
-    words = _seed_words()
+    words = _SEED_WORDS.split()
     for w in words:
         add(w)
     for sfx in _SUFFIX_PIECES:

@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 
 from docreason import cli
+from docreason.autodiff import Tensor
 from docreason.cli import main
 from docreason.config import SEED_ENV_VAR, RunConfig, load_config
 from docreason.errors import SchemaError
-from docreason.nn import load_checkpoint
+from docreason.nn import load_checkpoint, save_checkpoint
 from docreason.pipeline import load_corpus, load_records
 from docreason.synthetic import write_corpus
+from docreason.vocab import VOCAB_SIZE
 
 
 BUNDLED = os.path.join(os.path.dirname(__file__), os.pardir, "data", "synthetic-50.json")
@@ -50,6 +52,10 @@ def _edit_header(ckpt, edit):
     header = json.loads(header)
     edit(header)
     ckpt.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+
+
+def _save_arrays(ckpt, arrays, meta):
+    save_checkpoint(str(ckpt), {name: Tensor(a) for name, a in arrays.items()}, meta)
 
 
 class TestConfig:
@@ -274,6 +280,27 @@ class TestValidateAndGraphs:
                 "ignoring unknown field 'extra'\n")
         assert logging.getLogger("docreason").handlers == handlers
 
+    def test_warnings_reach_no_handler_of_the_calling_program(self, tmp_path, capsys):
+        """A root handler the calling program set up receives nothing: each
+        warning is one line on stderr, and the logger propagates again once
+        the call returns."""
+        with open(BUNDLED, encoding="utf-8") as f:
+            record = json.load(f)[1]
+        record["pages"][0]["extra"] = 1
+        path = tmp_path / "warn.json"
+        path.write_text(json.dumps([record]))
+        received = []
+        root_handler = logging.Handler()
+        root_handler.emit = received.append
+        logging.getLogger().addHandler(root_handler)
+        try:
+            assert main(["validate", "--corpus", str(path)]) == 0
+        finally:
+            logging.getLogger().removeHandler(root_handler)
+        assert received == []
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert logging.getLogger("docreason").propagate
+
     def test_missing_corpus_flag(self):
         assert main(["validate"]) == 2
 
@@ -364,13 +391,27 @@ class TestTrainPredictEval:
     def test_eval_needs_a_source_of_predictions(self, corpus):
         assert main(["eval", "--corpus", corpus]) == 2
 
-    def test_mismatched_checkpoint_exits_4(self, corpus, tmp_path):
+    def test_mismatched_checkpoint_exits_4(self, corpus, tmp_path, capsys):
+        """A toy checkpoint run with --embeddings, and an embedder table whose
+        row count is not this build's vocabulary, fail on the arrays."""
         run_dir = tmp_path / "run"
         assert main(_train_args(corpus, tmp_path)) == 0
         ckpt = run_dir / "checkpoint.ckpt"
-        _edit_header(ckpt, lambda header: header["meta"].update(embedder="external-file"))
-        assert main(["predict", "--corpus", corpus, "--checkpoint", str(ckpt),
-                     "--out-dir", str(run_dir)]) == 4
+        emb = tmp_path / "emb.json"
+        emb.write_text(json.dumps({inst.qid: [[0.0] * 8] * len(inst.seq)
+                                   for inst in load_corpus(corpus)}))
+        arrays, meta = load_checkpoint(str(ckpt))
+        short = tmp_path / "short-table.ckpt"
+        _save_arrays(short, {**arrays, "embedder.table": arrays["embedder.table"][:-1]}, meta)
+        for path, flags, reason in (
+                (ckpt, ["--embeddings", str(emb)], "0 missing [], 1 extra ['embedder.table']"),
+                (short, [], f"embedder.table has shape ({VOCAB_SIZE - 1}, 8)")):
+            capsys.readouterr()
+            assert main(["predict", "--corpus", corpus, "--checkpoint", str(path),
+                         "--out-dir", str(run_dir)] + flags) == 4
+            err = capsys.readouterr().err
+            assert err.startswith("error: checkpoint mismatch: ") and str(path) in err
+            assert reason in err and len(err.strip().splitlines()) == 1
 
     def test_unknown_checkpoint_version_exits_4(self, corpus, tmp_path, capsys):
         run_dir = tmp_path / "run"
@@ -457,33 +498,43 @@ class TestTrainPredictEval:
             assert err.startswith("error: ") and qid in err and reason in err
             assert len(err.strip().splitlines()) == 1
 
-    def test_incomplete_checkpoint_meta_exits_4(self, corpus, tmp_path):
+    def test_predict_reads_no_checkpoint_meta(self, corpus, tmp_path):
+        """The arrays alone record the architecture: whatever the meta says,
+        predict writes the intact checkpoint's predictions."""
         run_dir = tmp_path / "run"
         assert main(_train_args(corpus, tmp_path)) == 0
         ckpt = run_dir / "checkpoint.ckpt"
-        _edit_header(ckpt, lambda header: header["meta"].pop("dim"))
-        assert main(["eval", "--corpus", corpus, "--checkpoint", str(ckpt),
-                     "--out-dir", str(run_dir)]) == 4
+        predict = ["predict", "--corpus", corpus, "--checkpoint", str(ckpt), "--out-dir"]
+        assert main(predict + [str(run_dir)]) == 0
+        intact = (run_dir / "predictions.jsonl").read_bytes()
+        original = ckpt.read_bytes()
+        meta = load_checkpoint(str(ckpt))[1]
+        for edited in ({}, {**meta, "gcn_layers": 3}, {**meta, "gcn_layers": 10**8},
+                       {**meta, "dim": 2048}, {**meta, "embedder": 3}):
+            ckpt.write_bytes(original)
+            _edit_header(ckpt, lambda header: header.update(meta=edited))
+            out = tmp_path / "edited"
+            assert main(predict + [str(out)]) == 0, edited
+            assert (out / "predictions.jsonl").read_bytes() == intact, edited
 
     def test_checkpoint_dim_or_shape_mismatch_exits_4_naming_the_path(
             self, corpus, tmp_path, capsys, monkeypatch):
         run_dir = tmp_path / "run"
         assert main(_train_args(corpus, tmp_path)) == 0
         ckpt = run_dir / "checkpoint.ckpt"
-        original = ckpt.read_bytes()
-
-        def transpose_first_non_square(header):
-            entry = next(e for e in header["params"]
-                         if len(e["shape"]) == 2 and e["shape"][0] != e["shape"][1])
-            entry["shape"].reverse()
-
+        arrays, meta = load_checkpoint(str(ckpt))
+        probe = "gcn.semantic.layer0.w"
+        non_square = next(name for name, a in arrays.items()
+                          if a.ndim == 2 and a.shape[0] != a.shape[1])
         build = cli._build_model
-        for edit, reason, builds in (
-                (lambda header: header["meta"].update(dim=2048), "'dim' is 2048", False),
-                (transpose_first_non_square, "the model needs", True)):
-            ckpt.write_bytes(original)
-            _edit_header(ckpt, edit)
-            # a dim that disagrees with the arrays fails before a model is built
+        for name, value, reason, builds in (
+                (probe, None, f"{probe} has shape None", False),
+                (probe, arrays[probe].reshape(4, 16), f"{probe} has shape (4, 16)", False),
+                (probe, np.zeros((0, 0)), f"{probe} has shape (0, 0)", False),
+                (non_square, arrays[non_square].T, "the model needs", True)):
+            edited = {k: v for k, v in {**arrays, name: value}.items() if v is not None}
+            _save_arrays(ckpt, edited, meta)
+            # an architecture the arrays do not record fails before a model is built
             monkeypatch.setattr(cli, "_build_model",
                                 build if builds else lambda config: pytest.fail("built"))
             capsys.readouterr()
@@ -493,23 +544,20 @@ class TestTrainPredictEval:
             assert err.startswith("error: checkpoint mismatch: ") and str(ckpt) in err
             assert reason in err and len(err.strip().splitlines()) == 1
 
-    def test_mistyped_checkpoint_meta_exits_4_naming_the_path(self, corpus, tmp_path, capsys):
+    def test_many_differing_names_make_one_short_line(self, corpus, tmp_path, capsys):
         run_dir = tmp_path / "run"
         assert main(_train_args(corpus, tmp_path)) == 0
         ckpt = run_dir / "checkpoint.ckpt"
-        original = ckpt.read_bytes()
-        for key, value in (("dim", "8"), ("dim", None), ("dim", True), ("dim", 8.0),
-                           ("gcn_layers", 0), ("gcn_layers", -1), ("gcn_layers", "2"),
-                           ("vocab_size", False), ("vocab_size", [1]), ("embedder", 3),
-                           ("embedder", None)):
-            ckpt.write_bytes(original)
-            _edit_header(ckpt, lambda header: header["meta"].update({key: value}))
-            capsys.readouterr()
-            assert main(["predict", "--corpus", corpus, "--checkpoint", str(ckpt),
-                         "--out-dir", str(run_dir)]) == 4, (key, value)
-            err = capsys.readouterr().err
-            assert err.startswith("error: checkpoint mismatch: ") and str(ckpt) in err
-            assert repr(key) in err and len(err.strip().splitlines()) == 1
+        size = len(ckpt.read_bytes().split(b"\n", 1)[1])
+        _edit_header(ckpt, lambda header: header["params"].extend(
+            {"name": f"extra.{i}", "shape": [0], "offset": size} for i in range(10_000)))
+        capsys.readouterr()
+        assert main(["predict", "--corpus", corpus, "--checkpoint", str(ckpt),
+                     "--out-dir", str(run_dir)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint mismatch: ") and str(ckpt) in err
+        assert "0 missing [], 10000 extra ['extra.0', " in err
+        assert len(err.splitlines()) == 1 and len(err) < 1000
 
     def test_span_answers_without_block_refs_train(self, tmp_path, capsys):
         # the block an answer string is found in is gold evidence, so its
@@ -560,8 +608,11 @@ class TestTrainPredictEval:
         path.write_text(json.dumps(rows))
         flags = ["--embeddings", str(path)]
         assert main(_train_args(corpus, tmp_path) + flags) == 0
-        assert main(["predict", "--corpus", corpus, "--out-dir", str(tmp_path / "run"),
-                     "--checkpoint", str(tmp_path / "run" / "checkpoint.ckpt")] + flags) == 0
+        predict = ["predict", "--corpus", corpus, "--out-dir", str(tmp_path / "run"),
+                   "--checkpoint", str(tmp_path / "run" / "checkpoint.ckpt")]
+        assert main(predict + flags) == 0
+        # without the file, the model needs the toy embedder's table
+        assert main(predict) == 4
 
     def test_embeddings_file_faults_exit_2_naming_the_file(self, corpus, tmp_path, capsys):
         qids = [inst.qid for inst in load_corpus(corpus)]

@@ -1,5 +1,7 @@
 """Tokenizer, record ingestion, page flattening, and token provenance."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,8 @@ from docreason.errors import (
     SchemaError,
     ValidationError,
 )
-from docreason.vocab import VOCAB_SIZE, default_vocab, pretokenize, tokenize_text
+from docreason.vocab import (VOCAB_SIZE, build_vocab, default_vocab, pretokenize,
+                             tokenize_text)
 
 
 def _record(pages=1, texts=("Revenue was 1,731 in 2019.",)):
@@ -33,6 +36,11 @@ def _record(pages=1, texts=("Revenue was 1,731 in 2019.",)):
 class TestVocab:
     def test_size_is_exact(self):
         assert len(default_vocab()) == VOCAB_SIZE
+
+    def test_entries_are_pinned(self):
+        """Each entry's index is a token's embedding-table row."""
+        digest = hashlib.sha256("\n".join(build_vocab()).encode()).hexdigest()
+        assert digest == "e3a2c497a9248a11558cb831649f56be4a863134ee68bf0bb0597f6b35b6de0b"
 
     def test_byte_fallback_covers_anything(self):
         vocab = default_vocab()

@@ -12,6 +12,7 @@ from docreason.document import ingest_document, tokenize, transform_multipage
 from docreason.elements import build_node_inventory
 from docreason.errors import CheckpointMismatch, EmptyGraph, EmptySpan, SchemaError, ShapeMismatch
 from docreason.graphs import GraphKind, SemanticGraph
+from docreason.model import Model, ModelConfig
 from docreason.vocab import VOCAB_SIZE, default_vocab, token_slot
 from docreason.nn import (
     FFN2,
@@ -336,6 +337,20 @@ class TestCheckpoints:
         arrays, _meta = load_checkpoint(str(path))
         np.testing.assert_array_equal(arrays["w"], [1.0, 2.0])
         np.testing.assert_array_equal(arrays["v"], [1.0])
+
+    def test_architecture_is_read_from_the_arrays(self):
+        layer = "gcn.semantic.layer{}.w".format
+        model = Model(ModelConfig(dim=4, gcn_layers=3))
+        assert Model.architecture({k: t.data for k, t in model.params().items()}) == (4, 3)
+        # only consecutive (dim, dim) weights count as layers
+        arrays = {layer(0): np.zeros((3, 3)), layer(1): np.zeros((3, 3)),
+                  layer(2): np.zeros((3, 4)), layer(3): np.zeros((3, 3))}
+        assert Model.architecture(arrays) == (3, 2)
+        for shape in (None, (3,), (3, 4), (0, 0), (2, 2, 2)):
+            arrays = {} if shape is None else {layer(0): np.zeros(shape)}
+            with pytest.raises(CheckpointMismatch,
+                               match=re.escape(f"model.ckpt: {layer(0)} has shape {shape}, ")):
+                Model.architecture(arrays, "model.ckpt")
 
     def test_unknown_version_is_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"

@@ -350,6 +350,13 @@ class TestGenerator:
         write_corpus(str(b), n=10, seed=5)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_write_corpus_writes_the_bundled_file(self, tmp_path):
+        path = tmp_path / "corpus.json"
+        write_corpus(str(path))
+        with open("data/synthetic-50.json", "rb") as f:
+            assert path.read_bytes() == f.read()
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_bundled_corpus_loads_and_matches_generator(self):
         instances = load_corpus("data/synthetic-50.json")
         assert len(instances) == 50

@@ -358,6 +358,14 @@ class TestTrainingLoop:
         with pytest.raises(SchemaError, match=rf"^{qid}: scoring needs the record's answer"):
             score_dump(instances, [])
 
+    def test_a_dev_record_without_an_answer_stops_before_a_step(self, monkeypatch):
+        instances, dev = _instances(n=3), _instances(n=2, seed=7)
+        dev[1].gold = None
+        monkeypatch.setattr(Model, "forward", lambda *args, **kwargs: pytest.fail("forward ran"))
+        with pytest.raises(SchemaError,
+                           match=rf"^{dev[1].qid}: training needs the record's answer"):
+            train(_model(dim=8), instances, epochs=1, batch=1, grad_accum=1, dev=dev)
+
     def test_target_metrics_stop_early(self):
         instances = _instances(n=3)
         result = train(_model(dim=8), instances, epochs=50, batch=1, grad_accum=1,
