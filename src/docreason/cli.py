@@ -15,6 +15,8 @@ import os
 import sys
 from collections import Counter
 
+import numpy as np
+
 from .config import SETTING_TYPES, RunConfig, load_config
 from .document import write_atomic
 from .elements import NodeKind
@@ -189,7 +191,10 @@ def main(argv: list[str] | None = None) -> int:
         config = load_config(args.config, overrides)
         if not config.corpus:
             raise SchemaError(f"{args.command} needs --corpus")
-        return _COMMANDS[args.command](config)
+        # NonFiniteLoss and NonFiniteResult report non-finite values; numpy's
+        # warnings about them would only add lines to stderr
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](config)
     except (SchemaError, ValidationError) as exc:
         sys.stderr.write(_error_line(exc))
         return EXIT_INVALID

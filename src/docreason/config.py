@@ -34,7 +34,7 @@ class RunConfig(ModelConfig):
     out_dir: str = setting(".", "output directory")
     max_len: int = setting(256, "token budget per instance")
     lr: float = setting(5e-4, "Adam learning rate")
-    warmup: float = setting(0.06, "fraction of steps under linear warmup")
+    warmup: float = setting(0.06, "fraction of steps under linear warmup, in (0, 1]")
     epochs: int = setting(50, "training epochs")
     batch: int = setting(8, "instances per batch")
     grad_accum: int = setting(8, "batches per optimizer step")
@@ -58,9 +58,10 @@ class RunConfig(ModelConfig):
                 raise SchemaError(f"config: {name} must be >= 1")
         if not 1 <= self.constants_max <= len(DEFAULT_CONSTANTS):
             raise SchemaError(f"config: constants_max must be in 1..{len(DEFAULT_CONSTANTS)}")
-        for name in ("lr", "warmup"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise SchemaError(f"config: {name} must be positive and finite")
+        if not 0 < self.lr < math.inf:
+            raise SchemaError("config: lr must be positive and finite")
+        if not 0 < self.warmup <= 1:
+            raise SchemaError("config: warmup must be in (0, 1]")
         for name in ("gcn_dropout", "tree_dropout", "ffn_dropout"):
             if not 0 <= getattr(self, name) < 1:
                 raise SchemaError(f"config: {name} must be in [0, 1)")

@@ -176,16 +176,14 @@ class NodeSet:
     and records as one slice per kind in `runs`, and as two joined runs:
     `sources` (Question + Block, the nodes that own their token ranges) and
     `leaves` (Quantity + Date, each mined from its source `parent_id`).
-    Integer arrays over it are built once: `token_ranges` (N, 2) holds each
-    node's token_range, and `node_of` / `token_of` list every (node, token)
-    pair of those ranges in node order. They are INDEX_DTYPE arrays, as the
-    sequence's are."""
+    Two integer arrays over it are built once: `node_of` / `token_of` list
+    every (node, token) pair of the nodes' token ranges in node order. They
+    are INDEX_DTYPE arrays, as the sequence's are."""
 
     nodes: list[ElementNode] = field(default_factory=list)
     runs: dict[NodeKind, slice] = field(init=False, repr=False, compare=False)
     sources: slice = field(init=False, repr=False, compare=False)
     leaves: slice = field(init=False, repr=False, compare=False)
-    token_ranges: np.ndarray = field(init=False, repr=False, compare=False)
     node_of: np.ndarray = field(init=False, repr=False, compare=False)
     token_of: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -200,10 +198,10 @@ class NodeSet:
         self.runs = {kind: slice(lo, hi) for kind, lo, hi in zip(NodeKind, ends, ends[1:])}
         self.sources, self.leaves = slice(0, ends[2]), slice(ends[2], n)
         bounds = chain.from_iterable([m.token_range for m in self.nodes])
-        self.token_ranges = np.fromiter(bounds, INDEX_DTYPE, 2 * n).reshape(n, 2)
-        counts = self.token_ranges[:, 1] - self.token_ranges[:, 0]
+        lo, hi = np.fromiter(bounds, INDEX_DTYPE, 2 * n).reshape(n, 2).T
+        counts = hi - lo
         self.node_of = np.repeat(np.arange(n, dtype=INDEX_DTYPE), counts)
-        first = self.token_ranges[:, 0] - (np.cumsum(counts, dtype=INDEX_DTYPE) - counts)
+        first = lo - (np.cumsum(counts, dtype=INDEX_DTYPE) - counts)
         self.token_of = np.repeat(first, counts)
         self.token_of += np.arange(len(self.node_of), dtype=INDEX_DTYPE)
 

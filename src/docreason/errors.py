@@ -29,10 +29,6 @@ class EmptySpan(DocReasonError):
     """A node's token span contains zero tokens."""
 
 
-class EmptyGraph(DocReasonError):
-    """A graph summary was requested over zero nodes."""
-
-
 class IndexMismatch(DocReasonError):
     """A NodeSet or graph breaks the layout: ids 0..N-1, kinds and members in runs."""
 

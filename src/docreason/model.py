@@ -21,7 +21,7 @@ from .heads import (ANSWER_TYPES, AnswerType, HeadOutput, NodeSelection,
                     UpdatedTokens, classify_answer_type, classify_nodes,
                     classify_scale, inject_gold_nodes, mask_and_update_tokens,
                     predict_span, tag_tokens)
-from .nn import FFN2, GCN, ToyEmbedder, graph_summary, init_node_representations
+from .nn import FFN2, GCN, ToyEmbedder, init_node_representations
 from .tree import TreeDecoder, TreeNode, decode_tree
 from .vocab import VOCAB_SIZE
 
@@ -149,7 +149,7 @@ class Model:
                                                   GraphKind.DATE) if kind in outs], axis=0)
         sd_reprs = self.gcns[GraphKind.SEMANTIC](instance.graphs[GraphKind.SEMANTIC],
                                                  sd_init, rng)
-        return token_embs, sd_reprs, graph_summary(sd_reprs)
+        return token_embs, sd_reprs, sd_reprs.mean(axis=0)
 
     def forward(self, instance, rng=None, train=False,
                 gold_nodes: set[int] | None = None,

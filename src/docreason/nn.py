@@ -19,7 +19,7 @@ import numpy as np
 from .autodiff import Tensor, dropout, scatter_add
 from .document import TokenSequence, read_json, write_atomic
 from .elements import NodeSet
-from .errors import CheckpointMismatch, EmptyGraph, EmptySpan, SchemaError, ShapeMismatch
+from .errors import CheckpointMismatch, EmptySpan, SchemaError, ShapeMismatch
 from .graphs import SemanticGraph
 from .vocab import VOCAB_SIZE
 
@@ -94,8 +94,6 @@ class GCN:
         if h.data.shape[0] != graph.num_nodes:
             raise ShapeMismatch(
                 f"{graph.kind.value}: {h.data.shape[0]} reprs vs {graph.num_nodes} nodes")
-        if graph.num_nodes == 0:
-            return h
         norm = Tensor(normalize_adjacency(graph.adjacency))
         for i, layer in enumerate(self.layers):
             h = layer(norm @ h)
@@ -242,38 +240,24 @@ class FileEmbedder:
 
 
 def init_node_representations(nodes: NodeSet, token_embs: Tensor) -> Tensor:
-    """Mean-pool each node's token rows into an (N, dim) matrix.
-
-    A node's tokens are its recorded token range. Nodes are pooled in groups
-    of equal token count k as x[lo + arange(k)].sum(axis=1) * (1/k), which
-    adds the rows in the same order as a per-node x[idx].sum(axis=0) * (1/k),
-    so the rows are bit-identical to pooling each node on its own.
-    """
-    lo, hi = nodes.token_ranges.T
-    counts = hi - lo
+    """Mean-pool each node's token rows into an (N, dim) matrix: one
+    scatter_add of the rows over the inventory's (node, token) pairs, which
+    adds each node's rows from 0.0 in token order, then a scale by 1/count.
+    The backward scatters the scaled gradient back over the same pairs."""
+    counts = np.bincount(nodes.node_of, minlength=len(nodes))
     if not counts.all():
         node = nodes.nodes[np.flatnonzero(counts == 0)[0]]
         raise EmptySpan(f"node {node.node_id} ({node.kind.value}) covers no tokens")
     x = token_embs.data
-    data = np.empty((len(nodes), x.shape[1]))
-    for k in np.unique(counts):
-        rows = np.flatnonzero(counts == k)
-        data[rows] = x[lo[rows, None] + np.arange(k)].sum(axis=1) * (1.0 / k)
     node_of, token_of = nodes.node_of, nodes.token_of
     inv_counts = 1.0 / counts
+    data = scatter_add(node_of, x[token_of], (len(nodes), x.shape[1])) * inv_counts[:, None]
     shape = x.shape
 
     def backward(g):
         return (scatter_add(token_of, (g * inv_counts[:, None])[node_of], shape),)
 
     return Tensor._result(data, (token_embs,), backward)
-
-
-def graph_summary(node_reprs: Tensor) -> Tensor:
-    """Mean over node rows: the whole-graph vector."""
-    if node_reprs.data.shape[0] == 0:
-        raise EmptyGraph("cannot summarize an empty graph")
-    return node_reprs.mean(axis=0)
 
 
 CHECKPOINT_VERSION = 2

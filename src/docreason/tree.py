@@ -278,7 +278,7 @@ class _State:
     frames: tuple[_Frame, ...]
     tokens: tuple[int, ...]
     logp: float
-    order: int = 0
+    order: int = 0  # creation rank, for a search that sorts by it (decode_tree: 0)
 
 
 def _apply_token(decoder: TreeDecoder, state: _State, token: int, logp: float,
@@ -329,7 +329,6 @@ def decode_tree(h_sd: Tensor, sd_reprs: Tensor, sel: NodeSelection, nodes: NodeS
     alive = [_State(root_goal, (), (), 0.0)]
     finished: _State | None = None
     max_steps = 2 ** (max_depth + 1) - 1
-    counter = 0
     for _ in range(max_steps):
         goals = concat([state.goal for state in alive], axis=0)
         allow = np.array([len(state.frames) < max_depth for state in alive])
@@ -345,7 +344,7 @@ def decode_tree(h_sd: Tensor, sd_reprs: Tensor, sel: NodeSelection, nodes: NodeS
             best = np.flatnonzero(finishing)[np.argmax(logps[finishing])]  # first of the best
             if finished is None or logps[best] > finished.logp:
                 finished = _State(None, (), alive[rows[best]].tokens + (int(tokens[best]),),
-                                  float(logps[best]), counter + 1 + int(best))
+                                  float(logps[best]))
         building = np.flatnonzero(~finishing)
         building = building[np.argsort(-logps[building], kind="stable")[:beam]]
         if not len(building) or (finished is not None and finished.logp >= logps[building[0]]):
@@ -354,10 +353,8 @@ def decode_tree(h_sd: Tensor, sd_reprs: Tensor, sel: NodeSelection, nodes: NodeS
         for c in building:
             i, token = int(rows[c]), int(tokens[c])
             children.append(_apply_token(decoder, alive[i], token, float(lp.data[i, token]),
-                                         vocab, cand_embs, ctx.slice_rows(i, i + 1),
-                                         counter + 1 + int(c)))
+                                         vocab, cand_embs, ctx.slice_rows(i, i + 1), 0))
         alive = children
-        counter += len(rows)
     if finished is None:
         raise NoLeafCandidates("beam produced no finished tree within the step budget")
     return vocab.tree_from_tokens(list(finished.tokens)), finished.logp

@@ -54,6 +54,16 @@ def _edit_header(ckpt, edit):
     ckpt.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
 
 
+def _run_process(args):
+    """`python -m docreason.cli *args` in a child process, importing this
+    checkout's src; the stderr a user would see is the result's."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-m", "docreason.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 def _save_arrays(ckpt, arrays, meta):
     save_checkpoint(str(ckpt), {name: Tensor(a) for name, a in arrays.items()}, meta)
 
@@ -104,6 +114,9 @@ class TestConfig:
                 with pytest.raises(SchemaError, match=f"{name} must be in"):
                     RunConfig(**{name: rate})
             assert getattr(RunConfig(**{name: 0}), name) == 0
+        for frac in (1e308, 1.5, float("inf"), float("nan"), 0.0, -0.1):
+            with pytest.raises(SchemaError, match=r"warmup must be in \(0, 1\]"):
+                RunConfig(warmup=frac)
         monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
         with pytest.raises(SchemaError):
             load_config()
@@ -151,7 +164,7 @@ class TestConfig:
             assert len(err.strip().splitlines()) == 1
         path = tmp_path / "c.json"
         for values in ({"dim": "8"}, {"seed": None}, {"epochs": 1.5}, {"beam": True},
-                       {"ffn_dropout": 1.0}, {"gcn_dropout": -0.5}):
+                       {"ffn_dropout": 1.0}, {"gcn_dropout": -0.5}, {"warmup": 1e308}):
             path.write_text(json.dumps(values))
             for command in ("validate", "train"):
                 assert main([command, "-c", str(path), "--corpus", corpus,
@@ -253,12 +266,7 @@ class TestValidateAndGraphs:
         record["pages"][0]["extra"] = 1
         path = tmp_path / "warn.json"
         path.write_text(json.dumps([record]))
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        done = subprocess.run([sys.executable, "-m", "docreason.cli", "validate",
-                               "--corpus", str(path)], capture_output=True, text=True,
-                              env=env, timeout=120)
+        done = _run_process(["validate", "--corpus", str(path)])
         assert done.returncode == 0, done.stderr
         assert done.stderr == ("WARNING docreason.document: syn\\n0001 page 0: "
                                "ignoring unknown field 'extra'\n")
@@ -599,6 +607,14 @@ class TestTrainPredictEval:
         assert err.startswith("error: training diverged: ") and "loss is nan (epoch 0)" in err
         assert any(f"{qid}: " in err for qid in qids)
         assert len(err.strip().splitlines()) == 1
+
+    def test_overflowing_training_writes_only_the_error_line(self, corpus, tmp_path):
+        """Run as a process: numpy's floating-point warnings would reach its
+        stderr ahead of the one error line."""
+        done = _run_process(_train_args(corpus, tmp_path, lr=1e308, epochs=2))
+        assert done.returncode == 3, done.stderr
+        assert done.stderr.startswith("error: training diverged: ")
+        assert len(done.stderr.splitlines()) == 1, done.stderr
 
     def test_external_embeddings_train_and_predict(self, corpus, tmp_path):
         rng = np.random.default_rng(0)

@@ -10,7 +10,7 @@ import pytest
 from docreason.autodiff import Tensor
 from docreason.document import ingest_document, tokenize, transform_multipage
 from docreason.elements import build_node_inventory
-from docreason.errors import CheckpointMismatch, EmptyGraph, EmptySpan, SchemaError, ShapeMismatch
+from docreason.errors import CheckpointMismatch, EmptySpan, SchemaError, ShapeMismatch
 from docreason.graphs import GraphKind, SemanticGraph
 from docreason.model import Model, ModelConfig
 from docreason.vocab import VOCAB_SIZE, default_vocab, token_slot
@@ -21,7 +21,6 @@ from docreason.nn import (
     ToyEmbedder,
     _position_encoding,
     FileEmbedder,
-    graph_summary,
     init_node_representations,
     load_checkpoint,
     normalize_adjacency,
@@ -266,12 +265,6 @@ class TestPooling:
         base = init_node_representations(nodes, embs).data
         scaled = init_node_representations(nodes, Tensor(3.0 * embs.data)).data
         np.testing.assert_allclose(scaled, 3.0 * base, atol=1e-12)
-
-    def test_summary_is_row_mean_and_rejects_empty(self):
-        reprs = Tensor(np.arange(6.0).reshape(3, 2))
-        np.testing.assert_allclose(graph_summary(reprs).data, np.array([2.0, 3.0]))
-        with pytest.raises(EmptyGraph):
-            graph_summary(Tensor(np.zeros((0, 2))))
 
     def test_node_without_tokens_is_an_error(self):
         _, seq, nodes = _fixture()
