@@ -433,19 +433,13 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     return Tensor._result(data, tensors, backward)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator | None,
-            rows: tuple[int, np.ndarray] | None = None) -> Tensor:
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     """Inverted dropout drawing from `rng`, the only switch: the identity,
-    drawing nothing, when rng is None (inference) or rate is 0. With
-    `rows` = (n, index), x holds the rows `index` of an n-row tensor: the
-    mask is drawn for all n rows, so the generator advances as it would for
-    that tensor, and x is multiplied by the mask's rows `index`."""
+    drawing nothing, when rng is None (inference) or rate is 0; otherwise
+    one uniform per entry of x, in one draw of x's shape."""
     if rng is None or rate <= 0.0:
         return x
-    keep = rng.random(x.data.shape if rows is None else (rows[0], *x.data.shape[1:])) >= rate
-    if rows is not None:
-        keep = keep[rows[1]]
-    return x * Tensor(keep / (1.0 - rate))
+    return x * Tensor((rng.random(x.data.shape) >= rate) / (1.0 - rate))
 
 
 def add_masked(x: Tensor, mask: np.ndarray, value: float = -1e9) -> Tensor:

@@ -1,8 +1,8 @@
 """Command-line entrypoint: validate, graphs, train, predict, eval.
 
-Exit codes: 0 success, 2 invalid corpus record or config, 3 training
-divergence, 4 checkpoint/corpus mismatch. All output files are written
-atomically (temp file + rename).
+Exit codes: 0 success, 2 invalid corpus record or config or an output
+path that cannot be written, 3 training divergence, 4 checkpoint/corpus
+mismatch. All output files are written atomically (temp file + rename).
 """
 
 from __future__ import annotations
@@ -105,6 +105,11 @@ def cmd_graphs(config: RunConfig) -> int:
 
 def cmd_train(config: RunConfig) -> int:
     os.makedirs(config.out_dir, exist_ok=True)
+    ckpt_path = config.checkpoint or os.path.join(config.out_dir, "checkpoint.ckpt")
+    if os.path.isdir(ckpt_path):
+        raise ValidationError(f"checkpoint {ckpt_path!r} is a directory")
+    if not os.path.isdir(os.path.dirname(ckpt_path) or "."):
+        raise ValidationError(f"checkpoint {ckpt_path!r}: no directory to write it in")
     instances = load_corpus(config.corpus, config.max_len, constants_max=config.constants_max)
     dev = load_corpus(config.dev_corpus, config.max_len) if config.dev_corpus else None
     model = _build_model(config)
@@ -114,7 +119,6 @@ def cmd_train(config: RunConfig) -> int:
     params = model.params()
     for name, tensor in params.items():
         tensor.data = result.best_params[name]
-    ckpt_path = config.checkpoint or os.path.join(config.out_dir, "checkpoint.ckpt")
     save_checkpoint(ckpt_path, params, model.checkpoint_meta())
     write_atomic(os.path.join(config.out_dir, "train_log.csv"), result.log.to_csv().encode())
     print(f"trained {config.epochs} epochs, best dev EM {result.best_em:.4f}")
@@ -135,6 +139,7 @@ def cmd_predict(config: RunConfig) -> int:
 
 
 def cmd_eval(config: RunConfig) -> int:
+    os.makedirs(config.out_dir, exist_ok=True)
     instances = load_corpus(config.corpus, config.max_len)
     if config.predictions:
         dump = load_records(config.predictions)
@@ -143,7 +148,6 @@ def cmd_eval(config: RunConfig) -> int:
     else:
         raise SchemaError("eval needs --checkpoint or --predictions")
     report, _rows = score_dump(instances, dump)
-    os.makedirs(config.out_dir, exist_ok=True)
     write_atomic(os.path.join(config.out_dir, "report.json"), report.to_json().encode())
     write_atomic(os.path.join(config.out_dir, "report.txt"), report.to_text().encode())
     print(report.to_text(), end="")
@@ -204,6 +208,9 @@ def main(argv: list[str] | None = None) -> int:
     except CheckpointMismatch as exc:
         sys.stderr.write(_error_line(f"checkpoint mismatch: {exc}"))
         return EXIT_MISMATCH
+    except OSError as exc:  # an output path that cannot be written
+        sys.stderr.write(_error_line(exc))
+        return EXIT_INVALID
     except DocReasonError as exc:
         sys.stderr.write(_error_line(exc))
         return 1

@@ -118,11 +118,9 @@ def mask_and_update_tokens(token_embs: Tensor, sel: NodeSelection, nodes: NodeSe
 def _per_token(u: UpdatedTokens, ffn: FFN2, fill: float, rng: np.random.Generator | None,
                log_softmax: bool = False) -> Tensor:
     """`ffn` over the valid rows (log-softmaxed per row if asked), spread to
-    one row per token with `fill` in every entry of the other rows. Dropout
-    draws its mask for every token and keeps the valid rows, so the
-    generator advances as it does for a full-length input."""
+    one row per token with `fill` in every entry of the other rows."""
     n, k = len(u.valid_mask), len(u.positions)
-    out = ffn(u.matrix, rng, rows=(n, u.positions))
+    out = ffn(u.matrix, rng)
     if log_softmax:
         out = out.log_softmax()
     index = np.full(n, k)  # row k: the fill row

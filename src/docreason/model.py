@@ -1,9 +1,9 @@
 """Full model: embedder, four graph encoders, five heads, tree decoder.
 
 Forward flow per instance: token embeddings are mean-pooled into node
-rows; the quantity/date/text graphs each run their own GCN over their run
-of rows, and the outputs (the three runs partition the inventory) are
-concatenated in inventory order to initialize the semantic-dependency
+rows; the text/quantity/date graphs each run their own GCN over their run
+of rows, in node order, and the outputs (the three runs partition the
+inventory) are concatenated to initialize the semantic-dependency
 graph, whose GCN yields the final node representations used by every head.
 """
 
@@ -137,16 +137,15 @@ class Model:
         (token_embs, sd_reprs, h_sd). Dropout draws from `rng` when given."""
         token_embs = self.embedder.embed(instance.seq, instance.qid)
         init = init_node_representations(instance.nodes, token_embs)
-        # Each GCN takes its graph's run of rows. They run in this order, which
-        # fixes their dropout draws, and their outputs join in node order.
-        outs = {}
-        for kind in (GraphKind.QUANTITY, GraphKind.DATE, GraphKind.TEXT):
+        # Each GCN takes its graph's run of rows, in node order. An empty graph
+        # is skipped: its GCN's zero gradient would give Adam a momentum step.
+        outs = []
+        for kind in (GraphKind.TEXT, GraphKind.QUANTITY, GraphKind.DATE):
             graph = instance.graphs[kind]
             if graph.num_nodes:
                 rows = init.slice_rows(graph.run.start, graph.run.stop)
-                outs[kind] = self.gcns[kind](graph, rows, rng)
-        sd_init = concat([outs[kind] for kind in (GraphKind.TEXT, GraphKind.QUANTITY,
-                                                  GraphKind.DATE) if kind in outs], axis=0)
+                outs.append(self.gcns[kind](graph, rows, rng))
+        sd_init = concat(outs, axis=0)
         sd_reprs = self.gcns[GraphKind.SEMANTIC](instance.graphs[GraphKind.SEMANTIC],
                                                  sd_init, rng)
         return token_embs, sd_reprs, sd_reprs.mean(axis=0)

@@ -52,17 +52,13 @@ class FFN2:
         self.l2 = Linear(rng, fan_in, fan_out, f"{name}.l2")
         self.drop = drop
 
-    def __call__(self, x: Tensor, rng: np.random.Generator | None = None,
-                 rows: tuple[int, np.ndarray] | None = None) -> Tensor:
-        """`rows` = (n, index) says x is the rows `index` of an n-row input;
-        the dropout mask is drawn for all n (see autodiff.dropout)."""
-        return self.tail(self.l1(x), rng, rows)
+    def __call__(self, x: Tensor, rng: np.random.Generator | None = None) -> Tensor:
+        return self.tail(self.l1(x), rng)
 
-    def tail(self, pre: Tensor, rng: np.random.Generator | None = None,
-             rows: tuple[int, np.ndarray] | None = None) -> Tensor:
+    def tail(self, pre: Tensor, rng: np.random.Generator | None = None) -> Tensor:
         """The layers after l1 (GELU -> dropout -> l2), applied to an l1
         output that the caller computed, e.g. in factored form."""
-        h = dropout(pre.gelu(), self.drop, rng, rows)
+        h = dropout(pre.gelu(), self.drop, rng)
         return self.l2(h)
 
     def params(self) -> dict[str, Tensor]:

@@ -199,9 +199,11 @@ def train(model: Model, instances: list[Instance], epochs: int = 50,
     """Deterministic training loop. Gradients accumulate over batch *
     grad_accum instances per optimizer step; dev EM decides the best
     checkpoint (train set doubles as dev when none given). Before the first
-    step, a training or dev instance without a gold answer raises
-    SchemaError, and a gold expression constant the decoder cannot write
-    raises ValidationError."""
+    step, no training instances or a training or dev instance without a gold
+    answer raises SchemaError, and a gold expression constant the decoder
+    cannot write raises ValidationError."""
+    if not instances:
+        raise SchemaError("training needs at least one record; the corpus has none")
     for inst in (*instances, *(dev or ())):
         if inst.gold is None:
             raise SchemaError(f"{inst.qid}: training needs the record's answer object")

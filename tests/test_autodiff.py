@@ -392,6 +392,14 @@ class TestDropout:
         b = dropout(x, 0.5, np.random.default_rng(5))
         np.testing.assert_array_equal(a.data, b.data)
 
+    def test_draws_one_uniform_per_entry(self):
+        for shape in ((7, 3), (1, 5), (0, 4)):
+            got, want = np.random.default_rng(8), np.random.default_rng(8)
+            out = dropout(Tensor(np.ones(shape)), 0.4, got)
+            keep = want.random(shape) >= 0.4
+            assert got.bit_generator.state == want.bit_generator.state
+            assert out.data.tobytes() == (keep / 0.6).tobytes()
+
 
 class TestPropertyFuzz:
     def test_random_expression_graphs_match_fd(self):

@@ -616,6 +616,51 @@ class TestTrainPredictEval:
         assert done.stderr.startswith("error: training diverged: ")
         assert len(done.stderr.splitlines()) == 1, done.stderr
 
+    def test_an_empty_training_corpus_exits_2_before_any_step(self, corpus, tmp_path, capsys):
+        for name, text in (("empty.json", "[]"), ("empty.jsonl", "")):
+            empty = tmp_path / name
+            empty.write_text(text)
+            assert main(_train_args(str(empty), tmp_path)) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+            assert not (tmp_path / "run" / "checkpoint.ckpt").exists()
+            # an empty dev corpus is still valid
+            assert main(_train_args(corpus, tmp_path, dev_corpus=empty)) == 0
+            (tmp_path / "run" / "checkpoint.ckpt").unlink()
+
+    def test_outputs_that_cannot_be_written_exit_2_naming_the_path(
+            self, corpus, tmp_path, monkeypatch, capsys):
+        assert main(_train_args(corpus, tmp_path)) == 0
+        ckpt = str(tmp_path / "run" / "checkpoint.ckpt")
+        a_file, a_dir = tmp_path / "a-file", tmp_path / "a-dir"
+        a_file.write_text("")
+        a_dir.mkdir()
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran before checking its outputs")
+
+        fresh = str(tmp_path / "fresh")
+        cases = [(["graphs", "--corpus", corpus, "--out-dir", str(a_file)], a_file),
+                 (_train_args(corpus, tmp_path) + ["--out-dir", str(a_file)], a_file),
+                 (["predict", "--corpus", corpus, "--checkpoint", ckpt,
+                   "--out-dir", str(a_file)], a_file),
+                 (["eval", "--corpus", corpus, "--checkpoint", ckpt,
+                   "--out-dir", str(a_file)], a_file),
+                 (_train_args(corpus, tmp_path) + ["--out-dir", fresh, "--checkpoint",
+                                                   str(tmp_path / "missing" / "x.ckpt")],
+                  tmp_path / "missing" / "x.ckpt"),
+                 (_train_args(corpus, tmp_path) + ["--out-dir", fresh, "--checkpoint",
+                                                   str(a_dir)], a_dir)]
+        for args, path in cases:
+            with monkeypatch.context() as m:
+                m.setattr(cli, "train", no_work)
+                m.setattr(cli, "predict_corpus", no_work)
+                assert main(args) == 2, args
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and str(path) in err, (args, err)
+            assert len(err.splitlines()) == 1, err
+        assert not any(os.scandir(fresh)) and not any(os.scandir(a_dir))
+
     def test_external_embeddings_train_and_predict(self, corpus, tmp_path):
         rng = np.random.default_rng(0)
         rows = {inst.qid: rng.normal(size=(len(inst.seq), 8)).tolist()

@@ -154,7 +154,7 @@ def _reference_encode(model, instance, rng=None):
     token_embs = _reference_embed(model.embedder, tokens)
     init = _reference_pool(instance.nodes, token_embs, tokens)
     rows = [init.slice_rows(i, i + 1) for i in range(len(instance.nodes))]
-    for kind in (GraphKind.QUANTITY, GraphKind.DATE, GraphKind.TEXT):
+    for kind in (GraphKind.TEXT, GraphKind.QUANTITY, GraphKind.DATE):
         graph = instance.graphs[kind]
         if graph.num_nodes == 0:
             continue
@@ -173,7 +173,7 @@ def _gather_encode(model, instance, rng=None):
     token_embs = model.embedder.embed(instance.seq, instance.qid)
     init = init_node_representations(instance.nodes, token_embs)
     outs, order = [], []
-    for kind in (GraphKind.QUANTITY, GraphKind.DATE, GraphKind.TEXT):
+    for kind in (GraphKind.TEXT, GraphKind.QUANTITY, GraphKind.DATE):
         graph = instance.graphs[kind]
         if graph.num_nodes == 0:
             continue

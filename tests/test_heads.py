@@ -163,16 +163,14 @@ def _loop_span(s_row, e_row, valid, max_span_len):
 
 
 class _Logits:
-    """An FFN stand-in that returns fixed logits, one per token, for the
-    valid rows it is given."""
+    """An FFN stand-in that returns fixed logits, one per valid row."""
 
     def __init__(self, logits):
         self.logits = logits
 
-    def __call__(self, x, rng=None, rows=None):
-        n, positions = rows
-        assert n == len(self.logits) and x.data.shape[0] == len(positions)
-        return Tensor(self.logits[positions, None])
+    def __call__(self, x, rng=None):
+        assert x.data.shape[0] == len(self.logits)
+        return Tensor(self.logits[:, None])
 
 
 class TestSpanHead:
@@ -188,7 +186,8 @@ class TestSpanHead:
             # few distinct integer logits, so scores tie often
             starts, ends = rng.integers(0, 3, size=(2, n)).astype(float)
             max_span_len = int(rng.integers(1, n + 4))
-            start_lp, end_lp, span = predict_span(u, _Logits(starts), _Logits(ends), max_span_len)
+            start_lp, end_lp, span = predict_span(u, _Logits(starts[valid]), _Logits(ends[valid]),
+                                                max_span_len)
             want = _loop_span(start_lp.data[0], end_lp.data[0], valid, max_span_len)
             assert span == want, (n, max_span_len)
             assert all(type(i) is int for i in span)
@@ -237,9 +236,9 @@ class TestSpanHead:
         with pytest.raises(NoValidTokens):
             predict_span(u, _ffn(16, 1, 1), _ffn(16, 1, 2))
 
-    def test_dropout_draws_full_length_masks(self):
+    def test_dropout_draws_one_mask_over_the_valid_rows_per_ffn(self):
         # the generator ends where two (span) or one (BIO) mask of
-        # (len, 2*dim) over every token leave it
+        # (valid rows, 2*dim) leave it
         seq, nodes, embs, reprs = _instance()
         sel = _selection([0.0] * len(nodes))
         sel.selected.append(nodes.block_node(0).node_id)
@@ -252,7 +251,7 @@ class TestSpanHead:
             got, want = np.random.default_rng(5), np.random.default_rng(5)
             run(got)
             for _ in range(draws):
-                want.random((len(seq), 16))
+                want.random((len(u.positions), 16))
             assert got.bit_generator.state == want.bit_generator.state
 
 
@@ -355,8 +354,9 @@ def _full_matrix_heads(embs, sel, nodes, reprs, seq, start_ffn, end_ffn, token_f
                        rng):
     """The span and BIO heads as they ran over every token: a (len, 2*dim)
     matrix whose rows are exactly zero outside the selected sources, each
-    FFN over all of it, and the span logits of invalid positions pushed
-    down by 1e9 before the softmax."""
+    FFN over all of it with its dropout mask drawn for the valid rows only,
+    and the span logits of invalid positions pushed down by 1e9 before the
+    softmax."""
     owner_row = np.zeros(len(seq), dtype=np.int64)
     valid = np.zeros(len(seq), dtype=bool)
     sources = range(len(nodes))[nodes.sources]
@@ -368,10 +368,19 @@ def _full_matrix_heads(embs, sel, nodes, reprs, seq, start_ffn, end_ffn, token_f
     mask_col = Tensor(valid.astype(np.float64)[:, None])
     matrix = concat([embs * mask_col, reprs.take_rows(owner_row) * mask_col], axis=1)
     n = len(seq)
-    start_lp, end_lp = (add_masked(ffn(matrix, rng).reshape((1, n)),
-                                   valid[None, :]).log_softmax()
+
+    def full(ffn):
+        h = ffn.l1(matrix).gelu()
+        if rng is not None:
+            keep = np.ones(h.data.shape)
+            keep[valid] = (rng.random((int(valid.sum()), h.data.shape[1])) >= ffn.drop) \
+                / (1.0 - ffn.drop)
+            h = h * Tensor(keep)
+        return ffn.l2(h)
+
+    start_lp, end_lp = (add_masked(full(ffn).reshape((1, n)), valid[None, :]).log_softmax()
                         for ffn in (start_ffn, end_ffn))
-    return start_lp, end_lp, token_ffn(matrix, rng).log_softmax(), valid
+    return start_lp, end_lp, full(token_ffn).log_softmax(), valid
 
 
 def _span_bio_loss(start_lp, end_lp, token_lp, valid, params):
