@@ -154,10 +154,17 @@ def read_json(path: str, lines: bool = False):
 
 def write_atomic(path: str, *chunks) -> None:
     """Write the bytes-like `chunks` to `path + ".tmp"`, then rename it onto
-    `path`, so no reader sees a partly written file."""
-    with open(path + ".tmp", "wb") as f:
-        f.writelines(chunks)
-    os.replace(path + ".tmp", path)
+    `path`, so no reader sees a partly written file. When the write or the
+    rename fails, the temporary file is removed and the error re-raised."""
+    tmp = path + ".tmp"
+    f = open(tmp, "wb")
+    try:
+        with f:
+            f.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _require(cond: bool, msg: str):

@@ -159,62 +159,48 @@ def build_vocab() -> list[str]:
     return entries[:VOCAB_SIZE]
 
 
-class Vocab:
-    """Lookup table plus greedy longest-match word-piece splitting."""
-
-    def __init__(self):
-        self.tokens = build_vocab()
-        self.token_to_id = {t: i for i, t in enumerate(self.tokens)}
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def split_word(self, word: str) -> list[tuple[str, int, int]]:
-        """Split a lowercased alphabetic word into (piece, start, end) triples.
-
-        Greedy longest match; continuation pieces carry the ## prefix in
-        their token text but spans index the original word. Characters with
-        no piece fall back to their UTF-8 bytes (all byte tokens exist).
-        """
-        if word in self.token_to_id:
-            return [(word, 0, len(word))]
-        out: list[tuple[str, int, int]] = []
-        pos = 0
-        n = len(word)
-        while pos < n:
-            best = None
-            limit = min(_MAX_PIECE_LEN, n - pos)
-            for ln in range(limit, 0, -1):
-                sub = word[pos:pos + ln]
-                cand = sub if pos == 0 else "##" + sub
-                if cand in self.token_to_id:
-                    best = (cand, pos, pos + ln)
-                    break
-            if best is None:
-                for byte in word[pos].encode("utf-8"):
-                    out.append((f"<0x{byte:02X}>", pos, pos + 1))
-                pos += 1
-            else:
-                out.append(best)
-                pos = best[2]
-        return out
+_TOKEN_ID = {t: i for i, t in enumerate(build_vocab())}
 
 
-_DEFAULT: Vocab | None = None
+@lru_cache(maxsize=65536)
+def split_word(word: str) -> tuple[tuple[str, int, int], ...]:
+    """Split a lowercased alphabetic word into (piece, start, end) triples.
 
-
-def default_vocab() -> Vocab:
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = Vocab()
-    return _DEFAULT
+    Greedy longest match; continuation pieces carry the ## prefix in
+    their token text but spans index the original word. Characters with
+    no piece fall back to their UTF-8 bytes (all byte tokens exist). Kept
+    per word: the greedy search is the costliest step of tokenizing, and
+    corpora repeat words.
+    """
+    if word in _TOKEN_ID:
+        return ((word, 0, len(word)),)
+    out: list[tuple[str, int, int]] = []
+    pos = 0
+    n = len(word)
+    while pos < n:
+        best = None
+        limit = min(_MAX_PIECE_LEN, n - pos)
+        for ln in range(limit, 0, -1):
+            sub = word[pos:pos + ln]
+            cand = sub if pos == 0 else "##" + sub
+            if cand in _TOKEN_ID:
+                best = (cand, pos, pos + ln)
+                break
+        if best is None:
+            for byte in word[pos].encode("utf-8"):
+                out.append((f"<0x{byte:02X}>", pos, pos + 1))
+            pos += 1
+        else:
+            out.append(best)
+            pos = best[2]
+    return tuple(out)
 
 
 @lru_cache(maxsize=65536)
 def token_slot(text: str) -> int:
     """The embedding-table slot of a token text: its vocabulary id, or a
     blake2b hash of it into the table for a text outside the vocabulary."""
-    tid = default_vocab().token_to_id.get(text)
+    tid = _TOKEN_ID.get(text)
     if tid is not None:
         return tid
     digest = hashlib.blake2b(text.encode(), digest_size=8).digest()
@@ -254,24 +240,16 @@ def pretokenize(text: str) -> list[tuple[str, int, int]]:
     return units
 
 
-@lru_cache(maxsize=65536)
-def _word_pieces(word: str) -> tuple[tuple[str, int, int], ...]:
-    """split_word of the default vocabulary, kept per word: the greedy
-    search is the costliest step of tokenizing, and corpora repeat words."""
-    return tuple(default_vocab().split_word(word))
-
-
 def tokenize_text(text: str) -> list[tuple[str, int, int]]:
     """Full tokenization of a source string: (token_text, start, end) triples.
 
     Deterministic: lowercase, whitespace+punctuation pre-split, then greedy
     word-piece fallback for out-of-vocabulary words. Number runs are atomic.
     """
-    vocab = default_vocab()
     out: list[tuple[str, int, int]] = []
     for unit, start, end in pretokenize(text):
-        if unit.isalpha() and unit not in vocab.token_to_id:
-            for piece, s, e in _word_pieces(unit):
+        if unit.isalpha() and unit not in _TOKEN_ID:
+            for piece, s, e in split_word(unit):
                 out.append((piece, start + s, start + e))
         else:
             out.append((unit, start, end))

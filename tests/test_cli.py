@@ -661,6 +661,20 @@ class TestTrainPredictEval:
             assert len(err.splitlines()) == 1, err
         assert not any(os.scandir(fresh)) and not any(os.scandir(a_dir))
 
+    def test_an_output_that_fails_to_land_leaves_no_temporary_file(
+            self, corpus, tmp_path, capsys):
+        assert main(_train_args(corpus, tmp_path)) == 0
+        ckpt = str(tmp_path / "run" / "checkpoint.ckpt")
+        for command, name in (("eval", "report.json"), ("predict", "predictions.jsonl")):
+            out_dir = tmp_path / command
+            (out_dir / name).mkdir(parents=True)  # the rename onto it fails
+            assert main([command, "--corpus", corpus, "--checkpoint", ckpt,
+                         "--out-dir", str(out_dir)]) == 2, command
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and str(out_dir / name) in err, err
+            assert len(err.splitlines()) == 1, err
+            assert not list(out_dir.glob("*.tmp")), command
+
     def test_external_embeddings_train_and_predict(self, corpus, tmp_path):
         rng = np.random.default_rng(0)
         rows = {inst.qid: rng.normal(size=(len(inst.seq), 8)).tolist()
