@@ -127,6 +127,8 @@ def cmd_train(config: RunConfig) -> int:
 
 
 def cmd_predict(config: RunConfig) -> int:
+    if not config.checkpoint:
+        raise SchemaError("predict needs --checkpoint")
     os.makedirs(config.out_dir, exist_ok=True)
     instances = load_corpus(config.corpus, config.max_len)
     model = _load_into_model(config)
@@ -139,14 +141,14 @@ def cmd_predict(config: RunConfig) -> int:
 
 
 def cmd_eval(config: RunConfig) -> int:
+    if not (config.checkpoint or config.predictions):
+        raise SchemaError("eval needs --checkpoint or --predictions")
     os.makedirs(config.out_dir, exist_ok=True)
     instances = load_corpus(config.corpus, config.max_len)
     if config.predictions:
         dump = load_records(config.predictions)
-    elif config.checkpoint:
-        dump = predict_corpus(_load_into_model(config), instances)
     else:
-        raise SchemaError("eval needs --checkpoint or --predictions")
+        dump = predict_corpus(_load_into_model(config), instances)
     report, _rows = score_dump(instances, dump)
     write_atomic(os.path.join(config.out_dir, "report.json"), report.to_json().encode())
     write_atomic(os.path.join(config.out_dir, "report.txt"), report.to_text().encode())

@@ -96,8 +96,10 @@ class Model:
         return {name: t for part in parts for name, t in part.params().items()}
 
     def load_params(self, arrays: dict[str, np.ndarray], source: str = "checkpoint"):
-        """Copy `arrays` into the parameters; a missing, extra or misshapen
-        array raises CheckpointMismatch naming `source` (e.g. the path)."""
+        """Adopt `arrays` (float64, as load_checkpoint returns them) as the
+        parameters: each becomes its tensor's data as it is, not a copy. A
+        missing, extra or misshapen array raises CheckpointMismatch naming
+        `source` (e.g. the path)."""
         params = self.params()
         missing = sorted(set(params) - set(arrays))
         extra = sorted(set(arrays) - set(params))
@@ -109,7 +111,7 @@ class Model:
             if arrays[name].shape != tensor.data.shape:
                 raise CheckpointMismatch(f"{source}: {name} has shape {arrays[name].shape}, "
                                          f"the model needs {tensor.data.shape}")
-            tensor.data = arrays[name].astype(np.float64)
+            tensor.data = arrays[name]
 
     @staticmethod
     def architecture(arrays: dict[str, np.ndarray], source: str = "checkpoint") -> tuple[int, int]:

@@ -278,20 +278,27 @@ def save_checkpoint(path: str, params: dict[str, Tensor], meta: dict):
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
-    """(arrays, meta). The arrays are writable views into one buffer read
-    from the file. A file that cannot be read, or whose header or payload
-    is malformed, raises CheckpointMismatch naming the path."""
+    """(arrays, meta). The header line is read and checked first, and the
+    payload size it describes is compared with the file's size before any
+    buffer is allocated; then the payload is read once, into one float64
+    buffer. The arrays are C-contiguous, aligned, writable views of that
+    buffer, to be adopted as they are (Model.load_params does not copy
+    them). A file that cannot be read, or whose header or payload is
+    malformed, raises CheckpointMismatch naming the path."""
     try:
         with open(path, "rb") as f:
-            buf = bytearray(os.fstat(f.fileno()).st_size)
-            if f.readinto(buf) != len(buf):
-                raise OSError("file changed size while being read")
+            return _read_checkpoint(path, f)
     except OSError as exc:
         raise CheckpointMismatch(f"{path}: unreadable checkpoint ({exc})") from None
-    end = buf.find(b"\n")
+
+
+def _read_checkpoint(path: str, f) -> tuple[dict[str, np.ndarray], dict]:
+    file_size = os.fstat(f.fileno()).st_size
+    line = f.readline()
+    has_newline = line.endswith(b"\n")
     try:
         # A version-1 file is one JSON object without a newline.
-        header = json.loads(buf if end < 0 else buf[:end])
+        header = json.loads(line[:-1] if has_newline else line)
     except ValueError as exc:
         raise CheckpointMismatch(f"{path}: unreadable checkpoint header ({exc})") from None
     if not isinstance(header, dict):
@@ -300,7 +307,7 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
         raise CheckpointMismatch(
             f"{path}: unsupported checkpoint version {header.get('format_version')!r} "
             f"(this build reads version {CHECKPOINT_VERSION}; retrain)")
-    if end < 0:
+    if not has_newline:
         raise CheckpointMismatch(f"{path}: checkpoint header line has no newline")
     if header.get("dtype") != CHECKPOINT_DTYPE:
         raise CheckpointMismatch(f"{path}: unsupported dtype {header.get('dtype')!r}")
@@ -320,13 +327,15 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
             raise CheckpointMismatch(
                 f"{path}: {name!r} at offset {offset!r}, expected {size} (contiguous)")
         count = math.prod(shape)
-        layout[name] = (shape, offset, count)
+        layout[name] = (shape, offset // 8, count)
         size += 8 * count
-    body = end + 1
-    if len(buf) - body != size:
-        fault = "truncated payload" if len(buf) - body < size else "trailing bytes after payload"
-        raise CheckpointMismatch(
-            f"{path}: {fault} ({len(buf) - body} bytes, header describes {size})")
-    arrays = {name: np.frombuffer(buf, CHECKPOINT_DTYPE, count, body + offset).reshape(shape)
-              for name, (shape, offset, count) in layout.items()}
+    payload = file_size - len(line)
+    if payload != size:
+        fault = "truncated payload" if payload < size else "trailing bytes after payload"
+        raise CheckpointMismatch(f"{path}: {fault} ({payload} bytes, header describes {size})")
+    buf = np.empty(size // 8, CHECKPOINT_DTYPE)
+    if f.readinto(buf) != size:
+        raise OSError("file changed size while being read")
+    arrays = {name: buf[start:start + count].reshape(shape)
+              for name, (shape, start, count) in layout.items()}
     return arrays, meta

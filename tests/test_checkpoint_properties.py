@@ -44,3 +44,4 @@ def test_round_trip_is_byte_exact_and_repeatable(params, meta):
         assert got.dtype == np.float64 and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
         assert got.flags.writeable
+        assert got.flags.aligned and got.flags.c_contiguous

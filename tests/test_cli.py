@@ -399,6 +399,19 @@ class TestTrainPredictEval:
     def test_eval_needs_a_source_of_predictions(self, corpus):
         assert main(["eval", "--corpus", corpus]) == 2
 
+    def test_a_missing_model_source_exits_2_before_the_corpus_loads(
+            self, corpus, tmp_path, monkeypatch, capsys):
+        def no_load(*args, **kwargs):
+            raise AssertionError("loaded the corpus before checking its flags")
+
+        monkeypatch.setattr(cli, "load_corpus", no_load)
+        for command, message in (("predict", "predict needs --checkpoint"),
+                                 ("eval", "eval needs --checkpoint or --predictions")):
+            out_dir = tmp_path / command
+            assert main([command, "--corpus", corpus, "--out-dir", str(out_dir)]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not out_dir.exists()
+
     def test_mismatched_checkpoint_exits_4(self, corpus, tmp_path, capsys):
         """A toy checkpoint run with --embeddings, and an embedder table whose
         row count is not this build's vocabulary, fail on the arrays."""

@@ -317,6 +317,8 @@ class TestCheckpoints:
             (v2([[1, 2]], w), "parameter name None"),
             (v2([entry], w[:-1]), "truncated payload"),
             (v2([entry], w + b"\0"), "trailing bytes"),
+            # the size check comes before any buffer of the described size exists
+            (v2([entry, {**second, "shape": [2**40, 2**20]}], w), "truncated payload"),
             (v2({"w": entry}, w), "'params' list"),
             (v2([entry], w, meta=3), "'meta' object"),
         ]
@@ -331,6 +333,19 @@ class TestCheckpoints:
         arrays, _meta = load_checkpoint(str(path))
         np.testing.assert_array_equal(arrays["w"], [1.0, 2.0])
         np.testing.assert_array_equal(arrays["v"], [1.0])
+
+    def test_a_loaded_model_adopts_the_arrays_and_saves_the_same_bytes(self, tmp_path):
+        first, again = tmp_path / "model.ckpt", tmp_path / "again.ckpt"
+        model = Model(ModelConfig(dim=4, gcn_layers=1))
+        save_checkpoint(str(first), model.params(), model.checkpoint_meta())
+        arrays, meta = load_checkpoint(str(first))
+        dim, gcn_layers = Model.architecture(arrays)
+        loaded = Model(ModelConfig(dim=dim, gcn_layers=gcn_layers, seed=1))
+        loaded.load_params(arrays)
+        for name, tensor in loaded.params().items():
+            assert np.shares_memory(tensor.data, arrays[name]), name
+        save_checkpoint(str(again), loaded.params(), meta)
+        assert again.read_bytes() == first.read_bytes()
 
     def test_architecture_is_read_from_the_arrays(self):
         layer = "gcn.semantic.layer{}.w".format
