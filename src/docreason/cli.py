@@ -59,8 +59,13 @@ def _build_model(config: RunConfig) -> Model:
 
 def _load_into_model(config: RunConfig) -> Model:
     """Restore a model from a checkpoint, adopting the architecture (dim,
-    gcn layers) its arrays record so callers don't repeat training flags."""
+    gcn layers) its arrays record so callers don't repeat training flags. A
+    parameter holding NaN or infinity is a mismatch: the first such name, in
+    name order, is reported."""
     arrays, _meta = load_checkpoint(config.checkpoint)
+    bad = next((name for name in sorted(arrays) if not np.isfinite(arrays[name]).all()), None)
+    if bad is not None:
+        raise CheckpointMismatch(f"{config.checkpoint}: parameter {bad} holds NaN or infinity")
     dim, gcn_layers = Model.architecture(arrays, config.checkpoint)
     model = _build_model(dataclasses.replace(config, dim=dim, gcn_layers=gcn_layers))
     model.load_params(arrays, config.checkpoint)

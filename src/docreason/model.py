@@ -49,7 +49,7 @@ class ModelConfig:
     max_tree_depth: int = setting(4, "operator nesting cap")
     beam: int = setting(5, "tree decoder beam width")
     constants_max: int = setting(100, "the decoder's constants are 1..constants_max (<= 100)")
-    seed: int = setting(0, "RNG seed")
+    seed: int = setting(0, "RNG seed of a fresh model and of training; a checkpoint ignores it")
 
 
 @dataclass
@@ -73,7 +73,7 @@ class Model:
         self.config = config
         rng = np.random.default_rng(config.seed)
         d = config.dim
-        self.embedder = embedder or ToyEmbedder(rng, d, config.seed)
+        self.embedder = embedder or ToyEmbedder(rng, d)
         self.gcns = {
             kind: GCN(rng, d, f"gcn.{kind.name.lower()}",
                       config.gcn_layers, config.gcn_dropout)

@@ -102,8 +102,9 @@ class GCN:
         return {name: t for layer in self.layers for name, t in layer.params().items()}
 
 
-def _hash_vector(text: str, dim: int, seed: int) -> np.ndarray:
-    digest = hashlib.blake2b(f"{seed}:{text}".encode(), digest_size=8).digest()
+def _hash_vector(text: str, dim: int) -> np.ndarray:
+    # the "0:" salt gives the rows every seed-0 checkpoint was trained with
+    digest = hashlib.blake2b(f"0:{text}".encode(), digest_size=8).digest()
     rng = np.random.default_rng(int.from_bytes(digest, "big"))
     return rng.uniform(-0.05, 0.05, size=dim)
 
@@ -112,13 +113,13 @@ _HASH_ROWS_MAX = 65536
 
 
 class _HashRows:
-    """_hash_vector of every token text seen, for one (dim, seed): `table`
+    """_hash_vector of every token text seen, for one dim: `table`
     holds one row per text and `index` maps each text to its row. Past
     _HASH_ROWS_MAX rows the table starts over (a single call that needs more
     gets them all)."""
 
-    def __init__(self, dim: int, seed: int):
-        self.dim, self.seed = dim, seed
+    def __init__(self, dim: int):
+        self.dim = dim
         self.index: dict[str, int] = {}
         self.table = np.empty((0, dim))
 
@@ -136,16 +137,16 @@ class _HashRows:
                 size = max(n + len(new), min(2 * len(self.table), _HASH_ROWS_MAX))
                 self.table = np.concatenate((self.table[:n], np.empty((size - n, self.dim))))
             for row, text in enumerate(new, n):
-                self.table[row] = _hash_vector(text, self.dim, self.seed)
+                self.table[row] = _hash_vector(text, self.dim)
                 self.index[text] = row
         return np.array(list(map(self.index.__getitem__, texts)), dtype=np.intp)
 
 
 @lru_cache(maxsize=4)
-def _shared_hash_rows(dim: int, seed: int) -> _HashRows:
-    """One _HashRows per (dim, seed), shared by the embedders that use it, so
-    a model rebuilt for each checkpoint load does not hash again."""
-    return _HashRows(dim, seed)
+def _shared_hash_rows(dim: int) -> _HashRows:
+    """One _HashRows per dim, shared by the embedders that use it, so a model
+    rebuilt for each checkpoint load does not hash again."""
+    return _HashRows(dim)
 
 
 def _position_encoding(length: int, dim: int) -> np.ndarray:
@@ -161,20 +162,20 @@ class ToyEmbedder:
     """Deterministic stand-in for a pretrained layout encoder.
 
     Each token row = content hash + learned vocab-slot vector + sinusoidal
-    position encoding + quantized box encoding. Only the slot table trains.
+    position encoding + quantized box encoding. Only the slot table trains;
+    the hashes and the box projection are fixed, the same for every seed, so
+    a checkpoint's slot table alone fixes what the embedder computes.
     """
 
     name = "toy"
 
-    def __init__(self, rng: np.random.Generator, dim: int, seed: int):
+    def __init__(self, rng: np.random.Generator, dim: int):
         self.dim = dim
-        self.seed = seed
         self.table = Tensor(rng.uniform(-0.05, 0.05, size=(VOCAB_SIZE, dim)),
                             requires_grad=True, name="embedder.table")
-        box_rng = np.random.default_rng(seed + 1)
-        self._box_proj = box_rng.uniform(-0.05, 0.05, size=(4, dim))
+        self._box_proj = np.random.default_rng(1).uniform(-0.05, 0.05, size=(4, dim))
         self._positions = _position_encoding(0, dim)
-        self._hashes = _shared_hash_rows(dim, seed)
+        self._hashes = _shared_hash_rows(dim)
 
     def _position_rows(self, n: int) -> np.ndarray:
         """_position_encoding(n, dim), sliced from a read-only table grown to

@@ -185,7 +185,6 @@ class TrainLog:
 
 @dataclass
 class TrainResult:
-    model: Model
     log: TrainLog
     best_em: float
     best_params: dict[str, np.ndarray]
@@ -276,7 +275,7 @@ def train(model: Model, instances: list[Instance], epochs: int = 50,
     if best_em < 0:
         best_em = 0.0
         best_params = {k: p.data.copy() for k, p in params.items()}
-    return TrainResult(model=model, log=log, best_em=best_em, best_params=best_params)
+    return TrainResult(log=log, best_em=best_em, best_params=best_params)
 
 
 def predict_instance(model: Model, inst: Instance) -> tuple[Answer | None, str | None, ModelOutput]:

@@ -565,6 +565,55 @@ class TestTrainPredictEval:
             assert err.startswith("error: checkpoint mismatch: ") and str(ckpt) in err
             assert reason in err and len(err.strip().splitlines()) == 1
 
+    def test_a_non_finite_parameter_exits_4_naming_it(self, corpus, tmp_path, capsys,
+                                                      monkeypatch):
+        run_dir = tmp_path / "run"
+        assert main(_train_args(corpus, tmp_path)) == 0
+        arrays, meta = load_checkpoint(str(run_dir / "checkpoint.ckpt"))
+        nan_bias = arrays["head.type.l2.b"].copy()
+        nan_bias[0] = np.nan
+        inf_table = arrays["embedder.table"].copy()
+        inf_table[5, 3] = np.inf
+        monkeypatch.setattr(cli, "_build_model", lambda config: pytest.fail("built"))
+        for edits, named in (({"head.type.l2.b": nan_bias}, "head.type.l2.b"),
+                             ({"embedder.table": inf_table}, "embedder.table"),
+                             ({"head.type.l2.b": nan_bias, "embedder.table": inf_table},
+                              "embedder.table")):  # the first in name order
+            ckpt = tmp_path / "non-finite.ckpt"
+            _save_arrays(ckpt, {**arrays, **edits}, meta)
+            for command in ("predict", "eval"):
+                capsys.readouterr()
+                assert main([command, "--corpus", corpus, "--checkpoint", str(ckpt),
+                             "--out-dir", str(tmp_path / command)]) == 4
+                err = capsys.readouterr().err
+                assert err == (f"error: checkpoint mismatch: {ckpt}: parameter {named} "
+                               "holds NaN or infinity\n"), (command, named)
+                assert list((tmp_path / command).iterdir()) == []
+
+    def test_a_checkpoint_predicts_the_same_under_any_seed(self, corpus, tmp_path,
+                                                           monkeypatch):
+        """The seed draws a fresh model and drives training; a loaded model
+        is its checkpoint, whatever --seed or DOCREASON_SEED say."""
+        run_dir = tmp_path / "run"
+        assert main(_train_args(corpus, tmp_path, seed=3)) == 0
+        load = ["--corpus", corpus, "--checkpoint", str(run_dir / "checkpoint.ckpt")]
+        dumps = []
+        for name, flags, env_seed in (("s0", ["--seed", "0"], None),
+                                      ("s3", ["--seed", "3"], None), ("env7", [], "7")):
+            if env_seed is not None:
+                monkeypatch.setenv(SEED_ENV_VAR, env_seed)
+            out = tmp_path / name
+            assert main(["predict", *load, "--out-dir", str(out), *flags]) == 0
+            dumps.append((out / "predictions.jsonl").read_bytes())
+        assert dumps[0] == dumps[1] == dumps[2]
+        monkeypatch.delenv(SEED_ENV_VAR)
+        reports = []
+        for seed in ("0", "5"):
+            out = tmp_path / f"eval{seed}"
+            assert main(["eval", *load, "--out-dir", str(out), "--seed", seed]) == 0
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+
     def test_many_differing_names_make_one_short_line(self, corpus, tmp_path, capsys):
         run_dir = tmp_path / "run"
         assert main(_train_args(corpus, tmp_path)) == 0

@@ -105,7 +105,7 @@ def _reference_embed(embedder, tokens) -> Tensor:
     base = np.empty((n, embedder.dim))
     slots = np.empty(n, dtype=np.int64)
     for i, tok in enumerate(tokens):
-        base[i] = _hash_vector(tok.text, embedder.dim, embedder.seed)
+        base[i] = _hash_vector(tok.text, embedder.dim)
         box = np.zeros(4) if tok.box is None else np.array(tok.box) / 1000.0
         base[i] += box @ embedder._box_proj
         slots[i] = token_slot(tok.text)
@@ -312,7 +312,7 @@ class TestTokenRanges:
 def _concat_embed(embedder, seq) -> Tensor:
     """ToyEmbedder.embed as it was: the hash vectors of the distinct texts,
     one _hash_vector call each, concatenated and gathered by text_ids."""
-    hashes = np.concatenate([_hash_vector(t, embedder.dim, embedder.seed)
+    hashes = np.concatenate([_hash_vector(t, embedder.dim)
                              for t in seq.texts]).reshape(-1, embedder.dim)
     box_rows = np.array([f @ embedder._box_proj for f in seq.source_boxes / nn.COORD_SCALE])
     base = hashes[seq.text_ids] + box_rows[seq.source_ids]
@@ -323,9 +323,9 @@ def _concat_embed(embedder, seq) -> Tensor:
 class TestEmbedHashRows:
     def test_matches_the_per_text_concatenate_across_records_and_embedders(
             self, bundled, widened, truncated):
-        first = ToyEmbedder(np.random.default_rng(0), 16, 3)
-        second = ToyEmbedder(np.random.default_rng(1), 16, 3)  # shares first's rows
-        other = ToyEmbedder(np.random.default_rng(0), 16, 4)  # a table of its own
+        first = ToyEmbedder(np.random.default_rng(0), 16)
+        second = ToyEmbedder(np.random.default_rng(1), 16)  # shares first's rows
+        other = ToyEmbedder(np.random.default_rng(0), 8)  # a table of its own
         assert first._hashes is second._hashes is not other._hashes
         for inst in bundled + widened + truncated + bundled[:5]:
             for embedder in (first, second, other):
@@ -334,8 +334,8 @@ class TestEmbedHashRows:
 
     def test_a_full_table_starts_over(self, bundled, widened, monkeypatch):
         monkeypatch.setattr(nn, "_HASH_ROWS_MAX", 700)
-        embedder = ToyEmbedder(np.random.default_rng(0), 8, 5)
-        hashes = nn._HashRows(8, 5)
+        embedder = ToyEmbedder(np.random.default_rng(0), 8)
+        hashes = nn._HashRows(8)
         embedder._hashes = hashes
         sizes = []
         for inst in widened + bundled[:10] + widened:

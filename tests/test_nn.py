@@ -147,13 +147,13 @@ class TestFFN2:
 class TestToyEmbedder:
     def test_deterministic_for_same_seed(self):
         _, seq, _ = _fixture()
-        a = ToyEmbedder(np.random.default_rng(0), dim=8, seed=0).embed(seq)
-        b = ToyEmbedder(np.random.default_rng(0), dim=8, seed=0).embed(seq)
+        a = ToyEmbedder(np.random.default_rng(0), dim=8).embed(seq)
+        b = ToyEmbedder(np.random.default_rng(0), dim=8).embed(seq)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_shape_matches_sequence(self):
         _, seq, _ = _fixture()
-        emb = ToyEmbedder(np.random.default_rng(0), dim=8, seed=0).embed(seq)
+        emb = ToyEmbedder(np.random.default_rng(0), dim=8).embed(seq)
         assert emb.data.shape == (len(seq), 8)
 
     def test_box_position_changes_rows(self):
@@ -166,15 +166,30 @@ class TestToyEmbedder:
         }
         canon = transform_multipage(ingest_document(record))
         seq_b = tokenize(canon, "How much was paid?")
-        emb = ToyEmbedder(np.random.default_rng(0), dim=8, seed=0)
+        emb = ToyEmbedder(np.random.default_rng(0), dim=8)
         a, b = emb.embed(seq_a).data, emb.embed(seq_b).data
         q_len = seq_a.source_range(None)[1]
         np.testing.assert_array_equal(a[:q_len], b[:q_len])
         assert np.abs(a[q_len:] - b[q_len:]).max() > 1e-6
 
     def test_only_slot_table_trains(self):
-        emb = ToyEmbedder(np.random.default_rng(0), dim=8, seed=0)
+        emb = ToyEmbedder(np.random.default_rng(0), dim=8)
         assert list(emb.params()) == ["embedder.table"]
+
+    def test_fixed_features_are_the_same_for_every_model_seed(self):
+        # the seed-0 values, which every seed-0 checkpoint was trained with
+        _, seq, _ = _fixture()
+        a, b = (Model(ModelConfig(dim=8, seed=s)).embedder for s in (0, 3))
+        assert not hasattr(a, "seed") and a._hashes is b._hashes
+        want_proj = np.random.default_rng(1).uniform(-0.05, 0.05, size=(4, 8))
+        assert a._box_proj.tobytes() == b._box_proj.tobytes() == want_proj.tobytes()
+        b.table.data = a.table.data.copy()
+        assert a.embed(seq).data.tobytes() == b.embed(seq).data.tobytes()
+        for text in seq.texts:
+            digest = hashlib.blake2b(f"0:{text}".encode(), digest_size=8).digest()
+            want = np.random.default_rng(int.from_bytes(digest, "big")).uniform(
+                -0.05, 0.05, size=8)
+            assert a._hashes.table[a._hashes.rows_of([text])[0]].tobytes() == want.tobytes()
 
     def test_out_of_vocabulary_slot_is_the_blake2b_formula(self):
         texts = ["zq-17", "zq-17", "Überschuss", "1,234.5", "", "x" * 300]
@@ -197,7 +212,7 @@ class TestToyEmbedder:
 
     def test_cached_position_rows_equal_a_fresh_encoding_by_bytes(self):
         for dim in (6, 7, 32):
-            embedder = ToyEmbedder(np.random.default_rng(0), dim=dim, seed=1)
+            embedder = ToyEmbedder(np.random.default_rng(0), dim=dim)
             for length in (3, 40, 755, 755, 200, 1, 0, 1024, 17):
                 got = embedder._position_rows(length)
                 assert not got.flags.writeable
@@ -243,7 +258,7 @@ class TestFileEmbedder:
 class TestPooling:
     def test_single_token_node_copies_its_row(self):
         _, seq, nodes = _fixture()
-        embs = ToyEmbedder(np.random.default_rng(0), dim=8, seed=0).embed(seq)
+        embs = ToyEmbedder(np.random.default_rng(0), dim=8).embed(seq)
         pooled = init_node_representations(nodes, embs)
         for node in nodes:
             idx = list(range(*node.token_range))
@@ -253,7 +268,7 @@ class TestPooling:
 
     def test_rows_are_means_of_token_rows(self):
         _, seq, nodes = _fixture()
-        embs = ToyEmbedder(np.random.default_rng(0), dim=8, seed=0).embed(seq)
+        embs = ToyEmbedder(np.random.default_rng(0), dim=8).embed(seq)
         pooled = init_node_representations(nodes, embs)
         for node in nodes:
             idx = list(range(*node.token_range))
@@ -262,14 +277,14 @@ class TestPooling:
 
     def test_pooling_is_linear_in_the_embeddings(self):
         _, seq, nodes = _fixture()
-        embs = ToyEmbedder(np.random.default_rng(0), dim=8, seed=0).embed(seq)
+        embs = ToyEmbedder(np.random.default_rng(0), dim=8).embed(seq)
         base = init_node_representations(nodes, embs).data
         scaled = init_node_representations(nodes, Tensor(3.0 * embs.data)).data
         np.testing.assert_allclose(scaled, 3.0 * base, atol=1e-12)
 
     def test_node_without_tokens_is_an_error(self):
         _, seq, nodes = _fixture()
-        embs = ToyEmbedder(np.random.default_rng(0), dim=8, seed=0).embed(seq)
+        embs = ToyEmbedder(np.random.default_rng(0), dim=8).embed(seq)
         from dataclasses import replace
         lo, _ = nodes.nodes[-1].token_range
         bad = nodes.nodes[:-1] + [replace(nodes.nodes[-1], token_range=(lo, lo))]
