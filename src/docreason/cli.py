@@ -121,10 +121,7 @@ def cmd_train(config: RunConfig) -> int:
     result = train(model, instances, epochs=config.epochs, batch=config.batch,
                    grad_accum=config.grad_accum, lr=config.lr, warmup_frac=config.warmup,
                    seed=config.seed, dev=dev, eval_every=config.eval_every)
-    params = model.params()
-    for name, tensor in params.items():
-        tensor.data = result.best_params[name]
-    save_checkpoint(ckpt_path, params, model.checkpoint_meta())
+    save_checkpoint(ckpt_path, model.params(), model.checkpoint_meta())
     write_atomic(os.path.join(config.out_dir, "train_log.csv"), result.log.to_csv().encode())
     print(f"trained {config.epochs} epochs, best dev EM {result.best_em:.4f}")
     print(f"checkpoint: {ckpt_path}")

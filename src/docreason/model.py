@@ -96,7 +96,8 @@ class Model:
         return {name: t for part in parts for name, t in part.params().items()}
 
     def load_params(self, arrays: dict[str, np.ndarray], source: str = "checkpoint"):
-        """Adopt `arrays` (float64, as load_checkpoint returns them) as the
+        """Adopt `arrays` (float64: as load_checkpoint returns them, or the
+        best evaluation's snapshot at the end of training.train) as the
         parameters: each becomes its tensor's data as it is, not a copy. A
         missing, extra or misshapen array raises CheckpointMismatch naming
         `source` (e.g. the path)."""
@@ -180,6 +181,6 @@ class Model:
             out.token_lp, out.labels = tag_tokens(out.updated, self.token_ffn, rng)
         if AnswerType.ARITHMETIC in heads and not train:
             out.tree, _ = decode_tree(
-                h_sd, sd_reprs, sel, instance.nodes, self.decoder,
-                self.config.beam, self.config.max_tree_depth, self.constants)
+                h_sd, sd_reprs, sel, instance.nodes, self.decoder, self.constants,
+                self.config.beam, self.config.max_tree_depth)
         return out

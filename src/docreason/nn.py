@@ -19,7 +19,7 @@ import numpy as np
 from .autodiff import Tensor, dropout, scatter_add
 from .document import TokenSequence, read_json, write_atomic
 from .elements import NodeSet
-from .errors import CheckpointMismatch, EmptySpan, SchemaError, ShapeMismatch
+from .errors import CheckpointMismatch, EmptySpan, SchemaError
 from .graphs import SemanticGraph
 from .vocab import VOCAB_SIZE
 
@@ -87,9 +87,6 @@ class GCN:
 
     def __call__(self, graph: SemanticGraph, h: Tensor,
                  rng: np.random.Generator | None = None) -> Tensor:
-        if h.data.shape[0] != graph.num_nodes:
-            raise ShapeMismatch(
-                f"{graph.kind.value}: {h.data.shape[0]} reprs vs {graph.num_nodes} nodes")
         norm = Tensor(normalize_adjacency(graph.adjacency))
         for i, layer in enumerate(self.layers):
             h = layer(norm @ h)

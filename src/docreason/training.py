@@ -185,6 +185,9 @@ class TrainLog:
 
 @dataclass
 class TrainResult:
+    """`best_em` is the dev EM of the evaluation the model was left at, and
+    `best_params` are that model's own arrays (not copies), so another
+    `train` call on the same model updates them in place."""
     log: TrainLog
     best_em: float
     best_params: dict[str, np.ndarray]
@@ -196,8 +199,11 @@ def train(model: Model, instances: list[Instance], epochs: int = 50,
           eval_every: int = 5, target_em: float | None = None,
           target_type_acc: float | None = None) -> TrainResult:
     """Deterministic training loop. Gradients accumulate over batch *
-    grad_accum instances per optimizer step; dev EM decides the best
-    checkpoint (train set doubles as dev when none given). Before the first
+    grad_accum instances per optimizer step. The model is left at the
+    parameters of the evaluation with the highest dev EM, the earliest of
+    ties (the training set doubles as dev when none is given); with no
+    epochs nothing is evaluated, the model is left as it was and best_em is
+    0.0. Before the first
     step, no training instances or a training or dev instance without a gold
     answer raises SchemaError, and a gold expression constant the decoder
     cannot write raises ValidationError."""
@@ -221,8 +227,7 @@ def train(model: Model, instances: list[Instance], epochs: int = 50,
     total_steps = max(1, epochs * steps_per_epoch)
     dev_set = dev if dev is not None else instances
     log = TrainLog()
-    best_em = -1.0
-    best_params = {k: p.data.copy() for k, p in params.items()}
+    best_em, best_params = 0.0, None
     step = 0
     scale = 0.0
     for epoch in range(epochs):
@@ -263,7 +268,7 @@ def train(model: Model, instances: list[Instance], epochs: int = 50,
         if (epoch + 1) % eval_every == 0 or epoch == epochs - 1:
             report, rows = evaluate(model, dev_set)
             record["dev_em"] = report.em
-            if report.em > best_em:
+            if best_params is None or report.em > best_em:
                 best_em = report.em
                 best_params = {k: p.data.copy() for k, p in params.items()}
             type_acc = float(np.mean([r["type_correct"] for r in rows])) if rows else 0.0
@@ -272,10 +277,10 @@ def train(model: Model, instances: list[Instance], epochs: int = 50,
         log.epochs.append(record)
         if stop:
             break
-    if best_em < 0:
-        best_em = 0.0
-        best_params = {k: p.data.copy() for k, p in params.items()}
-    return TrainResult(log=log, best_em=best_em, best_params=best_params)
+    if best_params is not None:
+        model.load_params(best_params)
+    return TrainResult(log=log, best_em=best_em,
+                       best_params={k: p.data for k, p in params.items()})
 
 
 def predict_instance(model: Model, inst: Instance) -> tuple[Answer | None, str | None, ModelOutput]:

@@ -124,8 +124,8 @@ class TreeVocab:
     """Token space for one decode: operators, constants, then the selected
     Quantity/Date leaves in ascending node-id order."""
 
-    def __init__(self, leaf_node_ids: list[int], constants: list[int] | None = None):
-        self.constants = DEFAULT_CONSTANTS if constants is None else list(constants)
+    def __init__(self, leaf_node_ids: list[int], constants: list[int]):
+        self.constants = list(constants)
         self.leaf_node_ids = sorted(leaf_node_ids)
         self.num_ops = len(OPS)
         self.num_constants = len(self.constants)
@@ -175,8 +175,7 @@ class TreeVocab:
         return out
 
 
-def selection_vocab(sel: NodeSelection, nodes: NodeSet,
-                    constants: list[int] | None = None) -> TreeVocab:
+def selection_vocab(sel: NodeSelection, nodes: NodeSet, constants: list[int]) -> TreeVocab:
     leaves = range(len(nodes))[nodes.leaves]
     return TreeVocab([nid for nid in sel.selected if nid in leaves], constants)
 
@@ -305,8 +304,8 @@ def _apply_token(decoder: TreeDecoder, state: _State, token: int, logp: float,
 
 
 def decode_tree(h_sd: Tensor, sd_reprs: Tensor, sel: NodeSelection, nodes: NodeSet,
-                decoder: TreeDecoder, beam: int = 5, max_depth: int = 4,
-                constants: list[int] | None = None) -> tuple[TreeNode, float]:
+                decoder: TreeDecoder, constants: list[int], beam: int = 5,
+                max_depth: int = 4) -> tuple[TreeNode, float]:
     """Beam-search the highest-probability expression tree.
 
     The root goal is the graph summary; operator tokens are masked once the

@@ -1,5 +1,6 @@
 """Loss composition, optimizer behavior, the training loop, and scoring."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -12,6 +13,7 @@ from docreason.heads import ANSWER_TYPES, SCALES, AnswerType, Scale
 from docreason.metrics import build_report
 from docreason.model import Model, ModelConfig
 from docreason.pipeline import build_instance
+from docreason import training
 from docreason.synthetic import generate_corpus
 from docreason.training import (
     Adam,
@@ -365,6 +367,35 @@ class TestTrainingLoop:
         with pytest.raises(SchemaError,
                            match=rf"^{dev[1].qid}: training needs the record's answer"):
             train(_model(dim=8), instances, epochs=1, batch=1, grad_accum=1, dev=dev)
+
+    def test_the_model_is_left_at_its_best_evaluation(self, monkeypatch):
+        model = _model(dim=8)
+        ems = iter([1.0, 0.5, 0.25])
+        snapshots = []
+
+        def scripted_evaluate(evaluated, _dev):
+            snapshots.append({k: p.data.copy() for k, p in evaluated.params().items()})
+            return dataclasses.replace(build_report([]), em=next(ems)), []
+
+        monkeypatch.setattr(training, "evaluate", scripted_evaluate)
+        result = train(model, _instances(n=4), epochs=3, batch=2, grad_accum=1,
+                       eval_every=1, seed=0)
+        assert [row["dev_em"] for row in result.log.epochs] == [1.0, 0.5, 0.25]
+        assert result.best_em == 1.0
+        first, last = snapshots[0], snapshots[-1]
+        assert any(not _same_bits(first[k], last[k]) for k in first)  # training moved them
+        for name, p in model.params().items():
+            assert p.data is result.best_params[name]
+            assert _same_bits(p.data, first[name]), name
+
+    def test_no_epochs_leave_the_model_as_it_was(self):
+        model = _model(dim=8)
+        before = {k: p.data.copy() for k, p in model.params().items()}
+        result = train(model, _instances(n=2), epochs=0, batch=1, grad_accum=1)
+        assert result.best_em == 0.0 and result.log.epochs == []
+        for name, p in model.params().items():
+            assert p.data is result.best_params[name]
+            assert _same_bits(p.data, before[name]), name
 
     def test_target_metrics_stop_early(self):
         instances = _instances(n=3)
